@@ -24,8 +24,9 @@ import numpy as np
 
 from . import __version__
 from .decompose import InvalidDecompositionError
-from .estimate import (SurvivalEstimate, discrete_survival_experiment,
-                       fit_exponent, lemma_n0N_experiment,
+from .estimate import (FitUnavailable, SurvivalEstimate,
+                       discrete_survival_experiment, fit_exponent,
+                       lemma_n0N_experiment,
                        product_bound_check, survival_counts, wilson_log_ci)
 from .fluctuation import PositivityProfile, kappa, spitzer_profile
 from .levymodel import Boundary, LevyModel, stable_model, tail_only_model
@@ -35,6 +36,10 @@ from .simulate import TimeGrid
 
 KINDS = ("survival", "exponent", "lemma-n0N", "product-bound", "kappa",
          "spitzer", "integral-test", "discrete-survival")
+
+GRID_POLICIES = ("survival", "uniform", "geometric", "integers")
+# kinds whose horizons are geomspace(run.t_min, run.t_max, run.t_points)
+HORIZON_KINDS = ("survival", "exponent", "discrete-survival")
 
 CSV_COLUMNS = ("experiment_id", "kind", "alpha", "beta", "gamma",
                "boundary_kind", "T", "n_paths", "survivors", "p_hat",
@@ -248,6 +253,17 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
         violations.append(("run.n_paths", "n_paths must be >= 1"))
     if cfg.kind in ("exponent", "discrete-survival") and (cfg.t_points or 0) < 4:
         violations.append(("run.t_points", "exponent fits need at least 4 T points"))
+    if cfg.kind in HORIZON_KINDS or (cfg.kind == "spitzer" and not cfg.t_values):
+        if not cfg.t_min > 0:
+            violations.append(("run.t_min", "t_min must be > 0"))
+        elif not (cfg.t_min < cfg.t_max
+                  or (cfg.t_min == cfg.t_max and cfg.t_points == 1)):
+            violations.append(("run.t_min", "t_min must be below run.t_max"))
+        if cfg.t_points is not None and cfg.t_points < 1:
+            violations.append(("run.t_points", "t_points must be >= 1"))
+    if cfg.grid_policy not in GRID_POLICIES:
+        violations.append(("run.grid_policy",
+                           f"must be one of {', '.join(GRID_POLICIES)}"))
     if cfg.mode not in ("exact", "perturbed"):
         violations.append(("model.mode", "mode must be 'exact' or 'perturbed'"))
     if cfg.ell_family not in (CONSTANT, LOG_POWER):
@@ -329,11 +345,21 @@ def _estimate_row(cfg, boundary_kind, est: SurvivalEstimate, kind=None, gamma=No
                 ci_low=est.log_ci[0], ci_high=est.log_ci[1])
 
 
-def _fit_row(cfg, boundary_kind, fit, n_paths):
-    return _row(cfg, kind="fit", boundary_kind=boundary_kind, gamma=cfg.gamma,
-                n_paths=n_paths, p_hat=fit.rho_hat, ln_p=fit.stderr,
-                ci_low=fit.rho_hat - FIT_CI_Z * fit.stderr,
-                ci_high=fit.rho_hat + FIT_CI_Z * fit.stderr)
+def _fit_row(cfg, boundary_kind, ests):
+    """The fit row; its rho, stderr and CI cells stay empty when too few
+    horizons keep survivors, so the survival rows are still written."""
+    row = _row(cfg, kind="fit", boundary_kind=boundary_kind, gamma=cfg.gamma,
+               n_paths=cfg.n_paths)
+    try:
+        fit = fit_exponent(ests)
+    except FitUnavailable as exc:
+        print(f"levypassage: warning: no fit for {boundary_kind}: {exc}",
+              file=sys.stderr)
+        return row
+    row.update(p_hat=fit.rho_hat, ln_p=fit.stderr,
+               ci_low=fit.rho_hat - FIT_CI_Z * fit.stderr,
+               ci_high=fit.rho_hat + FIT_CI_Z * fit.stderr)
+    return row
 
 
 def run_survival_like(cfg: ExperimentConfig) -> list[dict]:
@@ -349,7 +375,7 @@ def run_survival_like(cfg: ExperimentConfig) -> list[dict]:
                 for T, k in zip(T_grid, counts[bi])]
         rows += [_estimate_row(cfg, b.kind, e) for e in ests]
         if cfg.kind == "exponent":
-            rows.append(_fit_row(cfg, b.kind, fit_exponent(ests), cfg.n_paths))
+            rows.append(_fit_row(cfg, b.kind, ests))
     return rows
 
 
@@ -425,7 +451,7 @@ def run_discrete_survival(cfg: ExperimentConfig) -> list[dict]:
                                   kind="discrete-survival-x"))
         if not res.ordering_ok:
             raise RuntimeError("pathwise ordering Y_T <= X violated")
-    rows.append(_fit_row(cfg, "discrete-y", fit_exponent(y_ests), cfg.n_paths))
+    rows.append(_fit_row(cfg, "discrete-y", y_ests))
     return rows
 
 

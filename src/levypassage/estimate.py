@@ -1,8 +1,11 @@
 """Survival-probability Monte Carlo, exponent regression, lemma experiments.
 
-Every path is simulated once to the largest horizon and scored against every
-intermediate horizon and every boundary, so survivor counts are exactly
-nested in T and exactly ordered across pointwise-ordered boundaries.  Workers
+Every path is simulated once and scored against every horizon and every
+boundary, so survivor counts are exactly nested in T and exactly ordered
+across pointwise-ordered boundaries.  In exact mode the survival engine draws
+a path in doubling blocks and stops once every boundary has been crossed;
+the draws and the running sum are those of the whole-grid path, so the
+counts are the same as when every path runs to the largest horizon.  Workers
 own disjoint path-index ranges with a fixed chunk size; the only cross-thread
 state is integer survivor counts combined by addition, so results are
 identical for any thread count.
@@ -28,6 +31,7 @@ from .stable import StableParams, sample_stable, subordinator_unit_scale
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 CHUNK = 256  # paths per work unit; fixed so results never depend on threads
+EXACT_BLOCK = 128  # increments in an exact path's first block; later ones double
 
 
 @dataclass(frozen=True)
@@ -75,6 +79,10 @@ class ExponentFit:
     intercept: float = 0.0
 
 
+class FitUnavailable(ValueError):
+    """Too few horizons with survivors to fit an exponent."""
+
+
 def fit_exponent(estimates) -> ExponentFit:
     """Weighted least squares of ln p_hat on ln T; rho_hat = -slope.
 
@@ -90,7 +98,7 @@ def fit_exponent(estimates) -> ExponentFit:
             continue
         usable.append(e)
     if len(usable) < 4:
-        raise ValueError("exponent fit needs at least 4 usable grid points")
+        raise FitUnavailable("exponent fit needs at least 4 usable grid points")
     x = np.array([math.log(e.T) for e in usable])
     y = np.array([math.log(e.p_hat) for e in usable])
     k = np.array([e.survivors for e in usable], dtype=float)
@@ -124,13 +132,46 @@ def _run_chunks(worker, n_paths: int, threads: int) -> np.ndarray:
     return np.sum(parts, axis=0)
 
 
+def _exact_path_blocks(params: StableParams, dt_pow: np.ndarray, seed: int,
+                       path: int, phase: int):
+    """Values of one exact path over doubling blocks of grid cells.
+
+    Yields (start, vals) where vals[k] is the path at grid index start + k;
+    vals[0] repeats the last value of the previous block (0 at t = 0).  The
+    first block holds EXACT_BLOCK increments and each later one twice as
+    many, so a caller that stops early skips the rest of the grid.  The
+    draws are those of one sample_stable(params, n, stream) call over the
+    whole grid: the uniforms come from the path's stream in order and the
+    exponentials from a second cursor on the same stream, placed at raw draw
+    n where that call would begin them (a uniform takes one raw draw).  The
+    running sum is carried into each block's cumsum, which rounds exactly as
+    one cumsum over the whole grid would.
+    """
+    n = dt_pow.size
+    g = stream(seed, path, phase)
+    w = None if n <= EXACT_BLOCK else stream(seed, path, phase, offset=n)
+    start, size, carry = 0, EXACT_BLOCK, 0.0
+    while start < n:
+        stop = min(start + size, n)
+        vals = np.empty(stop - start + 1)
+        vals[0] = carry
+        vals[1:] = dt_pow[start:stop] * sample_stable(params, stop - start, g, w)
+        np.cumsum(vals, out=vals)
+        yield start, vals
+        start, size, carry = stop, 2 * size, vals[-1]
+
+
 def survival_counts(model: LevyModel, boundaries: list[Boundary], T_grid,
                     n_paths: int, grid: TimeGrid, seed: int,
                     threads: int = 1, phase: int = PHASE_PATHS) -> np.ndarray:
     """Integer survivor counts, shape (len(boundaries), len(T_grid)).
 
     One path set is reused for every boundary and every horizon: counts are
-    exactly nonincreasing in T and respect pointwise boundary ordering.
+    exactly nonincreasing in T and respect pointwise boundary ordering.  A
+    path is scored at the first monitored point where its value exceeds the
+    boundary (ties survive); an exact-mode path stops being simulated once
+    every boundary has such a point, since later points cannot change its
+    contribution.
     """
     if n_paths <= 0:
         raise ValueError("n_paths must be positive")
@@ -149,25 +190,28 @@ def survival_counts(model: LevyModel, boundaries: list[Boundary], T_grid,
     def worker(lo: int, hi: int) -> np.ndarray:
         dead = np.zeros((len(boundaries), Tg.size + 1), dtype=np.int64)
         for i in range(lo, hi):
-            g = stream(seed, i, phase)
             if exact:
-                inc = dt_pow * sample_stable(model.stable, dt_pow.size, g)
-                vals = np.empty(pts.size)
-                vals[0] = 0.0
-                np.cumsum(inc, out=vals[1:])
-                mpts = pts
-                cur_bvals = bvals
+                blocks = _exact_path_blocks(model.stable, dt_pow, seed, i, phase)
+                mpts, cur_bvals = pts, bvals
             else:
-                path = sample_path(model, grid, stream=g, plan=plan)
-                vals, mpts = path.values, path.grid.points
+                path = sample_path(model, grid, stream=stream(seed, i, phase),
+                                   plan=plan)
+                mpts = path.grid.points
                 cur_bvals = [boundary_value(b, mpts) for b in boundaries]
-            for bi, bv in enumerate(cur_bvals):
-                crossed = vals > bv
-                if crossed.any():
-                    tau = mpts[int(np.argmax(crossed))]
-                    dead[bi, np.searchsorted(Tg, tau, side="left")] += 1
-                else:
-                    dead[bi, Tg.size] += 1
+                blocks = [(0, path.values)]
+            pending = list(range(len(boundaries)))
+            for start, vals in blocks:
+                stop = start + vals.size
+                for bi in tuple(pending):
+                    crossed = vals > cur_bvals[bi][start:stop]
+                    k = int(crossed.argmax())
+                    if crossed[k]:
+                        tau = mpts[start + k]
+                        dead[bi, Tg.searchsorted(tau, side="left")] += 1
+                        pending.remove(bi)
+                if not pending:
+                    break
+            dead[pending, Tg.size] += 1
         return dead
 
     dead = _run_chunks(worker, n_paths, threads)

@@ -22,11 +22,21 @@ PHASE_TERTIARY = 2
 StreamId = tuple[int, int, int]
 
 
-def stream(seed: int, path_index: int, phase: int = PHASE_PATHS) -> np.random.Generator:
-    """Generator for one path, collision-free across (seed, path_index, phase)."""
+def stream(seed: int, path_index: int, phase: int = PHASE_PATHS,
+           offset: int = 0) -> np.random.Generator:
+    """Generator for one path, collision-free across (seed, path_index, phase).
+
+    With offset > 0 the generator starts at raw 64-bit draw `offset` of that
+    stream, exactly where the plain stream would be after `offset` raw draws.
+    Philox is counter-based, so the skip costs no draws.
+    """
     key = np.array([seed & _MASK64, path_index & _MASK64], dtype=np.uint64)
     counter = np.array([0, 0, phase & _MASK64, 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+    bits = np.random.Philox(counter=counter, key=key)
+    if offset:
+        bits.advance(offset // 4)  # one counter step yields four raw draws
+        bits.random_raw(offset % 4)
+    return np.random.Generator(bits)
 
 
 def as_generator(source) -> np.random.Generator:

@@ -33,8 +33,15 @@ class StableParams:
             raise ValueError("scale must be positive")
 
 
-def sample_stable(params: StableParams, n: int, stream) -> np.ndarray:
+def sample_stable(params: StableParams, n: int, stream,
+                  w_stream: np.random.Generator | None = None) -> np.ndarray:
     """n i.i.d. draws of Z(1); deterministic given the stream id.
+
+    The n uniforms come first from `stream`, then the n exponentials.  With
+    `w_stream` the exponentials come from that generator instead, which lets
+    a caller split one long sample into blocks with the same draws: `stream`
+    supplies the uniforms in order and `w_stream`, started where the single
+    call would begin its exponentials, supplies the rest.
 
     For alpha != 1 the draw is
 
@@ -51,7 +58,7 @@ def sample_stable(params: StableParams, n: int, stream) -> np.ndarray:
     a, b = params.alpha, params.beta
     rng = as_generator(stream)
     u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=n)
-    w = rng.standard_exponential(size=n)
+    w = (rng if w_stream is None else w_stream).standard_exponential(size=n)
     if a == 1.0:
         if b != 0.0:
             raise ValueError("alpha = 1 with beta != 0 is unsupported")

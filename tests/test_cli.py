@@ -293,3 +293,50 @@ def test_seed_override_changes_id(tmp_path):
     a = (tmp_path / "a" / "results.csv").read_text()
     b = (tmp_path / "b" / "results.csv").read_text()
     assert a != b
+
+
+@pytest.mark.parametrize("change, field", [
+    ("run.grid_policy = bogus", "run.grid_policy"),
+    ("run.t_min = 0", "run.t_min"),
+    ("run.t_min = -4", "run.t_min"),
+    ("run.t_min = 20000", "run.t_min"),
+    ("run.t_min = 64", "run.t_min"),
+])
+def test_range_checks_exit_2(tmp_path, capsys, change, field):
+    key = change.split(" = ")[0]
+    lines = [ln for ln in BASE.splitlines() if not ln.startswith(key)]
+    cfg = write_config(tmp_path, "\n".join(lines + [change]) + "\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["code"] == 2
+    assert [v["field"] for v in err["error"]["violations"]] == [field]
+    assert not out.exists()
+
+
+def test_failed_fit_keeps_survival_rows(tmp_path, capsys):
+    # the largest horizons keep no survivors below 1 - t^1.3
+    text = """
+experiment.kind = exponent
+model.alpha = 0.7
+boundary.kind = decreasing
+boundary.gamma = 1.3
+run.t_min = 16
+run.t_max = 16384
+run.n_paths = 200
+run.seed = 7
+"""
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "o"
+    with pytest.warns(UserWarning, match="dropping unusable"):
+        assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    warning = capsys.readouterr().err.strip().splitlines()
+    assert len(warning) == 1 and "warning" in warning[0]
+    lines = (out / "results.csv").read_text().strip().splitlines()
+    rows = [dict(zip(CSV_COLUMNS, ln.split(","))) for ln in lines[1:]]
+    survival = [r for r in rows if r["kind"] == "exponent"]
+    assert len(survival) == 6 and survival[-1]["survivors"] == "0"
+    assert rows[-1]["kind"] == "fit" and rows[-1]["n_paths"] == "200"
+    assert all(rows[-1][c] == "" for c in ("p_hat", "ln_p", "ci_low", "ci_high"))
+    plot = (out / "plotdata.tsv").read_text().splitlines()
+    assert len(plot) == 2 + len(survival)

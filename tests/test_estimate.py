@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levypassage import estimate
 from levypassage.decompose import DecompositionT, NEGATIVE, build_decomposition
 from levypassage.estimate import (SurvivalEstimate,
                                   discrete_survival_experiment, fit_exponent,
@@ -13,9 +14,10 @@ from levypassage.estimate import (SurvivalEstimate,
                                   wilson_log_ci)
 from levypassage.levymodel import (Boundary, brownian_model,
                                    standard_symmetric_model)
+from levypassage.rng import stream
 from levypassage.rvcalc import SlowlyVaryingSpec
 from levypassage.simulate import TimeGrid
-from levypassage.stable import StableParams, positivity_parameter
+from levypassage.stable import StableParams, positivity_parameter, sample_stable
 
 ELL1 = SlowlyVaryingSpec("constant", c=1.0)
 
@@ -128,6 +130,39 @@ def test_determinism_across_thread_counts():
         other = survival_counts(m, [Boundary("constant")], T_grid, 1500, grid,
                                 seed=4, threads=threads)
         assert np.array_equal(base, other)
+
+
+@pytest.mark.parametrize("n", [1, 5, 161, 1003, 16464])
+def test_block_draws_match_one_sample(n):
+    """Doubling blocks with a second w cursor draw one whole-grid sample."""
+    params = StableParams(0.7, -0.6, 1.5)
+    full = sample_stable(params, n, stream(21, 4))
+    for first in (1, 3, 128):
+        g, w = stream(21, 4), stream(21, 4, offset=n)
+        parts, start, size = [], 0, first
+        while start < n:
+            stop = min(start + size, n)
+            parts.append(sample_stable(params, stop - start, g, w))
+            start, size = stop, 2 * size
+        assert np.array_equal(np.concatenate(parts), full)
+
+
+@pytest.mark.parametrize("n", [1, 5, 161, 1003, 16464])
+@pytest.mark.parametrize("first", [1, 3, 128])
+def test_exact_path_blocks_match_full_cumsum(monkeypatch, n, first):
+    params = StableParams(0.7, -0.6, 1.5)
+    dt_pow = np.linspace(0.5, 2.0, n)
+    want = np.empty(n + 1)
+    want[0] = 0.0
+    np.cumsum(dt_pow * sample_stable(params, n, stream(21, 4, 1)), out=want[1:])
+    monkeypatch.setattr(estimate, "EXACT_BLOCK", first)
+    got, starts = [0.0], []
+    for start, vals in estimate._exact_path_blocks(params, dt_pow, 21, 4, 1):
+        assert vals[0] == got[-1]
+        starts.append(start)
+        got.extend(vals[1:])
+    assert np.array_equal(np.array(got), want)
+    assert starts == [0] + [first * (2 ** k - 1) for k in range(1, len(starts))]
 
 
 def test_survival_guard_rails():
