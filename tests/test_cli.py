@@ -301,6 +301,7 @@ def test_seed_override_changes_id(tmp_path):
     ("run.t_min = -4", "run.t_min"),
     ("run.t_min = 20000", "run.t_min"),
     ("run.t_min = 64", "run.t_min"),
+    ("run.t_points = 0", "run.t_points"),
 ])
 def test_range_checks_exit_2(tmp_path, capsys, change, field):
     key = change.split(" = ")[0]
@@ -310,7 +311,7 @@ def test_range_checks_exit_2(tmp_path, capsys, change, field):
     assert main(["--config", str(cfg), "--out", str(out)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["code"] == 2
-    assert [v["field"] for v in err["error"]["violations"]] == [field]
+    assert {v["field"] for v in err["error"]["violations"]} == {field}
     assert not out.exists()
 
 

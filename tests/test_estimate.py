@@ -133,36 +133,32 @@ def test_determinism_across_thread_counts():
 
 
 @pytest.mark.parametrize("n", [1, 5, 161, 1003, 16464])
-def test_block_draws_match_one_sample(n):
-    """Doubling blocks with a second w cursor draw one whole-grid sample."""
-    params = StableParams(0.7, -0.6, 1.5)
-    full = sample_stable(params, n, stream(21, 4))
-    for first in (1, 3, 128):
-        g, w = stream(21, 4), stream(21, 4, offset=n)
-        parts, start, size = [], 0, first
-        while start < n:
-            stop = min(start + size, n)
-            parts.append(sample_stable(params, stop - start, g, w))
-            start, size = stop, 2 * size
-        assert np.array_equal(np.concatenate(parts), full)
-
-
-@pytest.mark.parametrize("n", [1, 5, 161, 1003, 16464])
 @pytest.mark.parametrize("first", [1, 3, 128])
-def test_exact_path_blocks_match_full_cumsum(monkeypatch, n, first):
+def test_doubling_blocks_match_one_whole_grid_sample(monkeypatch, n, first):
+    """Block draws with a second w cursor, and the carried running sum, are
+    bit-equal to one sample_stable call and one cumsum over the grid."""
     params = StableParams(0.7, -0.6, 1.5)
+    full = sample_stable(params, n, stream(21, 4, 1))
+    blocks, start, size = [], 0, first
+    while start < n:
+        blocks.append(min(size, n - start))
+        start, size = start + blocks[-1], 2 * size
+    g, w = stream(21, 4, 1), stream(21, 4, 1, offset=n)
+    parts = [sample_stable(params, k, g, w) for k in blocks]
+    assert np.array_equal(np.concatenate(parts), full)
+
     dt_pow = np.linspace(0.5, 2.0, n)
     want = np.empty(n + 1)
     want[0] = 0.0
-    np.cumsum(dt_pow * sample_stable(params, n, stream(21, 4, 1)), out=want[1:])
+    np.cumsum(dt_pow * full, out=want[1:])
     monkeypatch.setattr(estimate, "EXACT_BLOCK", first)
-    got, starts = [0.0], []
+    got, sizes = [0.0], []
     for start, vals in estimate._exact_path_blocks(params, dt_pow, 21, 4, 1):
-        assert vals[0] == got[-1]
-        starts.append(start)
+        assert start == len(got) - 1 and vals[0] == got[-1]
+        sizes.append(vals.size - 1)
         got.extend(vals[1:])
+    assert sizes == blocks
     assert np.array_equal(np.array(got), want)
-    assert starts == [0] + [first * (2 ** k - 1) for k in range(1, len(starts))]
 
 
 def test_survival_guard_rails():
