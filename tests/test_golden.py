@@ -1,10 +1,13 @@
-"""Golden survivor counts: fixed-seed literals that every engine change must reproduce.
+"""Golden outputs: fixed-seed literals that every engine change must reproduce.
 
-The counts were recorded from the engine that simulates every path over the
-whole monitoring grid.  They pin the per-path stream layout, the running
-sum and the first-crossing scoring (ties survive) bit for bit, so any change
-that alters a single draw or a single rounding shows up here.  Each case runs
-at one and at four threads.
+The survivor counts were recorded from the engine that simulates every path
+over the whole monitoring grid.  They pin the per-path stream layout, the
+running sum and the first-crossing scoring (ties survive) bit for bit, so any
+change that alters a single draw or a single rounding shows up here.  Each
+case that takes a thread count runs at one and at four threads.  The
+remaining literals pin the other path builders (product bound, discrete
+survival, renewal gaps, Gaussian refinement) and the canonical config lines
+with the experiment id derived from them.
 """
 
 from dataclasses import replace
@@ -12,9 +15,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from levypassage.estimate import survival_counts
+from levypassage.cli import DRIVERS, build_config, parse_config_text
+from levypassage.decompose import NEGATIVE, DecompositionT, build_decomposition
+from levypassage.estimate import (gaussian_refinement_counts,
+                                  product_bound_check, survival_counts)
+from levypassage.fluctuation import renewal_convergence_gaps
 from levypassage.levymodel import (Boundary, stable_model,
-                                   standard_symmetric_model)
+                                   standard_symmetric_model, tail_only_model)
+from levypassage.rvcalc import SlowlyVaryingSpec
 from levypassage.simulate import TimeGrid
 
 UNIT = standard_symmetric_model(0.7)
@@ -68,3 +76,147 @@ def test_golden_survival_counts(name, threads):
     got = survival_counts(model, boundaries, T_grid, n_paths, grid, seed,
                           threads=threads)
     assert got.tolist() == want
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("decomp, want", [
+    (None, [5, 2, 3]),
+    # S_T == 0: the Y factor is X itself below 1/2
+    (DecompositionT.empty(), [5, 4, 0]),
+])
+def test_golden_product_bound(decomp, want, threads):
+    n = 80
+    rep = product_bound_check(stable_model(0.7, 0.0, 1.5), 64.0, 1.0, n,
+                              seed=41, threads=threads, decomp=decomp)
+    assert [round(p * n) for p in (rep.p_lhs, rep.p_y, rep.p_s)] == want
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_golden_discrete_survival(threads):
+    cfg = build_config(parse_config_text("""
+experiment.kind = discrete-survival
+model.alpha = 0.7
+model.mode = perturbed
+run.t_min = 16
+run.t_max = 32
+run.t_points = 4
+run.n_paths = 60
+run.seed = 22
+"""))
+    rows = DRIVERS[cfg.kind](replace(cfg, t_points=2, threads=threads))
+    got = [(r["kind"], r["T"], r["survivors"]) for r in rows if r["T"] != ""]
+    assert got == [("discrete-survival-y", 16.0, 25),
+                   ("discrete-survival-x", 16.0, 9),
+                   ("discrete-survival-y", 32.0, 25),
+                   ("discrete-survival-x", 32.0, 14)]
+
+
+def test_golden_renewal_gaps():
+    m = tail_only_model(0.7, SlowlyVaryingSpec("constant", c=1.0))
+    decomps = {T: build_decomposition(m, T, NEGATIVE) for T in (1e2, 1e4)}
+    gaps = renewal_convergence_gaps(m, decomps, TimeGrid.integers(16.0), 1.0,
+                                    40, 24)
+    assert {T: "%.17g" % g for T, g in gaps.items()} == {
+        1e2: "0.875", 1e4: "0.29999999999999893"}
+    assert all(type(g) is float for g in gaps.values())
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_golden_gaussian_refinement(threads):
+    got = gaussian_refinement_counts(1.0, 0.0, 1.0, [0.25, 0.5, 1.0, 2.0],
+                                     1e-3, 4, 200, 23, threads=threads)
+    assert got.tolist() == [[194, 172, 147, 105], [194, 171, 145, 105]]
+
+
+CONFIGS = {
+    "exponent-exact": ("""
+experiment.kind = exponent
+model.alpha = 0.7
+model.scale = 6.9382
+boundary.kind = constant,decreasing,increasing
+boundary.gamma = 1.3
+run.t_min = 16
+run.t_max = 16384
+run.t_points = 8
+run.n_paths = 3000
+run.seed = 7
+run.threads = 4
+""", "09a6d91eb06e", [
+        "experiment.kind = exponent", "model.alpha = 0.69999999999999996",
+        "model.beta = 0", "model.scale = 6.9382000000000001",
+        "model.sigma2 = 0", "model.drift = 0", "model.ell_family = constant",
+        "model.ell_c = 1", "model.ell_p = 0", "model.mode = exact",
+        "boundary.kind = constant,decreasing,increasing",
+        "boundary.gamma = 1.3", "boundary.level = 1", "run.t_min = 16",
+        "run.t_max = 16384", "run.t_points = 8", "run.n_paths = 3000",
+        "run.seed = 7", "run.grid_policy = survival", "run.grid_dt = 0.001",
+        "run.grid_t_min = 0.0009765625", "run.grid_per_octave = 8",
+        "kappa.rho_values = 0.29999999999999999,0.5,0.69999999999999996",
+        "kappa.a_values = 0.25,0.5,2,4", "lemma.n = 10000",
+        "run.threads = 4"]),
+    "lemma-n0N": ("""
+experiment.kind = lemma-n0N
+model.alpha = 0.5
+model.ell_c = 1.5
+boundary.gamma = 0.6
+lemma.n = 20000
+run.n_paths = 400
+run.seed = 10
+""", "0eea61d133ec", [
+        "experiment.kind = lemma-n0N", "model.alpha = 0.5", "model.beta = 0",
+        "model.scale = 1", "model.sigma2 = 0", "model.drift = 0",
+        "model.ell_family = constant", "model.ell_c = 1.5", "model.ell_p = 0",
+        "model.mode = exact", "boundary.kind = constant",
+        "boundary.gamma = 0.59999999999999998", "boundary.level = 1",
+        "run.t_min = 16", "run.t_max = 1024", "run.t_points = 6",
+        "run.n_paths = 400", "run.seed = 10", "run.grid_policy = survival",
+        "run.grid_dt = 0.001", "run.grid_t_min = 0.0009765625",
+        "run.grid_per_octave = 8",
+        "kappa.rho_values = 0.29999999999999999,0.5,0.69999999999999996",
+        "kappa.a_values = 0.25,0.5,2,4", "lemma.n = 20000",
+        "run.threads = 1"]),
+    "perturbed-custom-ell": ("""
+experiment.kind = survival
+model.alpha = 0.8
+model.mode = perturbed
+model.ell_family = log-power
+model.ell_c = 2
+model.ell_p = 0.5
+model.sigma2 = 0.25
+model.drift = -0.1
+model.rho = 0.4
+boundary.kind = increasing
+boundary.level = 0.5
+run.t_min = 2
+run.t_max = 64
+run.t_points = 3
+run.grid_policy = geometric
+run.grid_t_min = 0.01
+run.grid_per_octave = 4
+kappa.a_values = 0.5,3
+spitzer.t_values = 1,2.5
+run.seed = 3
+run.threads = 2
+""", "2b9bf5a85c9e", [
+        "experiment.kind = survival", "model.alpha = 0.80000000000000004",
+        "model.beta = 0", "model.scale = 1", "model.sigma2 = 0.25",
+        "model.drift = -0.10000000000000001", "model.ell_family = log-power",
+        "model.ell_c = 2", "model.ell_p = 0.5", "model.mode = perturbed",
+        "model.rho = 0.40000000000000002", "boundary.kind = increasing",
+        "boundary.gamma = 1", "boundary.level = 0.5", "run.t_min = 2",
+        "run.t_max = 64", "run.t_points = 3", "run.n_paths = 1000",
+        "run.seed = 3", "run.grid_policy = geometric", "run.grid_dt = 0.001",
+        "run.grid_t_min = 0.01", "run.grid_per_octave = 4",
+        "kappa.rho_values = 0.29999999999999999,0.5,0.69999999999999996",
+        "kappa.a_values = 0.5,3", "spitzer.t_values = 1,2.5",
+        "lemma.n = 10000", "run.threads = 2"]),
+}
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_golden_config_lines_and_id(name):
+    text, want_id, want_lines = CONFIGS[name]
+    cfg = build_config(parse_config_text(text))
+    assert cfg.experiment_id == want_id
+    assert cfg.canonical_lines() == want_lines
+    assert cfg.canonical_lines(include_threads=False) == want_lines[:-1]
