@@ -17,8 +17,9 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import field, make_dataclass, replace
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -33,9 +34,6 @@ from .levymodel import Boundary, LevyModel, stable_model, tail_only_model
 from .passage import brownian_integral_test
 from .rvcalc import CONSTANT, LOG_POWER, SlowlyVaryingSpec
 from .simulate import TimeGrid
-
-KINDS = ("survival", "exponent", "lemma-n0N", "product-bound", "kappa",
-         "spitzer", "integral-test", "discrete-survival")
 
 GRID_POLICIES = ("survival", "uniform", "geometric", "integers")
 # kinds whose horizons are geomspace(run.t_min, run.t_max, run.t_points)
@@ -84,78 +82,59 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-@dataclass
-class ExperimentConfig:
-    kind: str
-    raw: dict[str, str] = field(default_factory=dict)
+class Parser(NamedTuple):
+    """How one config value is read from its text and written back."""
+    parse: Callable[[str], Any]
+    show: Callable[[Any], str]
+    error: str  # violation message prefix when parse raises ValueError
 
-    # model block
-    alpha: float | None = None
-    beta: float = 0.0
-    scale: float = 1.0
-    sigma2: float = 0.0
-    drift: float = 0.0
-    ell_family: str = CONSTANT
-    ell_c: float = 1.0
-    ell_p: float = 0.0
-    mode: str = "exact"
-    rho: float | None = None
 
-    # boundary block
-    boundary_kinds: tuple[str, ...] = ("constant",)
-    gamma: float = 1.0
-    level: float = 1.0
+TEXT = Parser(str, str, "")
+NAMES = Parser(lambda s: tuple(v.strip() for v in s.split(",")), ",".join, "")
+NUMBER = Parser(float, fmt, "not a number")
+INTEGER = Parser(int, fmt, "not an integer")
+NUMBERS = Parser(lambda s: tuple(float(v) for v in s.split(",")),
+                  lambda vs: ",".join(fmt(v) for v in vs),
+                 "not a comma-separated number list")
 
-    # run block
-    t_min: float = 16.0
-    t_max: float = 1024.0
-    t_points: int = 6
-    n_paths: int = 1000
-    seed: int | None = None
-    threads: int = 1
-    grid_policy: str = "survival"
-    grid_dt: float = 1e-3
-    grid_t_min: float = 2.0 ** -10
-    grid_per_octave: int = 8
+# Every configuration key as (key, attribute, parser, default), in manifest
+# order.  run.threads comes last because the experiment id leaves it out.
+SCHEMA = (
+    ("experiment.kind", "kind", TEXT, ""),
+    ("model.alpha", "alpha", NUMBER, None),
+    ("model.beta", "beta", NUMBER, 0.0),
+    ("model.scale", "scale", NUMBER, 1.0),
+    ("model.sigma2", "sigma2", NUMBER, 0.0),
+    ("model.drift", "drift", NUMBER, 0.0),
+    ("model.ell_family", "ell_family", TEXT, CONSTANT),
+    ("model.ell_c", "ell_c", NUMBER, 1.0),
+    ("model.ell_p", "ell_p", NUMBER, 0.0),
+    ("model.mode", "mode", TEXT, "exact"),
+    ("model.rho", "rho", NUMBER, None),
+    ("boundary.kind", "boundary_kinds", NAMES, ("constant",)),
+    ("boundary.gamma", "gamma", NUMBER, 1.0),
+    ("boundary.level", "level", NUMBER, 1.0),
+    ("run.t_min", "t_min", NUMBER, 16.0),
+    ("run.t_max", "t_max", NUMBER, 1024.0),
+    ("run.t_points", "t_points", INTEGER, 6),
+    ("run.n_paths", "n_paths", INTEGER, 1000),
+    ("run.seed", "seed", INTEGER, None),
+    ("run.grid_policy", "grid_policy", TEXT, "survival"),
+    ("run.grid_dt", "grid_dt", NUMBER, 1e-3),
+    ("run.grid_t_min", "grid_t_min", NUMBER, 2.0 ** -10),
+    ("run.grid_per_octave", "grid_per_octave", INTEGER, 8),
+    ("kappa.rho_values", "rho_values", NUMBERS, (0.3, 0.5, 0.7)),
+    ("kappa.a_values", "a_values", NUMBERS, (0.25, 0.5, 2.0, 4.0)),
+    ("spitzer.t_values", "t_values", NUMBERS, ()),
+    ("lemma.n", "lemma_n", INTEGER, 10_000),
+    ("run.threads", "threads", INTEGER, 1),
+)
 
-    # kind-specific
-    rho_values: tuple[float, ...] = (0.3, 0.5, 0.7)
-    a_values: tuple[float, ...] = (0.25, 0.5, 2.0, 4.0)
-    t_values: tuple[float, ...] = ()
-    lemma_n: int = 10_000
 
+class _ConfigMethods:
     def canonical_lines(self, include_threads: bool = True) -> list[str]:
-        pairs = [
-            ("experiment.kind", self.kind),
-            ("model.alpha", fmt(self.alpha)),
-            ("model.beta", fmt(self.beta)),
-            ("model.scale", fmt(self.scale)),
-            ("model.sigma2", fmt(self.sigma2)),
-            ("model.drift", fmt(self.drift)),
-            ("model.ell_family", self.ell_family),
-            ("model.ell_c", fmt(self.ell_c)),
-            ("model.ell_p", fmt(self.ell_p)),
-            ("model.mode", self.mode),
-            ("model.rho", fmt(self.rho)),
-            ("boundary.kind", ",".join(self.boundary_kinds)),
-            ("boundary.gamma", fmt(self.gamma)),
-            ("boundary.level", fmt(self.level)),
-            ("run.t_min", fmt(self.t_min)),
-            ("run.t_max", fmt(self.t_max)),
-            ("run.t_points", fmt(self.t_points)),
-            ("run.n_paths", fmt(self.n_paths)),
-            ("run.seed", fmt(self.seed)),
-            ("run.grid_policy", self.grid_policy),
-            ("run.grid_dt", fmt(self.grid_dt)),
-            ("run.grid_t_min", fmt(self.grid_t_min)),
-            ("run.grid_per_octave", fmt(self.grid_per_octave)),
-            ("kappa.rho_values", ",".join(fmt(v) for v in self.rho_values)),
-            ("kappa.a_values", ",".join(fmt(v) for v in self.a_values)),
-            ("spitzer.t_values", ",".join(fmt(v) for v in self.t_values)),
-            ("lemma.n", fmt(self.lemma_n)),
-        ]
-        if include_threads:
-            pairs.append(("run.threads", fmt(self.threads)))
+        rows = SCHEMA if include_threads else SCHEMA[:-1]
+        pairs = ((key, p.show(getattr(self, attr))) for key, attr, p, _ in rows)
         return [f"{k} = {v}" for k, v in pairs if v != ""]
 
     @property
@@ -164,94 +143,41 @@ class ExperimentConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def _parse_float(raw, key, violations, default=None):
-    if key not in raw:
-        return default
-    try:
-        return float(raw[key])
-    except ValueError:
-        violations.append((key, f"not a number: {raw[key]!r}"))
-        return default
-
-
-def _parse_int(raw, key, violations, default=None):
-    if key not in raw:
-        return default
-    try:
-        return int(raw[key])
-    except ValueError:
-        violations.append((key, f"not an integer: {raw[key]!r}"))
-        return default
-
-
-def _parse_floats(raw, key, violations, default):
-    if key not in raw:
-        return default
-    try:
-        return tuple(float(v) for v in raw[key].split(","))
-    except ValueError:
-        violations.append((key, f"not a comma-separated number list: {raw[key]!r}"))
-        return default
+# One field per SCHEMA row, plus the raw key/value text it was parsed from.
+ExperimentConfig = make_dataclass(
+    "ExperimentConfig",
+    [(attr, Any, default) for _, attr, _, default in SCHEMA]
+    + [("raw", dict, field(default_factory=dict))],
+    bases=(_ConfigMethods,))
 
 
 def build_config(raw: dict[str, str]) -> ExperimentConfig:
     violations: list[tuple[str, str]] = []
-    kind = raw.get("experiment.kind", "")
-    if kind not in KINDS:
-        violations.append(("experiment.kind", f"must be one of {', '.join(KINDS)}"))
-    cfg = ExperimentConfig(kind=kind, raw=dict(raw))
-
-    cfg.alpha = _parse_float(raw, "model.alpha", violations)
-    cfg.beta = _parse_float(raw, "model.beta", violations, 0.0)
-    cfg.scale = _parse_float(raw, "model.scale", violations, 1.0)
-    cfg.sigma2 = _parse_float(raw, "model.sigma2", violations, 0.0)
-    cfg.drift = _parse_float(raw, "model.drift", violations, 0.0)
-    cfg.ell_family = raw.get("model.ell_family", CONSTANT)
-    cfg.ell_c = _parse_float(raw, "model.ell_c", violations, 1.0)
-    cfg.ell_p = _parse_float(raw, "model.ell_p", violations, 0.0)
-    cfg.mode = raw.get("model.mode", "exact")
-    cfg.rho = _parse_float(raw, "model.rho", violations)
-
-    kinds_raw = raw.get("boundary.kind", "constant")
-    cfg.boundary_kinds = tuple(s.strip() for s in kinds_raw.split(","))
+    if raw.get("experiment.kind", "") not in DRIVERS:
+        violations.append(("experiment.kind", f"must be one of {', '.join(DRIVERS)}"))
+    cfg = ExperimentConfig(raw=dict(raw))
+    for key, attr, p, _ in SCHEMA:
+        if key in raw:
+            try:
+                setattr(cfg, attr, p.parse(raw[key]))
+            except ValueError:
+                violations.append((key, f"{p.error}: {raw[key]!r}"))
     for bk in cfg.boundary_kinds:
         if bk not in ("constant", "decreasing", "increasing"):
             violations.append(("boundary.kind", f"unknown boundary kind {bk!r}"))
-    cfg.gamma = _parse_float(raw, "boundary.gamma", violations, 1.0)
-    cfg.level = _parse_float(raw, "boundary.level", violations, 1.0)
-
-    cfg.t_min = _parse_float(raw, "run.t_min", violations, 16.0)
-    cfg.t_max = _parse_float(raw, "run.t_max", violations, 1024.0)
-    cfg.t_points = _parse_int(raw, "run.t_points", violations, 6)
-    cfg.n_paths = _parse_int(raw, "run.n_paths", violations, 1000)
-    cfg.seed = _parse_int(raw, "run.seed", violations)
-    cfg.threads = _parse_int(raw, "run.threads", violations, 1)
-    cfg.grid_policy = raw.get("run.grid_policy", "survival")
-    cfg.grid_dt = _parse_float(raw, "run.grid_dt", violations, 1e-3)
-    cfg.grid_t_min = _parse_float(raw, "run.grid_t_min", violations, 2.0 ** -10)
-    cfg.grid_per_octave = _parse_int(raw, "run.grid_per_octave", violations, 8)
-
-    cfg.rho_values = _parse_floats(raw, "kappa.rho_values", violations, (0.3, 0.5, 0.7))
-    cfg.a_values = _parse_floats(raw, "kappa.a_values", violations, (0.25, 0.5, 2.0, 4.0))
-    cfg.t_values = _parse_floats(raw, "spitzer.t_values", violations, ())
-    cfg.lemma_n = _parse_int(raw, "lemma.n", violations, 10_000)
-
-    known_prefixes = ("experiment.", "model.", "boundary.", "run.", "kappa.",
-                      "spitzer.", "lemma.")
-    known_keys = {k for k, _ in (line.split(" = ", 1)
-                                 for line in cfg.canonical_lines())}
+    known_keys = {key for key, *_ in SCHEMA}
     for key in raw:
-        if not key.startswith(known_prefixes) or key not in known_keys:
+        if key not in known_keys:
             violations.append((key, "unknown configuration key"))
 
     # semantic validation
     if cfg.seed is None:
         violations.append(("run.seed", "an explicit seed is required"))
-    if cfg.threads is not None and cfg.threads < 1:
+    if cfg.threads < 1:
         violations.append(("run.threads", "threads must be >= 1"))
-    if cfg.n_paths is not None and cfg.n_paths < 1:
+    if cfg.n_paths < 1:
         violations.append(("run.n_paths", "n_paths must be >= 1"))
-    if cfg.kind in ("exponent", "discrete-survival") and (cfg.t_points or 0) < 4:
+    if cfg.kind in ("exponent", "discrete-survival") and cfg.t_points < 4:
         violations.append(("run.t_points", "exponent fits need at least 4 T points"))
     if cfg.kind in HORIZON_KINDS or (cfg.kind == "spitzer" and not cfg.t_values):
         if not cfg.t_min > 0:
@@ -259,7 +185,7 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
         elif not (cfg.t_min < cfg.t_max
                   or (cfg.t_min == cfg.t_max and cfg.t_points == 1)):
             violations.append(("run.t_min", "t_min must be below run.t_max"))
-        if cfg.t_points is not None and cfg.t_points < 1:
+        if cfg.t_points < 1:
             violations.append(("run.t_points", "t_points must be >= 1"))
     if cfg.grid_policy not in GRID_POLICIES:
         violations.append(("run.grid_policy",
@@ -273,18 +199,46 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
         violations.append(("model.mode",
                            "exact mode fixes the matched constant tails; "
                            "custom ell requires mode = perturbed"))
-    if custom_ell and cfg.mode == "perturbed" and cfg.beta not in (0.0, None) \
+    if custom_ell and cfg.mode == "perturbed" and cfg.beta != 0.0 \
             and cfg.kind != "lemma-n0N":
         violations.append(("model.beta", "custom ell models must be symmetric"))
-    if cfg.mode == "exact" and (cfg.sigma2 or cfg.drift):
-        if cfg.alpha is not None and (cfg.sigma2 != 0.0 or cfg.drift != 0.0):
-            violations.append(("model.mode",
-                               "exact stable increments admit no extra drift or "
-                               "Gaussian part; use mode = perturbed"))
+    if cfg.mode == "exact" and cfg.alpha is not None and (cfg.sigma2 or cfg.drift):
+        violations.append(("model.mode",
+                           "exact stable increments admit no extra drift or "
+                           "Gaussian part; use mode = perturbed"))
     if cfg.kind in ("survival", "exponent", "spitzer", "product-bound",
                     "discrete-survival"):
         if cfg.alpha is None and cfg.sigma2 == 0.0 and cfg.drift == 0.0:
             violations.append(("model.alpha", "this experiment needs a model"))
+    # ranges that build_model, monitoring_grid and Boundary rely on
+    matched = cfg.alpha is not None and not (custom_ell and cfg.mode == "perturbed")
+    ranges = [
+        ("model.alpha", cfg.alpha is None or 0.0 < cfg.alpha < 2.0,
+         "alpha must lie in (0, 2)"),
+        ("model.alpha", not matched or cfg.alpha < 1.0
+         or (cfg.alpha > 1.0 and cfg.beta == 0.0),
+         "matched stable tails need alpha < 1, or alpha > 1 with beta = 0"),
+        ("model.beta", -1.0 <= cfg.beta <= 1.0, "beta must lie in [-1, 1]"),
+        ("model.scale", 0.0 < cfg.scale < math.inf, "scale must be finite and > 0"),
+        ("model.sigma2", 0.0 <= cfg.sigma2 < math.inf,
+         "sigma2 must be finite and >= 0"),
+        ("model.drift", math.isfinite(cfg.drift), "drift must be finite"),
+        ("model.ell_c", 0.0 < cfg.ell_c < math.inf, "ell_c must be finite and > 0"),
+        ("model.ell_p", math.isfinite(cfg.ell_p), "ell_p must be finite"),
+        ("boundary.gamma", 0.0 < cfg.gamma < math.inf,
+         "gamma must be finite and > 0"),
+        ("boundary.level", math.isfinite(cfg.level), "level must be finite"),
+        ("run.t_max", 0.0 < cfg.t_max < math.inf, "t_max must be finite and > 0"),
+        ("run.grid_dt", 0.0 < cfg.grid_dt < math.inf,
+         "grid_dt must be finite and > 0"),
+        ("run.grid_t_min", 0.0 < cfg.grid_t_min < math.inf and not (
+            cfg.grid_policy == "geometric" and cfg.grid_t_min >= cfg.t_max),
+         "grid_t_min must be finite, > 0 and, on a geometric grid, below "
+         "run.t_max"),
+        ("run.grid_per_octave", cfg.grid_per_octave >= 1,
+         "grid_per_octave must be >= 1"),
+    ]
+    violations += [(key, message) for key, ok, message in ranges if not ok]
     if violations:
         raise ConfigError(violations)
     return cfg
@@ -440,18 +394,17 @@ def run_integral_test(cfg: ExperimentConfig) -> list[dict]:
 def run_discrete_survival(cfg: ExperimentConfig) -> list[dict]:
     model = build_model(cfg)
     T_grid = np.geomspace(cfg.t_min, cfg.t_max, cfg.t_points)
-    rows, y_ests = [], []
-    for T in T_grid:
-        res = discrete_survival_experiment(model, float(T), cfg.level,
-                                           cfg.seed, cfg.n_paths, cfg.threads)
-        y_ests.append(res.estimate_y)
+    results = discrete_survival_experiment(model, T_grid, cfg.level, cfg.seed,
+                                           cfg.n_paths, cfg.threads)
+    rows = []
+    for res in results:
         rows.append(_estimate_row(cfg, "discrete-y", res.estimate_y,
                                   kind="discrete-survival-y"))
         rows.append(_estimate_row(cfg, "discrete-x", res.estimate_x,
                                   kind="discrete-survival-x"))
         if not res.ordering_ok:
             raise RuntimeError("pathwise ordering Y_T <= X violated")
-    rows.append(_fit_row(cfg, "discrete-y", y_ests))
+    rows.append(_fit_row(cfg, "discrete-y", [res.estimate_y for res in results]))
     return rows
 
 
@@ -474,16 +427,8 @@ DRIVERS = {
 def write_results_csv(path: Path, rows: list[dict]) -> None:
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
-        cells = []
-        for col in CSV_COLUMNS:
-            v = row.get(col, "")
-            if isinstance(v, str):
-                cells.append(v)
-            elif isinstance(v, (int, np.integer)):
-                cells.append(str(int(v)))
-            else:
-                cells.append(fmt(v))
-        lines.append(",".join(cells))
+        cells = (row.get(col, "") for col in CSV_COLUMNS)
+        lines.append(",".join(v if isinstance(v, str) else fmt(v) for v in cells))
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -16,7 +16,7 @@ runtime failure mode for strongly varying ell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -91,11 +91,6 @@ class JumpTable:
         self._ln_mass = np.log(mass)
         self._ln_rest = math.log(rest)
 
-    def tail_prob(self, x) -> np.ndarray:
-        """P(jump > x) under the normalized jump law."""
-        lnm = np.interp(np.log(np.asarray(x, float)), self._ln_x, self._ln_mass)
-        return np.exp(lnm) / self.total_mass
-
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if n == 0:
             return np.empty(0)
@@ -127,6 +122,16 @@ class DecompositionT:
         num = eval_slowly_varying(self.tail.ell, self.delta ** (1.0 / a) / np.asarray(x, float))
         den = eval_slowly_varying(self.tail.ell, 1.0 / np.asarray(x, float))
         return self.delta * num / den
+
+    def thinned(self, signed: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Mask of the signed jumps handed to S_T.
+
+        A jump beyond 1 on this side goes to S_T when its uniform u falls
+        below the thinning probability; callers draw u so that one uniform
+        per jump can be shared across horizons.
+        """
+        on_side = signed < -1.0 if self.side == NEGATIVE else signed > 1.0
+        return on_side & (u < self.thinning_probability(np.abs(signed)))
 
     def nu_S(self, x):
         """Subordinator jump density at magnitude x (zero for x <= 1)."""
@@ -164,33 +169,22 @@ def build_decomposition(model: LevyModel, T: float, side: str) -> DecompositionT
     if tail is None:
         raise ValueError(f"model lacks the {'left' if side == NEGATIVE else 'right'} "
                          f"tail needed for the {side} side")
-    d = delta(T)
-    a = tail.alpha
-
-    def thin(x):
-        num = eval_slowly_varying(tail.ell, d ** (1.0 / a) / x)
-        den = eval_slowly_varying(tail.ell, 1.0 / x)
-        return d * num / den
-
+    d = DecompositionT(T=T, delta=delta(T), side=side, tail=tail,
+                       total_mass=0.0, table=None)
     grid = np.union1d(np.geomspace(1.0, VALIDATION_GRID_HI, VALIDATION_GRID_POINTS), [1.0])
-    probs = thin(grid)
+    probs = d.thinning_probability(grid)
     bad = np.nonzero(probs > 1.0 + 1e-12)[0]
     if bad.size:
         x_bad = grid[bad[0]]
         raise InvalidDecompositionError(
             f"nu_rest < 0 at x = {x_bad:.6g}: thinning probability {probs[bad[0]]:.6g} > 1")
-
-    def nu_s_density(x):
-        return thin(x) * tail.density(x)
-
     hi = truncation_point(tail, 1.0)
-    total, _ = integrate.quad(
-        lambda v: float(nu_s_density(np.asarray(math.exp(v)))) * math.exp(v),
-        0.0, math.log(hi), epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=200)
-    total += power_tail_remainder(lambda v: float(nu_s_density(np.asarray(v))), hi)
-    table = JumpTable(nu_s_density, x_lo=1.0, alpha=a)
-    return DecompositionT(T=T, delta=d, side=side, tail=tail,
-                          total_mass=total, table=table)
+    total, _ = integrate.quad(lambda v: d.nu_S(math.exp(v)) * math.exp(v),
+                              0.0, math.log(hi), epsabs=QUAD_EPSABS,
+                              epsrel=QUAD_EPSREL, limit=200)
+    total += power_tail_remainder(d.nu_S, hi)
+    return replace(d, total_mass=total,
+                   table=JumpTable(d.nu_S, x_lo=1.0, alpha=tail.alpha))
 
 
 class LaplaceBound(NamedTuple):

@@ -23,10 +23,11 @@ import numpy as np
 from .decompose import (NEGATIVE, POSITIVE, DecompositionT, LaplaceBound,
                         build_decomposition, delta, laplace_bound)
 from .levymodel import Boundary, LevyModel
-from .passage import boundary_value, subordinator_stays_above
+from .passage import boundary_value, first_crossing, subordinator_stays_above
 from .rng import PHASE_PATHS, PHASE_SECONDARY, PHASE_TERTIARY, stream
-from .simulate import (PerturbedPlan, TimeGrid, discrete_increments,
-                       sample_path, sample_subordinator_path)
+from .simulate import (PerturbedPlan, TimeGrid, _running_sum,
+                       discrete_increments, sample_path,
+                       sample_subordinator_path)
 from .stable import StableParams, sample_stable, subordinator_unit_scale
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -132,6 +133,15 @@ def _run_chunks(worker, n_paths: int, threads: int) -> np.ndarray:
     return np.sum(parts, axis=0)
 
 
+def _nested_counts(dead: np.ndarray, n_paths: int) -> np.ndarray:
+    """Survivor counts per horizon from a death histogram.
+
+    dead[r, j] counts the paths of row r whose first crossing lies in
+    (T[j-1], T[j]]; the last column counts the rest.
+    """
+    return n_paths - np.cumsum(dead[:, :-1], axis=1)
+
+
 def _exact_path_blocks(params: StableParams, dt_pow: np.ndarray, seed: int,
                        path: int, phase: int):
     """Values of one exact path over doubling blocks of grid cells.
@@ -163,7 +173,8 @@ def _exact_path_blocks(params: StableParams, dt_pow: np.ndarray, seed: int,
 
 def survival_counts(model: LevyModel, boundaries: list[Boundary], T_grid,
                     n_paths: int, grid: TimeGrid, seed: int,
-                    threads: int = 1, phase: int = PHASE_PATHS) -> np.ndarray:
+                    threads: int = 1, phase: int = PHASE_PATHS,
+                    plan: PerturbedPlan | None = None) -> np.ndarray:
     """Integer survivor counts, shape (len(boundaries), len(T_grid)).
 
     One path set is reused for every boundary and every horizon: counts are
@@ -171,7 +182,8 @@ def survival_counts(model: LevyModel, boundaries: list[Boundary], T_grid,
     path is scored at the first monitored point where its value exceeds the
     boundary (ties survive); an exact-mode path stops being simulated once
     every boundary has such a point, since later points cannot change its
-    contribution.
+    contribution.  Perturbed-mode paths use `plan`, by default the plan of
+    the model itself.
     """
     if n_paths <= 0:
         raise ValueError("n_paths must be positive")
@@ -181,7 +193,8 @@ def survival_counts(model: LevyModel, boundaries: list[Boundary], T_grid,
     if Tg[-1] > grid.horizon:
         raise ValueError("monitoring grid must cover the largest horizon")
     exact = model.stable is not None
-    plan = None if exact else PerturbedPlan.from_model(model)
+    if plan is None and not exact:
+        plan = PerturbedPlan.from_model(model)
     pts = grid.points
     if exact:
         dt_pow = np.diff(pts) ** (1.0 / model.stable.alpha)
@@ -201,21 +214,17 @@ def survival_counts(model: LevyModel, boundaries: list[Boundary], T_grid,
                 blocks = [(0, path.values)]
             pending = list(range(len(boundaries)))
             for start, vals in blocks:
-                stop = start + vals.size
                 for bi in tuple(pending):
-                    crossed = vals > cur_bvals[bi][start:stop]
-                    k = int(crossed.argmax())
-                    if crossed[k]:
-                        tau = mpts[start + k]
-                        dead[bi, Tg.searchsorted(tau, side="left")] += 1
+                    k = first_crossing(vals, cur_bvals[bi][start:start + vals.size])
+                    if k is not None:
+                        dead[bi, Tg.searchsorted(mpts[start + k], side="left")] += 1
                         pending.remove(bi)
                 if not pending:
                     break
             dead[pending, Tg.size] += 1
         return dead
 
-    dead = _run_chunks(worker, n_paths, threads)
-    return n_paths - np.cumsum(dead[:, :-1], axis=1)
+    return _nested_counts(_run_chunks(worker, n_paths, threads), n_paths)
 
 
 def survival_probability(model: LevyModel, boundary: Boundary, T_grid,
@@ -279,25 +288,14 @@ def product_bound_check(model: LevyModel, T: float, gamma: float, n_paths: int,
     k_lhs = survival_counts(x_model, [Boundary("decreasing", gamma, 1.0)], Tg,
                             n_paths, grid, seed, threads, PHASE_PATHS)[0, 0]
 
-    y_boundary = Boundary("constant", level=0.5)
+    # Y_T is X itself when S_T has no jumps, else X without the thinned jumps
+    y_model, plan_y = model, None
     if decomp.total_mass > 0:
-        plan_y = PerturbedPlan.from_model(model, remove=decomp)
-        y_model = LevyModel(b=model.b, sigma2=model.sigma2,
-                            tail_left=model.tail_left, tail_right=model.tail_right)
-
-        def y_worker(lo, hi):
-            dead = np.zeros(2, dtype=np.int64)
-            for i in range(lo, hi):
-                path = sample_path(y_model, grid, stream(seed, i, PHASE_SECONDARY),
-                                   plan=plan_y)
-                ok = not (path.values > boundary_value(y_boundary, path.grid.points)).any()
-                dead[0 if ok else 1] += 1
-            return dead
-
-        k_y = int(_run_chunks(y_worker, n_paths, threads)[0])
-    else:
-        k_y = int(survival_counts(model, [y_boundary], Tg, n_paths, grid,
-                                  seed, threads, PHASE_SECONDARY)[0, 0])
+        y_model = replace(model, stable=None)
+        plan_y = PerturbedPlan.from_model(model, decomp)
+    k_y = int(survival_counts(y_model, [Boundary("constant", level=0.5)], Tg,
+                              n_paths, grid, seed, threads, PHASE_SECONDARY,
+                              plan_y)[0, 0])
 
     s_boundary = Boundary("increasing", gamma, -0.5)  # S(t) >= t**gamma - 1/2
     s_grid = TimeGrid(np.array([0.0, T]), "uniform")
@@ -389,42 +387,47 @@ class DiscreteSurvivalResult:
     ordering_ok: bool
 
 
-def discrete_survival_experiment(model: LevyModel, T: float, x: float,
+def discrete_survival_experiment(model: LevyModel, T_grid, x: float,
                                  seed: int, n_paths: int,
-                                 threads: int = 1) -> DiscreteSurvivalResult:
+                                 threads: int = 1) -> list[DiscreteSurvivalResult]:
     """Integer-grid survival of the thinned remainder Y_T below level x.
 
     Simulates (X, Y_T = X - S_T) jointly by thinning the big positive jumps
     of one perturbed path set, so the domination survivors(Y) >= survivors(X)
-    holds pathwise, not just in expectation.
+    holds pathwise, not just in expectation.  Returns one result per horizon
+    T in T_grid, each with its own split of the jump measure and the same
+    path streams; the jump plan of X is built once.
     """
     if model.tail_right is None:
         raise ValueError("discrete survival experiment needs the right tail")
     if model.alpha >= 1.0:
         raise ValueError("discrete survival experiments require alpha < 1")
-    decomp = build_decomposition(model, T, POSITIVE)
     plan = PerturbedPlan.from_model(model)
-    n_steps = int(math.floor(T))
+    results = []
+    for T in map(float, T_grid):
+        decomp = build_decomposition(model, T, POSITIVE)
+        n_steps = int(math.floor(T))
 
-    def worker(lo, hi):
-        res = np.zeros(3, dtype=np.int64)  # survivors_y, survivors_x, violations
-        for i in range(lo, hi):
-            g = stream(seed, i)
-            inc, s_inc = discrete_increments(plan, n_steps, g, decomp=decomp)
-            xv = np.cumsum(inc)
-            yv = xv - np.cumsum(s_inc)
-            ok_y = bool(np.all(yv <= x))
-            ok_x = bool(np.all(xv <= x))
-            res[0] += ok_y
-            res[1] += ok_x
-            res[2] += ok_x and not ok_y
-        return res
+        def worker(lo, hi):
+            res = np.zeros(3, dtype=np.int64)  # survivors_y, survivors_x, violations
+            for i in range(lo, hi):
+                g = stream(seed, i)
+                inc, s_inc = discrete_increments(plan, n_steps, g, decomp=decomp)
+                xv = np.cumsum(inc)
+                yv = xv - np.cumsum(s_inc)
+                ok_y = bool(np.all(yv <= x))
+                ok_x = bool(np.all(xv <= x))
+                res[0] += ok_y
+                res[1] += ok_x
+                res[2] += ok_x and not ok_y
+            return res
 
-    k_y, k_x, violations = (int(v) for v in _run_chunks(worker, n_paths, threads))
-    return DiscreteSurvivalResult(
-        estimate_y=SurvivalEstimate.from_counts(T, k_y, n_paths, seed),
-        estimate_x=SurvivalEstimate.from_counts(T, k_x, n_paths, seed),
-        ordering_ok=violations == 0)
+        k_y, k_x, violations = (int(v) for v in _run_chunks(worker, n_paths, threads))
+        results.append(DiscreteSurvivalResult(
+            estimate_y=SurvivalEstimate.from_counts(T, k_y, n_paths, seed),
+            estimate_x=SurvivalEstimate.from_counts(T, k_x, n_paths, seed),
+            ordering_ok=violations == 0))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -499,18 +502,10 @@ def gaussian_refinement_counts(sigma2: float, drift: float, level: float,
         dead = np.zeros((2, Tg.size + 1), dtype=np.int64)
         for i in range(lo, hi):
             g = stream(seed, i)
-            vals = np.empty(pts.size)
-            vals[0] = 0.0
-            np.cumsum(drift * dt_fine + sd * g.standard_normal(pts.size - 1),
-                      out=vals[1:])
+            vals = _running_sum(drift * dt_fine + sd * g.standard_normal(pts.size - 1))
             for row, (p, v) in enumerate(((sub, vals[::stride]), (pts, vals))):
-                crossed = v > level
-                if crossed.any():
-                    tau = p[int(np.argmax(crossed))]
-                    dead[row, np.searchsorted(Tg, tau, side="left")] += 1
-                else:
-                    dead[row, Tg.size] += 1
+                k = first_crossing(v, level)
+                dead[row, Tg.size if k is None else Tg.searchsorted(p[k], side="left")] += 1
         return dead
 
-    dead = _run_chunks(worker, n_paths, threads)
-    return n_paths - np.cumsum(dead[:, :-1], axis=1)
+    return _nested_counts(_run_chunks(worker, n_paths, threads), n_paths)

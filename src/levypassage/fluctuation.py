@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import DecompositionT
+from .decompose import NEGATIVE, DecompositionT
 from .levymodel import LevyModel
 from .rng import PHASE_PATHS, stream
-from .simulate import (PathSample, PerturbedPlan, TimeGrid, _gaussian_path,
-                       _merge_with_epochs, sample_path)
+from .simulate import (PathSample, PerturbedPlan, TimeGrid, _cell_jumps,
+                       _gaussian_path, _merge_with_epochs, _running_sum,
+                       sample_path)
 
 KAPPA_U_RANGE = 40.0
 KAPPA_PANELS = 10_000
@@ -93,12 +94,15 @@ def ladder_process(path: PathSample) -> LadderSample:
     t = 0 is always a record (the initial supremum 0); later points are
     records iff they exceed every earlier value.
     """
-    v = path.values
+    rec = _record_mask(path.values)
+    return LadderSample(epochs=path.grid.points[rec], heights=path.values[rec])
+
+
+def _record_mask(v: np.ndarray) -> np.ndarray:
     rec = np.empty(v.size, dtype=bool)
     rec[0] = True
-    if v.size > 1:
-        rec[1:] = v[1:] > np.maximum.accumulate(v)[:-1]
-    return LadderSample(epochs=path.grid.points[rec], heights=v[rec])
+    rec[1:] = v[1:] > np.maximum.accumulate(v)[:-1]
+    return rec
 
 
 def renewal_estimate(samples, x: float) -> float:
@@ -154,24 +158,14 @@ def renewal_convergence_gaps(model: LevyModel, decomp_by_T: dict[float, Decompos
         rng = stream(seed, i)
         epochs, signed = plan.draw_jumps(rng, grid.horizon)
         u = rng.uniform(size=epochs.size)
-        merged, acc = _merge_with_epochs(grid.points, epochs, signed)
-        vx = _gaussian_path(plan, merged, acc, rng)
-        count_x += _record_count_below(vx, x)
+        merged, jumps = _merge_with_epochs(grid.points, epochs, signed)
+        vx = _gaussian_path(plan, merged, jumps, rng)
+        count_x += int(np.count_nonzero(vx[_record_mask(vx)] < x))
         for T in Ts:
             d = decomp_by_T[T]
-            side = signed < -1.0 if d.side == "negative" else signed > 1.0
-            thin = side & (u < d.thinning_probability(np.abs(signed)))
-            acc_s = np.zeros(merged.size)
-            np.add.at(acc_s, np.searchsorted(merged, epochs[thin]), np.abs(signed[thin]))
-            s = np.concatenate([[0.0], np.cumsum(acc_s[1:])])
-            vy = vx + s if d.side == "negative" else vx - s
-            count_y[T] += _record_count_below(vy, x)
+            thin = d.thinned(signed, u)
+            s = _running_sum(_cell_jumps(merged, epochs[thin], np.abs(signed[thin])))
+            vy = vx + s if d.side == NEGATIVE else vx - s
+            count_y[T] += int(np.count_nonzero(vy[_record_mask(vy)] < x))
     v_x = count_x / n_paths
     return {T: abs(count_y[T] / n_paths - v_x) for T in Ts}
-
-
-def _record_count_below(values: np.ndarray, x: float) -> int:
-    rec = np.empty(values.size, dtype=bool)
-    rec[0] = True
-    rec[1:] = values[1:] > np.maximum.accumulate(values)[:-1]
-    return int(np.count_nonzero(values[rec] < x))

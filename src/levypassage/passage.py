@@ -36,12 +36,17 @@ def boundary_value(b: Boundary, t):
     return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
 
+def first_crossing(values: np.ndarray, limits) -> int | None:
+    """First index with values > limits (ties survive), or None."""
+    crossed = values > limits
+    k = int(crossed.argmax())
+    return k if crossed[k] else None
+
+
 def survives(path: PathSample, b: Boundary) -> SurvivalVerdict:
     """True iff values <= f(t) at every monitored point (ties survive)."""
-    crossed = path.values > boundary_value(b, path.grid.points)
-    if not crossed.any():
-        return SurvivalVerdict(True, None)
-    return SurvivalVerdict(False, int(np.argmax(crossed)))
+    k = first_crossing(path.values, boundary_value(b, path.grid.points))
+    return SurvivalVerdict(k is None, k)
 
 
 def subordinator_stays_above(path: PathSample, b: Boundary) -> bool:

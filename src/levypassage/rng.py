@@ -19,9 +19,6 @@ PHASE_PATHS = 0
 PHASE_SECONDARY = 1
 PHASE_TERTIARY = 2
 
-StreamId = tuple[int, int, int]
-
-
 def stream(seed: int, path_index: int, phase: int = PHASE_PATHS,
            offset: int = 0) -> np.random.Generator:
     """Generator for one path, collision-free across (seed, path_index, phase).
@@ -48,7 +45,3 @@ def as_generator(source) -> np.random.Generator:
     if isinstance(source, tuple) and len(source) in (2, 3):
         return stream(*(int(v) for v in source))
     raise TypeError(f"cannot build an RNG stream from {source!r}")
-
-
-def stream_id(seed: int, path_index: int, phase: int = PHASE_PATHS) -> StreamId:
-    return (int(seed), int(path_index), int(phase))

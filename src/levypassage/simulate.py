@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from . import rng as rngmod
 from .decompose import NEGATIVE, POSITIVE, DecompositionT, JumpTable
 from .levymodel import LevyModel
 from .rng import as_generator
@@ -98,7 +97,6 @@ class PathSample:
     grid: TimeGrid
     values: np.ndarray
     jump_times: np.ndarray
-    stream: rngmod.StreamId
 
 
 # ---------------------------------------------------------------------------
@@ -173,37 +171,50 @@ class PerturbedPlan:
             return np.empty(0), np.empty(0)
         epochs = np.sort(rng.uniform(0.0, horizon, size=n))
         keep = epochs > 0.0
-        epochs = epochs[keep]
         right = rng.uniform(size=n)[keep] < self.p_right
-        sizes = np.empty(epochs.size)
+        return epochs[keep], self.signed_sizes(rng, right)
+
+    def signed_sizes(self, rng: np.random.Generator, right: np.ndarray) -> np.ndarray:
+        """Jump sizes from the right table where `right`, else negated left draws."""
+        sizes = np.empty(right.size)
         nr = int(right.sum())
         if nr:
             sizes[right] = self.table_right.sample(rng, nr)
-        if epochs.size - nr:
-            sizes[~right] = -self.table_left.sample(rng, epochs.size - nr)
-        return epochs, sizes
+        if right.size - nr:
+            sizes[~right] = -self.table_left.sample(rng, right.size - nr)
+        return sizes
+
+
+def _cell_jumps(points: np.ndarray, epochs: np.ndarray,
+                sizes: np.ndarray) -> np.ndarray:
+    """Sum of the jumps in each cell (t_{k-1}, t_k]; every epoch is a point."""
+    acc = np.zeros(points.size)
+    np.add.at(acc, np.searchsorted(points, epochs), sizes)
+    return acc[1:]
+
+
+def _running_sum(inc: np.ndarray) -> np.ndarray:
+    """Path values from cell increments: 0 at the first point, then the cumsum."""
+    out = np.empty(inc.size + 1)
+    out[0] = 0.0
+    np.cumsum(inc, out=out[1:])
+    return out
 
 
 def _merge_with_epochs(points: np.ndarray, epochs: np.ndarray,
                        signed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Monitored points including epochs, plus per-point jump contributions."""
+    """Monitored points including epochs, plus the jump sum of each cell."""
     merged = np.union1d(points, epochs)
-    acc = np.zeros(merged.size)
-    np.add.at(acc, np.searchsorted(merged, epochs), signed)
-    return merged, acc
+    return merged, _cell_jumps(merged, epochs, signed)
 
 
 def _gaussian_path(plan: PerturbedPlan, merged: np.ndarray,
-                   jump_acc: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+                   jumps: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     dt = np.diff(merged)
     inc = plan.drift * dt
     if plan.var_unit > 0:
         inc = inc + np.sqrt(plan.var_unit * dt) * rng.standard_normal(dt.size)
-    inc = inc + jump_acc[1:]
-    out = np.empty(merged.size)
-    out[0] = 0.0
-    np.cumsum(inc, out=out[1:])
-    return out
+    return _running_sum(inc + jumps)
 
 
 # ---------------------------------------------------------------------------
@@ -213,43 +224,36 @@ def _gaussian_path(plan: PerturbedPlan, merged: np.ndarray,
 def sample_path(model: LevyModel, grid: TimeGrid, stream,
                 plan: PerturbedPlan | None = None) -> PathSample:
     """One path of X on the grid; perturbed mode also monitors jump epochs."""
-    sid = stream if isinstance(stream, tuple) else (0, 0, 0)
     rng = as_generator(stream)
     if model.stable is not None:
         dt = np.diff(grid.points)
-        inc = dt ** (1.0 / model.stable.alpha) * sample_stable(model.stable, dt.size, rng)
-        values = np.empty(grid.points.size)
-        values[0] = 0.0
-        np.cumsum(inc, out=values[1:])
-        return PathSample(grid=grid, values=values, jump_times=np.empty(0), stream=sid)
+        values = _running_sum(dt ** (1.0 / model.stable.alpha)
+                              * sample_stable(model.stable, dt.size, rng))
+        return PathSample(grid=grid, values=values, jump_times=np.empty(0))
     if plan is None:
         plan = PerturbedPlan.from_model(model)
     epochs, signed = plan.draw_jumps(rng, grid.horizon)
-    merged, acc = _merge_with_epochs(grid.points, epochs, signed)
-    values = _gaussian_path(plan, merged, acc, rng)
+    merged, jumps = _merge_with_epochs(grid.points, epochs, signed)
+    values = _gaussian_path(plan, merged, jumps, rng)
     out_grid = grid if epochs.size == 0 else TimeGrid(merged, grid.policy)
-    return PathSample(grid=out_grid, values=values, jump_times=epochs, stream=sid)
+    return PathSample(grid=out_grid, values=values, jump_times=epochs)
 
 
 def sample_subordinator_path(decomp: DecompositionT, grid: TimeGrid,
                              stream) -> PathSample:
     """Compound-Poisson path of S_T, monitored at grid points and jump epochs."""
-    sid = stream if isinstance(stream, tuple) else (0, 0, 0)
     rng = as_generator(stream)
     T = grid.horizon
     n = rng.poisson(decomp.total_mass * T) if decomp.total_mass > 0 else 0
     if n == 0:
         return PathSample(grid=grid, values=np.zeros(grid.points.size),
-                          jump_times=np.empty(0), stream=sid)
+                          jump_times=np.empty(0))
     epochs = np.sort(rng.uniform(0.0, T, size=n))
     epochs = epochs[epochs > 0.0]
     sizes = decomp.table.sample(rng, epochs.size)
-    merged, acc = _merge_with_epochs(grid.points, epochs, sizes)
-    values = np.empty(merged.size)
-    values[0] = 0.0
-    np.cumsum(acc[1:], out=values[1:])
-    return PathSample(grid=TimeGrid(merged, grid.policy), values=values,
-                      jump_times=epochs, stream=sid)
+    merged, jumps = _merge_with_epochs(grid.points, epochs, sizes)
+    return PathSample(grid=TimeGrid(merged, grid.policy),
+                      values=_running_sum(jumps), jump_times=epochs)
 
 
 def sample_coupled_decomposition(model: LevyModel, decomp: DecompositionT,
@@ -263,27 +267,20 @@ def sample_coupled_decomposition(model: LevyModel, decomp: DecompositionT,
     remainder is exactly Y_T, and the identity X = Y_T -+ S_T holds pathwise,
     which is what the ordering checks rely on.
     """
-    sid = stream if isinstance(stream, tuple) else (0, 0, 0)
     rng = as_generator(stream)
     if plan is None:
         plan = PerturbedPlan.from_model(model)
     epochs, signed = plan.draw_jumps(rng, grid.horizon)
-    on_side = signed < -1.0 if decomp.side == NEGATIVE else signed > 1.0
-    u = rng.uniform(size=epochs.size)
-    thin = on_side & (u < decomp.thinning_probability(np.abs(signed)))
-    merged, acc_x = _merge_with_epochs(grid.points, epochs, signed)
-    values_x = _gaussian_path(plan, merged, acc_x, rng)
-    acc_s = np.zeros(merged.size)
-    np.add.at(acc_s, np.searchsorted(merged, epochs[thin]), np.abs(signed[thin]))
-    values_s = np.empty(merged.size)
-    values_s[0] = 0.0
-    np.cumsum(acc_s[1:], out=values_s[1:])
+    thin = decomp.thinned(signed, rng.uniform(size=epochs.size))
+    merged, jumps_x = _merge_with_epochs(grid.points, epochs, signed)
+    values_x = _gaussian_path(plan, merged, jumps_x, rng)
+    values_s = _running_sum(_cell_jumps(merged, epochs[thin], np.abs(signed[thin])))
     # negative side: X = Y - S  =>  Y = X + S ; positive side: Y = X - S
     values_y = values_x + values_s if decomp.side == NEGATIVE else values_x - values_s
     out_grid = TimeGrid(merged, grid.policy) if epochs.size else grid
-    return (PathSample(out_grid, values_x, epochs, sid),
-            PathSample(out_grid, values_y, epochs[thin], sid),
-            PathSample(out_grid, values_s, epochs[thin], sid))
+    return (PathSample(out_grid, values_x, epochs),
+            PathSample(out_grid, values_y, epochs[thin]),
+            PathSample(out_grid, values_s, epochs[thin]))
 
 
 def discrete_increments(plan: PerturbedPlan, n_steps: int,
@@ -299,19 +296,11 @@ def discrete_increments(plan: PerturbedPlan, n_steps: int,
     counts = rng.poisson(plan.rate, size=n_steps) if plan.rate > 0 else np.zeros(n_steps, int)
     total = int(counts.sum())
     cell = np.repeat(np.arange(n_steps), counts)
-    right = rng.uniform(size=total) < plan.p_right
-    sizes = np.empty(total)
-    nr = int(right.sum())
-    if nr:
-        sizes[right] = plan.table_right.sample(rng, nr)
-    if total - nr:
-        sizes[~right] = -plan.table_left.sample(rng, total - nr)
+    sizes = plan.signed_sizes(rng, rng.uniform(size=total) < plan.p_right)
     jump_sums = np.bincount(cell, weights=sizes, minlength=n_steps)
     inc = plan.drift + np.sqrt(plan.var_unit) * rng.standard_normal(n_steps) + jump_sums
     s_inc = None
     if decomp is not None:
-        on_side = sizes < -1.0 if decomp.side == NEGATIVE else sizes > 1.0
-        u = rng.uniform(size=total)
-        thin = on_side & (u < decomp.thinning_probability(np.abs(sizes)))
+        thin = decomp.thinned(sizes, rng.uniform(size=total))
         s_inc = np.bincount(cell[thin], weights=np.abs(sizes[thin]), minlength=n_steps)
     return inc, s_inc

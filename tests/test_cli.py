@@ -2,10 +2,13 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levypassage.cli import (CSV_COLUMNS, ConfigError, build_config,
                              build_model, emit_plot_data, main,
-                             parse_config_text)
+                             monitoring_grid, parse_config_text)
+from levypassage.levymodel import Boundary
 
 BASE = """
 experiment.kind = exponent
@@ -302,6 +305,17 @@ def test_seed_override_changes_id(tmp_path):
     ("run.t_min = 20000", "run.t_min"),
     ("run.t_min = 64", "run.t_min"),
     ("run.t_points = 0", "run.t_points"),
+    ("boundary.level = nan", "boundary.level"),
+    ("boundary.level = inf", "boundary.level"),
+    ("run.t_max = inf", "run.t_max"),
+    ("run.grid_per_octave = 0", "run.grid_per_octave"),
+    ("run.grid_policy = uniform\nrun.grid_dt = 0", "run.grid_dt"),
+    ("run.grid_t_min = -1", "run.grid_t_min"),
+    ("model.alpha = 2.5", "model.alpha"),
+    ("model.beta = 3", "model.beta"),
+    ("model.scale = 0", "model.scale"),
+    ("boundary.kind = decreasing\nboundary.gamma = nan", "boundary.gamma"),
+    ("boundary.kind = decreasing\nboundary.gamma = -1", "boundary.gamma"),
 ])
 def test_range_checks_exit_2(tmp_path, capsys, change, field):
     key = change.split(" = ")[0]
@@ -341,3 +355,68 @@ run.seed = 7
     assert all(rows[-1][c] == "" for c in ("p_hat", "ln_p", "ci_low", "ci_high"))
     plot = (out / "plotdata.tsv").read_text().splitlines()
     assert len(plot) == 2 + len(survival)
+
+
+# Valid values per key, kept small enough that no monitoring grid gets large.
+# A key other than the required ones is left out about half of the time, and
+# FUZZ_BAD values replace up to two keys.
+FUZZ_VALUES = {
+    "experiment.kind": ["survival", "exponent", "lemma-n0N", "product-bound",
+                        "kappa", "spitzer", "integral-test",
+                        "discrete-survival"],
+    "model.alpha": ["0.5", "0.7", "1", "1.5"],
+    "model.beta": ["0", "0.5", "-1", "1"],
+    "model.scale": ["1", "1.5"],
+    "model.sigma2": ["0", "0.25"],
+    "model.drift": ["0", "-0.1"],
+    "model.ell_family": ["constant", "log-power"],
+    "model.ell_c": ["1", "2"],
+    "model.ell_p": ["0", "0.5"],
+    "model.mode": ["exact", "perturbed"],
+    "model.rho": ["0.3"],
+    "boundary.kind": ["constant", "decreasing",
+                      "constant,decreasing,increasing"],
+    "boundary.gamma": ["0.5", "1.3"],
+    "boundary.level": ["1", "0", "-0.5"],
+    "run.t_min": ["1", "16"],
+    "run.t_max": ["0.5", "64", "1024"],
+    "run.t_points": ["1", "4"],
+    "run.n_paths": ["10"],
+    "run.seed": ["7"],
+    "run.grid_policy": ["survival", "uniform", "geometric", "integers"],
+    "run.grid_dt": ["0.5", "0.1"],
+    "run.grid_t_min": ["0.001", "0.5", "2"],
+    "run.grid_per_octave": ["1", "8"],
+    "kappa.rho_values": ["0.3,0.5"],
+    "kappa.a_values": ["2"],
+    "spitzer.t_values": ["1,2"],
+    "lemma.n": ["100"],
+    "run.threads": ["1", "2"],
+}
+FUZZ_BAD = ["nan", "inf", "-1", "0", "abc", ""]
+REQUIRED = ("experiment.kind", "run.seed")
+
+
+@st.composite
+def config_texts(draw):
+    raw = {key: draw(st.sampled_from(values) if key in REQUIRED
+                     else st.none() | st.sampled_from(values))
+           for key, values in FUZZ_VALUES.items()}
+    for key in draw(st.lists(st.sampled_from(list(FUZZ_VALUES)), max_size=2)):
+        raw[key] = draw(st.sampled_from(FUZZ_BAD))
+    return "".join(f"{k} = {v}\n" for k, v in raw.items() if v is not None)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(config_texts())
+def test_accepted_configs_build(text):
+    """A config is either rejected as a ConfigError or every object the
+    drivers build from it constructs."""
+    try:
+        cfg = build_config(parse_config_text(text))
+    except ConfigError:
+        return
+    build_model(cfg)
+    monitoring_grid(cfg, cfg.t_max)
+    for kind in cfg.boundary_kinds:
+        Boundary(kind, cfg.gamma, cfg.level)

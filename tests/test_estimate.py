@@ -240,7 +240,7 @@ def test_lemma_argument_validation():
 
 def test_discrete_trivial_when_level_large():
     m = standard_symmetric_model(0.7)
-    res = discrete_survival_experiment(m, 16.0, 1e6, seed=11, n_paths=300)
+    [res] = discrete_survival_experiment(m, [16.0], 1e6, seed=11, n_paths=300)
     assert res.estimate_y.p_hat == 1.0
     assert res.ordering_ok
 
@@ -252,8 +252,8 @@ def test_discrete_survival_ordering_and_exponents():
     # rho = 1/2; the pathwise ordering is exact in every run.
     m = standard_symmetric_model(0.7)
     ys, xs = [], []
-    for T in (32.0, 64.0, 128.0, 256.0, 512.0):
-        res = discrete_survival_experiment(m, T, 1.0, seed=12, n_paths=600)
+    for res in discrete_survival_experiment(m, (32.0, 64.0, 128.0, 256.0, 512.0),
+                                            1.0, seed=12, n_paths=600):
         assert res.ordering_ok
         assert res.estimate_y.survivors >= res.estimate_x.survivors
         ys.append(res.estimate_y)

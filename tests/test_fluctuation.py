@@ -73,7 +73,7 @@ def test_ladder_records_decreasing_path():
     from levypassage.simulate import PathSample
     grid = TimeGrid(np.linspace(0.0, 3.0, 4), "uniform")
     path = PathSample(grid=grid, values=np.array([0.0, -1.0, -2.0, -3.0]),
-                      jump_times=np.empty(0), stream=(0, 0, 0))
+                      jump_times=np.empty(0))
     lad = ladder_process(path)
     assert lad.epochs.tolist() == [0.0] and lad.heights.tolist() == [0.0]
 

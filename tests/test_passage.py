@@ -13,7 +13,7 @@ from levypassage.simulate import PathSample, TimeGrid, sample_path
 def path_from(points, values):
     grid = TimeGrid(np.asarray(points, float), "uniform")
     return PathSample(grid=grid, values=np.asarray(values, float),
-                      jump_times=np.empty(0), stream=(0, 0, 0))
+                      jump_times=np.empty(0))
 
 
 def test_boundary_values():
