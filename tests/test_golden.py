@@ -6,8 +6,9 @@ running sum and the first-crossing scoring (ties survive) bit for bit, so any
 change that alters a single draw or a single rounding shows up here.  Each
 case that takes a thread count runs at one and at four threads.  The
 remaining literals pin the other path builders (product bound, discrete
-survival, renewal gaps, Gaussian refinement) and the canonical config lines
-with the experiment id derived from them.
+survival, renewal gaps, Gaussian refinement, Spitzer profiles, the lemma
+worker) and the canonical config lines with the experiment id derived from
+them.
 """
 
 from dataclasses import replace
@@ -18,8 +19,9 @@ import pytest
 from levypassage.cli import DRIVERS, build_config, parse_config_text
 from levypassage.decompose import NEGATIVE, DecompositionT, build_decomposition
 from levypassage.estimate import (gaussian_refinement_counts,
-                                  product_bound_check, survival_counts)
-from levypassage.fluctuation import renewal_convergence_gaps
+                                  lemma_n0N_experiment, product_bound_check,
+                                  survival_counts)
+from levypassage.fluctuation import renewal_convergence_gaps, spitzer_profile
 from levypassage.levymodel import (Boundary, stable_model,
                                    standard_symmetric_model, tail_only_model)
 from levypassage.rvcalc import SlowlyVaryingSpec
@@ -126,6 +128,27 @@ def test_golden_gaussian_refinement(threads):
     got = gaussian_refinement_counts(1.0, 0.0, 1.0, [0.25, 0.5, 1.0, 2.0],
                                      1e-3, 4, 200, 23, threads=threads)
     assert got.tolist() == [[194, 172, 147, 105], [194, 171, 145, 105]]
+
+
+SKEWED = stable_model(0.7, -0.6, 1.5)
+
+
+@pytest.mark.parametrize("model, seed, want", [
+    (SKEWED, 31, [60, 58, 55, 62, 59]),
+    (replace(SKEWED, stable=None), 32, [67, 64, 58, 50, 50]),
+])
+def test_golden_spitzer_profile(model, seed, want):
+    # 600 paths: two full chunks of 256 and a ragged one of 88
+    n = 600
+    prof = spitzer_profile(model, [0.5, 1.0, 2.0, 4.0, 8.0], n, seed)
+    assert (prof.p * n).round().astype(int).tolist() == want
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_golden_lemma_survivors(threads):
+    res = lemma_n0N_experiment(0.5, 0.6, SlowlyVaryingSpec("constant", c=0.05),
+                               2000, 600, seed=33, threads=threads)
+    assert not res.vacuous and (res.N1, res.survivors) == (171, 259)
 
 
 CONFIGS = {
