@@ -5,17 +5,21 @@ boundary, so survivor counts are exactly nested in T and exactly ordered
 across pointwise-ordered boundaries.  In exact mode the survival engine draws
 a path in doubling blocks and stops once every boundary has been crossed;
 the draws and the running sum are those of the whole-grid path, so the
-counts are the same as when every path runs to the largest horizon.  Workers
-own disjoint path-index ranges with a fixed chunk size; the only cross-thread
-state is integer survivor counts combined by addition, so results are
-identical for any thread count.
+counts are the same as when every path runs to the largest horizon.  The
+exact paths of a chunk are drawn together, row by row on one reused stream
+cursor.  Workers own disjoint path-index ranges with a fixed chunk size and
+run in forked processes when run.threads asks for more than one; the only
+state they hand back is integer survivor counts combined by addition, so
+results are identical for any worker count.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,16 +27,17 @@ import numpy as np
 from .decompose import (NEGATIVE, POSITIVE, DecompositionT, LaplaceBound,
                         build_decomposition, delta, laplace_bound)
 from .levymodel import Boundary, LevyModel
-from .passage import boundary_value, first_crossing, subordinator_stays_above
-from .rng import PHASE_PATHS, PHASE_SECONDARY, PHASE_TERTIARY, stream
-from .simulate import (PerturbedPlan, TimeGrid, _running_sum,
-                       discrete_increments, sample_path,
+from .passage import (boundary_value, first_crossing, first_crossings,
+                      subordinator_stays_above)
+from .rng import PHASE_PATHS, PHASE_SECONDARY, PHASE_TERTIARY, Cursor, stream
+from .simulate import (FIRST_BLOCK, PerturbedPlan, TimeGrid,
+                       discrete_increments, exact_rows, sample_path,
                        sample_subordinator_path)
 from .stable import StableParams, sample_stable, subordinator_unit_scale
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 CHUNK = 256  # paths per work unit; fixed so results never depend on threads
-EXACT_BLOCK = 128  # increments in an exact path's first block; later ones double
+POOL_MIN_CHUNKS = 8  # runs with fewer chunks stay in the calling process
 
 
 @dataclass(frozen=True)
@@ -123,14 +128,36 @@ def fit_exponent(estimates) -> ExponentFit:
 # ---------------------------------------------------------------------------
 
 def _run_chunks(worker, n_paths: int, threads: int) -> np.ndarray:
-    """Sum integer results of worker(lo, hi) over fixed-size path chunks."""
+    """Sum integer results of worker(lo, hi) over fixed-size path chunks.
+
+    With threads > 1 and at least POOL_MIN_CHUNKS chunks, the chunks run in
+    forked processes, at most one per usable CPU: a forked child inherits
+    the worker closure, which cannot be pickled, and the imported package.
+    A process running other threads does not fork, since a lock one of them
+    holds would stay held in the child.  Parts come back in chunk order.
+    """
     ranges = [(lo, min(lo + CHUNK, n_paths)) for lo in range(0, n_paths, CHUNK)]
-    if threads <= 1:
+    procs = min(threads, len(os.sched_getaffinity(0)), len(ranges))
+    if (procs <= 1 or len(ranges) < POOL_MIN_CHUNKS
+            or threading.active_count() > 1):
         parts = [worker(lo, hi) for lo, hi in ranges]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda r: worker(*r), ranges))
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(procs, initializer=_adopt_worker, initargs=(worker,)) as pool:
+            parts = pool.starmap(_call_worker, ranges, chunksize=1)
     return np.sum(parts, axis=0)
+
+
+_worker = None  # the chunk worker of a forked pool process, set as it starts
+
+
+def _adopt_worker(worker) -> None:
+    global _worker
+    _worker = worker
+
+
+def _call_worker(lo: int, hi: int) -> np.ndarray:
+    return _worker(lo, hi)
 
 
 def _nested_counts(dead: np.ndarray, n_paths: int) -> np.ndarray:
@@ -142,33 +169,18 @@ def _nested_counts(dead: np.ndarray, n_paths: int) -> np.ndarray:
     return n_paths - np.cumsum(dead[:, :-1], axis=1)
 
 
-def _exact_path_blocks(params: StableParams, dt_pow: np.ndarray, seed: int,
-                       path: int, phase: int):
-    """Values of one exact path over doubling blocks of grid cells.
+def _score_rows(dead, pending, rows, vals, pts, limits, Tg) -> None:
+    """Score path rows vals (at points pts) against boundaries limits[b].
 
-    Yields (start, vals) where vals[k] is the path at grid index start + k;
-    vals[0] repeats the last value of the previous block (0 at t = 0).  The
-    first block holds EXACT_BLOCK increments and each later one twice as
-    many, so a caller that stops early skips the rest of the grid.  The
-    draws are those of one sample_stable(params, n, stream) call over the
-    whole grid: the uniforms come from the path's stream in order and the
-    exponentials from a second cursor on the same stream, placed at raw draw
-    n where that call would begin them (a uniform takes one raw draw).  The
-    running sum is carried into each block's cumsum, which rounds exactly as
-    one cumsum over the whole grid would.
+    A row still pending boundary b that crosses it adds a death in the
+    horizon bucket of its first crossing and stops pending b.
     """
-    n = dt_pow.size
-    g = stream(seed, path, phase)
-    w = None if n <= EXACT_BLOCK else stream(seed, path, phase, offset=n)
-    start, size, carry = 0, EXACT_BLOCK, 0.0
-    while start < n:
-        stop = min(start + size, n)
-        vals = np.empty(stop - start + 1)
-        vals[0] = carry
-        vals[1:] = dt_pow[start:stop] * sample_stable(params, stop - start, g, w)
-        np.cumsum(vals, out=vals)
-        yield start, vals
-        start, size, carry = stop, 2 * size, vals[-1]
+    k = first_crossings(vals[:, None, :], limits)
+    r, b = np.nonzero(pending[rows] & (k >= 0))
+    bucket = Tg.searchsorted(pts[k[r, b]], side="left")
+    dead += np.bincount(b * dead.shape[1] + bucket,
+                        minlength=dead.size).reshape(dead.shape)
+    pending[rows[r], b] = False
 
 
 def survival_counts(model: LevyModel, boundaries: list[Boundary], T_grid,
@@ -198,30 +210,28 @@ def survival_counts(model: LevyModel, boundaries: list[Boundary], T_grid,
     pts = grid.points
     if exact:
         dt_pow = np.diff(pts) ** (1.0 / model.stable.alpha)
-        bvals = [boundary_value(b, pts) for b in boundaries]
+        bvals = np.array([boundary_value(b, pts) for b in boundaries])
 
     def worker(lo: int, hi: int) -> np.ndarray:
         dead = np.zeros((len(boundaries), Tg.size + 1), dtype=np.int64)
-        for i in range(lo, hi):
-            if exact:
-                blocks = _exact_path_blocks(model.stable, dt_pow, seed, i, phase)
-                mpts, cur_bvals = pts, bvals
-            else:
+        pending = np.ones((hi - lo, len(boundaries)), dtype=bool)
+        if exact:
+            alive = np.ones(hi - lo, dtype=bool)
+            for start, rows, vals in exact_rows(model.stable, dt_pow, seed,
+                                                np.arange(lo, hi), phase, alive):
+                stop = start + vals.shape[1]
+                _score_rows(dead, pending, rows, vals, pts[start:stop],
+                            bvals[:, start:stop], Tg)
+                alive[rows] = pending[rows].any(axis=1)
+        else:
+            for i in range(lo, hi):
                 path = sample_path(model, grid, stream=stream(seed, i, phase),
                                    plan=plan)
                 mpts = path.grid.points
-                cur_bvals = [boundary_value(b, mpts) for b in boundaries]
-                blocks = [(0, path.values)]
-            pending = list(range(len(boundaries)))
-            for start, vals in blocks:
-                for bi in tuple(pending):
-                    k = first_crossing(vals, cur_bvals[bi][start:start + vals.size])
-                    if k is not None:
-                        dead[bi, Tg.searchsorted(mpts[start + k], side="left")] += 1
-                        pending.remove(bi)
-                if not pending:
-                    break
-            dead[pending, Tg.size] += 1
+                _score_rows(dead, pending, np.array([i - lo]), path.values[None],
+                            mpts, np.array([boundary_value(b, mpts)
+                                            for b in boundaries]), Tg)
+        dead[:, Tg.size] += pending.sum(axis=0)
         return dead
 
     return _nested_counts(_run_chunks(worker, n_paths, threads), n_paths)
@@ -487,7 +497,9 @@ def gaussian_refinement_counts(sigma2: float, drift: float, level: float,
     The subgrid counts dominate the fine counts pathwise, which makes the
     shrinking of the monitoring bias under grid halving an exact integer
     comparison rather than a noisy one.  Returns shape (2, len(T_grid)):
-    row 0 the strided (coarse) counts, row 1 the fine counts.
+    row 0 the strided (coarse) counts, row 1 the fine counts.  A path's
+    normals are drawn in doubling blocks with the running sum carried, which
+    gives the draws and sums of one whole-grid path.
     """
     Tg = np.asarray(T_grid, dtype=float)
     T = float(Tg[-1])
@@ -497,15 +509,35 @@ def gaussian_refinement_counts(sigma2: float, drift: float, level: float,
     if sub[-1] != T:
         raise ValueError("stride must divide the fine grid")
     sd = math.sqrt(sigma2 * dt_fine)
+    limits = np.full((2, pts.size), np.inf)  # row 0 is crossed at strided points only
+    limits[0, ::stride] = level
+    limits[1] = level
+    n = pts.size - 1
 
     def worker(lo, hi):
         dead = np.zeros((2, Tg.size + 1), dtype=np.int64)
+        cur = Cursor()
         for i in range(lo, hi):
-            g = stream(seed, i)
-            vals = _running_sum(drift * dt_fine + sd * g.standard_normal(pts.size - 1))
-            for row, (p, v) in enumerate(((sub, vals[::stride]), (pts, vals))):
-                k = first_crossing(v, level)
-                dead[row, Tg.size if k is None else Tg.searchsorted(p[k], side="left")] += 1
+            g = cur.place(seed, i)
+            # the fine grid holds the strided one, so it crosses no later
+            # and the path stops once the strided grid has crossed
+            hit = [None, None]
+            start, size, carry = 0, FIRST_BLOCK, 0.0
+            while start < n and hit[0] is None:
+                stop = min(start + size, n)
+                vals = np.empty(stop - start + 1)
+                vals[0] = carry
+                inc = g.standard_normal(out=vals[1:])
+                inc *= sd
+                inc += drift * dt_fine
+                np.cumsum(vals, out=vals)
+                for row in (0, 1):
+                    if hit[row] is None:
+                        k = first_crossing(vals, limits[row, start:stop + 1])
+                        hit[row] = None if k is None else pts[start + k]
+                start, size, carry = stop, 2 * size, vals[-1]
+            for row, t in enumerate(hit):
+                dead[row, Tg.size if t is None else Tg.searchsorted(t, side="left")] += 1
         return dead
 
     return _nested_counts(_run_chunks(worker, n_paths, threads), n_paths)

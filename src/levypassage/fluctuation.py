@@ -18,9 +18,9 @@ import numpy as np
 from .decompose import NEGATIVE, DecompositionT
 from .levymodel import LevyModel
 from .rng import PHASE_PATHS, stream
-from .simulate import (PathSample, PerturbedPlan, TimeGrid, _cell_jumps,
-                       _gaussian_path, _merge_with_epochs, _running_sum,
-                       sample_path)
+from .simulate import (ROW_CAP, PathSample, PerturbedPlan, TimeGrid,
+                       _cell_jumps, _gaussian_path, _merge_with_epochs,
+                       _running_sum, exact_rows, sample_path)
 
 KAPPA_U_RANGE = 40.0
 KAPPA_PANELS = 10_000
@@ -120,12 +120,21 @@ def spitzer_profile(model: LevyModel, t_grid, n_paths: int, seed: int,
     if t_grid.ndim != 1 or np.any(t_grid <= 0) or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be positive and increasing")
     grid = TimeGrid(np.concatenate([[0.0], t_grid]), "geometric")
-    plan = None if model.stable is not None else PerturbedPlan.from_model(model)
     counts = np.zeros(t_grid.size, dtype=np.int64)
-    for i in range(n_paths):
-        path = sample_path(model, grid, stream(seed, i, phase), plan=plan)
-        idx = np.searchsorted(path.grid.points, t_grid)
-        counts += path.values[idx] >= 0.0
+    if model.stable is not None:
+        dt_pow = np.diff(grid.points) ** (1.0 / model.stable.alpha)
+        step = max(1, ROW_CAP // grid.points.size)  # paths in one group of rows
+        for lo in range(0, n_paths, step):
+            paths = np.arange(lo, min(lo + step, n_paths))
+            for _, _, vals in exact_rows(model.stable, dt_pow, seed, paths, phase,
+                                         np.ones(paths.size, dtype=bool)):
+                counts += np.count_nonzero(vals[:, 1:] >= 0.0, axis=0)
+    else:
+        plan = PerturbedPlan.from_model(model)
+        for i in range(n_paths):
+            path = sample_path(model, grid, stream(seed, i, phase), plan=plan)
+            idx = np.searchsorted(path.grid.points, t_grid)
+            counts += path.values[idx] >= 0.0
     p = counts / n_paths
     se = np.sqrt(p * (1.0 - p) / n_paths)
     return PositivityProfile.tabulated(t_grid, p, se)

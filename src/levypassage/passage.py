@@ -36,11 +36,19 @@ def boundary_value(b: Boundary, t):
     return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
 
-def first_crossing(values: np.ndarray, limits) -> int | None:
-    """First index with values > limits (ties survive), or None."""
+def first_crossings(values: np.ndarray, limits) -> np.ndarray:
+    """First index along the last axis with values > limits, or -1.
+
+    Ties survive.  values holds one path or a stack of paths.
+    """
     crossed = values > limits
-    k = int(crossed.argmax())
-    return k if crossed[k] else None
+    return np.where(crossed.any(axis=-1), crossed.argmax(axis=-1), -1)
+
+
+def first_crossing(values: np.ndarray, limits) -> int | None:
+    """first_crossings of one path, None when it never crosses."""
+    k = int(first_crossings(values, limits))
+    return k if k >= 0 else None
 
 
 def survives(path: PathSample, b: Boundary) -> SurvivalVerdict:

@@ -1,7 +1,7 @@
 """Counter-based random number streams for reproducible parallel Monte Carlo.
 
 Every path owns a Philox stream keyed by (experiment seed, path index), so a
-path's draws are bit-identical no matter which thread simulates it or in what
+path's draws are bit-identical no matter which worker simulates it or in what
 order.  Independent draw blocks within one experiment (e.g. the three path
 sets of a product-bound check) are separated through the high word of the
 Philox counter instead of rehashing the seed.
@@ -19,21 +19,37 @@ PHASE_PATHS = 0
 PHASE_SECONDARY = 1
 PHASE_TERTIARY = 2
 
-def stream(seed: int, path_index: int, phase: int = PHASE_PATHS,
-           offset: int = 0) -> np.random.Generator:
-    """Generator for one path, collision-free across (seed, path_index, phase).
 
-    With offset > 0 the generator starts at raw 64-bit draw `offset` of that
-    stream, exactly where the plain stream would be after `offset` raw draws.
-    Philox is counter-based, so the skip costs no draws.
+class Cursor:
+    """One reusable Philox generator that can be placed in any path's stream.
+
+    `place` is the one definition of the stream layout: key (seed, path
+    index), counter (0, 0, phase, 0).  It assigns the state through reused
+    arrays, several times cheaper than building a new bit generator.
     """
-    key = np.array([seed & _MASK64, path_index & _MASK64], dtype=np.uint64)
-    counter = np.array([0, 0, phase & _MASK64, 0], dtype=np.uint64)
-    bits = np.random.Philox(counter=counter, key=key)
-    if offset:
-        bits.advance(offset // 4)  # one counter step yields four raw draws
-        bits.random_raw(offset % 4)
-    return np.random.Generator(bits)
+
+    def __init__(self):
+        self.bits = np.random.Philox(key=0)
+        self.gen = np.random.Generator(self.bits)
+        self._state = self.bits.state
+
+    def place(self, seed: int, path_index: int, phase: int = PHASE_PATHS,
+              offset: int = 0) -> np.random.Generator:
+        """Generator at raw 64-bit draw `offset` of the (seed, path, phase)
+        stream; a counter step yields four raw draws."""
+        key, counter = self._state["state"]["key"], self._state["state"]["counter"]
+        key[0], key[1] = seed & _MASK64, path_index & _MASK64
+        counter[0], counter[1], counter[2], counter[3] = offset // 4, 0, phase & _MASK64, 0
+        self._state["buffer_pos"] = 4  # empty buffer: the next draw steps the counter
+        self.bits.state = self._state
+        if offset % 4:
+            self.bits.random_raw(offset % 4)
+        return self.gen
+
+
+def stream(seed: int, path_index: int, phase: int = PHASE_PATHS) -> np.random.Generator:
+    """Generator for one path, collision-free across (seed, path_index, phase)."""
+    return Cursor().place(seed, path_index, phase)
 
 
 def as_generator(source) -> np.random.Generator:

@@ -22,11 +22,13 @@ from scipy import integrate
 
 from .decompose import NEGATIVE, POSITIVE, DecompositionT, JumpTable
 from .levymodel import LevyModel
-from .rng import as_generator
+from .rng import Cursor, as_generator
 from .rvcalc import QUAD_EPSABS, QUAD_EPSREL
-from .stable import sample_stable
+from .stable import StableParams, cms_transform, sample_stable
 
 ETA = 1e-3  # small-jump cutoff for the perturbed mode
+FIRST_BLOCK = 128  # cells in a path's first block of rows; later ones double
+ROW_CAP = 4096  # doubles per working array of a group of rows
 
 UNIFORM = "uniform"
 GEOMETRIC = "geometric"
@@ -237,6 +239,52 @@ def sample_path(model: LevyModel, grid: TimeGrid, stream,
     values = _gaussian_path(plan, merged, jumps, rng)
     out_grid = grid if epochs.size == 0 else TimeGrid(merged, grid.policy)
     return PathSample(grid=out_grid, values=values, jump_times=epochs)
+
+
+def exact_rows(params: StableParams, dt_pow: np.ndarray, seed: int,
+               paths: np.ndarray, phase: int, alive: np.ndarray):
+    """Exact paths of many path indices at once, in doubling blocks of cells.
+
+    Yields (start, rows, vals): vals[r, k] is the path of paths[rows[r]] at
+    grid index start + k and vals[:, 0] the previous block's last value (0
+    at t = 0).  Blocks of FIRST_BLOCK, then twice as many cells are drawn
+    for the rows still set in `alive`, in groups of about ROW_CAP doubles.
+    The draws are those of sample_stable over the whole grid from the
+    path's stream, on one reused cursor: uniforms from raw draw `start`,
+    exponentials from raw draw n, then from the path's saved state (the
+    ziggurat may take extra raw draws, so it is saved, never computed).
+    The carried cumsum rounds as one cumsum over the grid would.
+    """
+    n = dt_pow.size
+    cur = Cursor()
+    carry = np.zeros(paths.size)
+    w_state = [None] * paths.size
+    start, size = 0, FIRST_BLOCK
+    while start < n and alive.any():
+        stop = min(start + size, n)
+        live = np.flatnonzero(alive)
+        per = max(1, ROW_CAP // (stop - start + 1))
+        for lo in range(0, live.size, per):
+            rows = live[lo:lo + per]
+            vals = np.empty((rows.size, stop - start + 1))
+            w = np.empty((rows.size, stop - start))
+            for r, row in enumerate(rows):
+                path = int(paths[row])
+                cur.place(seed, path, phase, start).random(out=vals[r, 1:])
+                if start:
+                    cur.bits.state = w_state[row]
+                elif stop < n:
+                    cur.place(seed, path, phase, n)
+                cur.gen.standard_exponential(out=w[r])
+                if stop < n:
+                    w_state[row] = cur.bits.state
+            cms_transform(params, vals[:, 1:], w)
+            vals[:, 1:] *= dt_pow[start:stop]
+            vals[:, 0] = carry[rows]
+            np.cumsum(vals, axis=1, out=vals)
+            carry[rows] = vals[:, -1]
+            yield start, rows, vals
+        start, size = stop, 2 * size
 
 
 def sample_subordinator_path(decomp: DecompositionT, grid: TimeGrid,

@@ -33,42 +33,57 @@ class StableParams:
             raise ValueError("scale must be positive")
 
 
-def sample_stable(params: StableParams, n: int, stream,
-                  w_stream: np.random.Generator | None = None) -> np.ndarray:
+def sample_stable(params: StableParams, n: int, stream) -> np.ndarray:
     """n i.i.d. draws of Z(1); deterministic given the stream id.
 
-    The n uniforms come first from `stream`, then the n exponentials.  With
-    `w_stream` the exponentials come from that generator instead, which lets
-    a caller split one long sample into blocks with the same draws: `stream`
-    supplies the uniforms in order and `w_stream`, started where the single
-    call would begin its exponentials, supplies the rest.
+    The n uniforms come first from `stream`, then the n exponentials.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    rng = as_generator(stream)
+    return cms_transform(params, rng.random(n), rng.standard_exponential(n))
 
-    For alpha != 1 the draw is
+
+def cms_transform(params: StableParams, d: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Chambers-Mallows-Stuck variates from unit uniforms d and exponentials w.
+
+    With U = pi*d - pi/2 (rounded as rng.uniform(-pi/2, pi/2) rounds it):
 
         S * sin(alpha*(U+B)) / cos(U)**(1/alpha)
           * (cos(U - alpha*(U+B)) / W)**((1-alpha)/alpha)
 
-    with U uniform on (-pi/2, pi/2), W standard exponential,
-    B = arctan(beta*tan(pi*alpha/2))/alpha and
-    S = (1 + beta**2 * tan(pi*alpha/2)**2)**(1/(2*alpha)).
-    For alpha = 1, beta = 0 it reduces to tan(U) (Cauchy).
+    B = arctan(beta*tan(pi*alpha/2))/alpha and S = (1 + beta**2 *
+    tan(pi*alpha/2)**2)**(1/(2*alpha)); tan(U) for alpha = 1, beta = 0.
+    Overwrites both arrays and returns the variates in d's buffer; the
+    in-place steps keep the formula's operation order and `**` operators.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     a, b = params.alpha, params.beta
-    rng = as_generator(stream)
-    u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=n)
-    w = (rng if w_stream is None else w_stream).standard_exponential(size=n)
+    if a == 1.0 and b != 0.0:
+        raise ValueError("alpha = 1 with beta != 0 is unsupported")
+    u = d
+    u *= math.pi
+    u -= math.pi / 2.0
     if a == 1.0:
-        if b != 0.0:
-            raise ValueError("alpha = 1 with beta != 0 is unsupported")
-        return params.scale * np.tan(u)
+        np.tan(u, out=u)
+        u *= params.scale
+        return u
     tb = b * math.tan(math.pi * a / 2.0)
     B = math.atan(tb) / a
     S = (1.0 + tb * tb) ** (1.0 / (2.0 * a))
-    z = S * np.sin(a * (u + B)) / np.cos(u) ** (1.0 / a) \
-        * (np.cos(u - a * (u + B)) / w) ** ((1.0 - a) / a)
-    return params.scale * z
+    v = u + B
+    v *= a                      # alpha*(U+B)
+    c = u - v
+    np.cos(c, out=c)
+    np.divide(c, w, out=w)
+    w **= (1.0 - a) / a
+    np.sin(v, out=v)
+    v *= S
+    np.cos(u, out=u)
+    u **= 1.0 / a
+    np.divide(v, u, out=u)
+    u *= w
+    u *= params.scale
+    return u
 
 
 def positivity_parameter(params: StableParams) -> float:

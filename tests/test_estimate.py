@@ -1,11 +1,13 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levypassage import estimate
+from levypassage import estimate, simulate
 from levypassage.decompose import DecompositionT, NEGATIVE, build_decomposition
 from levypassage.estimate import (SurvivalEstimate,
                                   discrete_survival_experiment, fit_exponent,
@@ -135,30 +137,68 @@ def test_determinism_across_thread_counts():
 @pytest.mark.parametrize("n", [1, 5, 161, 1003, 16464])
 @pytest.mark.parametrize("first", [1, 3, 128])
 def test_doubling_blocks_match_one_whole_grid_sample(monkeypatch, n, first):
-    """Block draws with a second w cursor, and the carried running sum, are
-    bit-equal to one sample_stable call and one cumsum over the grid."""
+    """Batched block rows, drawn on one reused cursor with saved exponential
+    states and a carried running sum, are bit-equal to one sample_stable
+    call and one cumsum over the grid for every path."""
     params = StableParams(0.7, -0.6, 1.5)
-    full = sample_stable(params, n, stream(21, 4, 1))
+    paths = np.array([4, 9, 2 ** 40])
+    dt_pow = np.linspace(0.5, 2.0, n)
     blocks, start, size = [], 0, first
     while start < n:
         blocks.append(min(size, n - start))
         start, size = start + blocks[-1], 2 * size
-    g, w = stream(21, 4, 1), stream(21, 4, 1, offset=n)
-    parts = [sample_stable(params, k, g, w) for k in blocks]
-    assert np.array_equal(np.concatenate(parts), full)
+    monkeypatch.setattr(simulate, "FIRST_BLOCK", first)
+    got = {row: [0.0] for row in range(paths.size)}
+    sizes = {row: [] for row in range(paths.size)}
+    alive = np.ones(paths.size, dtype=bool)
+    for start, rows, vals in simulate.exact_rows(params, dt_pow, 21, paths, 1, alive):
+        for r, row in enumerate(rows):
+            assert start == len(got[row]) - 1 and vals[r, 0] == got[row][-1]
+            sizes[row].append(vals.shape[1] - 1)
+            got[row].extend(vals[r, 1:])
+    for row, path in enumerate(paths):
+        full = sample_stable(params, n, stream(21, int(path), 1))
+        want = np.empty(n + 1)
+        want[0] = 0.0
+        np.cumsum(dt_pow * full, out=want[1:])
+        assert sizes[row] == blocks
+        assert np.array_equal(np.array(got[row]), want)
 
-    dt_pow = np.linspace(0.5, 2.0, n)
-    want = np.empty(n + 1)
-    want[0] = 0.0
-    np.cumsum(dt_pow * full, out=want[1:])
-    monkeypatch.setattr(estimate, "EXACT_BLOCK", first)
-    got, sizes = [0.0], []
-    for start, vals in estimate._exact_path_blocks(params, dt_pow, 21, 4, 1):
-        assert start == len(got) - 1 and vals[0] == got[-1]
-        sizes.append(vals.size - 1)
-        got.extend(vals[1:])
-    assert sizes == blocks
-    assert np.array_equal(np.array(got), want)
+
+def test_cleared_rows_stop_being_drawn():
+    params = StableParams(0.7)
+    alive = np.ones(3, dtype=bool)
+    seen = []
+    for start, rows, vals in simulate.exact_rows(params, np.ones(1000), 5,
+                                                 np.arange(3), 0, alive):
+        seen.append((start, rows.tolist()))
+        alive[1] = False
+    assert seen == [(0, [0, 1, 2]), (128, [0, 2]), (384, [0, 2]), (896, [0, 2])]
+
+
+def test_pool_parts_match_serial_and_run_in_children():
+    parent = os.getpid()
+
+    def worker(lo, hi):
+        return np.array([hi - lo, lo * hi, os.getpid() != parent])
+
+    chunks = estimate.POOL_MIN_CHUNKS + 1
+    n = estimate.CHUNK * (chunks - 1) + 5  # ragged last chunk
+    serial = estimate._run_chunks(worker, n, 1)
+    pooled = estimate._run_chunks(worker, n, 4)
+    assert serial.tolist() == [n, pooled[1], 0] and pooled[0] == n
+    assert pooled[2] == (chunks if len(os.sched_getaffinity(0)) > 1 else 0)
+
+    # a process running another thread keeps its chunks to itself
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30.0,))
+    other.start()
+    try:
+        assert estimate._run_chunks(worker, n, 4).tolist() == serial.tolist()
+    finally:
+        release.set()
+        other.join(timeout=30.0)
+    assert not other.is_alive()
 
 
 def test_survival_guard_rails():

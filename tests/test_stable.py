@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
-from levypassage.rng import stream
-from levypassage.stable import (StableParams, norming_function,
+from levypassage.rng import Cursor, stream
+from levypassage.stable import (StableParams, cms_transform, norming_function,
                                 positivity_parameter, sample_stable,
                                 subordinator_unit_scale)
 
@@ -124,3 +124,48 @@ def test_streams_are_reproducible_and_distinct():
     c = sample_stable(params, 64, stream(123, 6))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("offset", [0, 1, 3, 4, 161, 16464])
+def test_cursor_places_like_a_skipped_stream(offset):
+    """A reused cursor placed at raw draw `offset` yields the uniforms and
+    exponentials of the plain stream after `offset` raw draws."""
+    cur = Cursor()
+    for seed, path, phase in [(123, 5, 0), (2 ** 63 + 11, 7, 2), (123, 6, 1)]:
+        want = stream(seed, path, phase)
+        if offset:
+            want.bit_generator.random_raw(offset)
+        g = cur.place(seed, path, phase, offset)
+        lo, hi = -math.pi / 2.0, math.pi / 2.0
+        assert np.array_equal(g.uniform(lo, hi, 37), want.uniform(lo, hi, 37))
+        assert np.array_equal(g.standard_exponential(37),
+                              want.standard_exponential(37))
+        saved = cur.bits.state
+        ahead = g.standard_exponential(9)
+        cur.place(seed + 1, path)
+        cur.bits.state = saved
+        assert np.array_equal(g.standard_exponential(9), ahead)
+
+
+@pytest.mark.parametrize("alpha, beta, scale", [
+    (0.7, 0.0, 1.0), (0.7, -0.6, 1.5), (0.5, 1.0, 0.3), (1.0, 0.0, 2.0),
+    (1.5, 0.9, 2.0)])
+def test_cms_transform_matches_the_formula(alpha, beta, scale):
+    """The in-place transform rounds exactly as the formula written out."""
+    params = StableParams(alpha, beta, scale)
+    rng = stream(17, 3)
+    u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=5000)
+    w = rng.standard_exponential(size=5000)
+    if alpha == 1.0:
+        want = scale * np.tan(u)
+    else:
+        tb = beta * math.tan(math.pi * alpha / 2.0)
+        B = math.atan(tb) / alpha
+        S = (1.0 + tb * tb) ** (1.0 / (2.0 * alpha))
+        want = scale * (S * np.sin(alpha * (u + B)) / np.cos(u) ** (1.0 / alpha)
+                        * (np.cos(u - alpha * (u + B)) / w) ** ((1.0 - alpha) / alpha))
+    assert np.array_equal(sample_stable(params, 5000, stream(17, 3)), want)
+    rng = stream(17, 3)
+    d = rng.random((50, 100))
+    got = cms_transform(params, d, rng.standard_exponential((50, 100)))
+    assert np.array_equal(got.ravel(), want)
