@@ -20,12 +20,28 @@ PHASE_SECONDARY = 1
 PHASE_TERTIARY = 2
 
 
+def _layout(seed: int, path_index: int, phase: int, offset: int = 0):
+    """Philox key and counter at raw 64-bit draw `offset` of a path's stream.
+
+    The one definition of the stream layout; a counter step yields four
+    raw draws.
+    """
+    return ((seed & _MASK64, path_index & _MASK64),
+            (offset // 4, 0, phase & _MASK64, 0))
+
+
+def stream(seed: int, path_index: int, phase: int = PHASE_PATHS) -> np.random.Generator:
+    """Generator for one path, collision-free across (seed, path_index, phase)."""
+    key, counter = _layout(seed, path_index, phase)
+    return np.random.Generator(np.random.Philox(
+        counter=np.array(counter, dtype=np.uint64), key=np.array(key, dtype=np.uint64)))
+
+
 class Cursor:
     """One reusable Philox generator that can be placed in any path's stream.
 
-    `place` is the one definition of the stream layout: key (seed, path
-    index), counter (0, 0, phase, 0).  It assigns the state through reused
-    arrays, several times cheaper than building a new bit generator.
+    Placing assigns the state through reused arrays, several times cheaper
+    than building a new generator with `stream`.
     """
 
     def __init__(self):
@@ -35,21 +51,15 @@ class Cursor:
 
     def place(self, seed: int, path_index: int, phase: int = PHASE_PATHS,
               offset: int = 0) -> np.random.Generator:
-        """Generator at raw 64-bit draw `offset` of the (seed, path, phase)
-        stream; a counter step yields four raw draws."""
+        """The generator at raw draw `offset` of the (seed, path, phase) stream."""
         key, counter = self._state["state"]["key"], self._state["state"]["counter"]
-        key[0], key[1] = seed & _MASK64, path_index & _MASK64
-        counter[0], counter[1], counter[2], counter[3] = offset // 4, 0, phase & _MASK64, 0
+        (key[0], key[1]), (counter[0], counter[1], counter[2], counter[3]) = \
+            _layout(seed, path_index, phase, offset)
         self._state["buffer_pos"] = 4  # empty buffer: the next draw steps the counter
         self.bits.state = self._state
         if offset % 4:
             self.bits.random_raw(offset % 4)
         return self.gen
-
-
-def stream(seed: int, path_index: int, phase: int = PHASE_PATHS) -> np.random.Generator:
-    """Generator for one path, collision-free across (seed, path_index, phase)."""
-    return Cursor().place(seed, path_index, phase)
 
 
 def as_generator(source) -> np.random.Generator:

@@ -44,23 +44,22 @@ def sample_stable(params: StableParams, n: int, stream) -> np.ndarray:
     return cms_transform(params, rng.random(n), rng.standard_exponential(n))
 
 
-def cms_transform(params: StableParams, d: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Chambers-Mallows-Stuck variates from unit uniforms d and exponentials w.
+def cms_transform(params: StableParams, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Chambers-Mallows-Stuck variates from unit uniforms u and exponentials w.
 
-    With U = pi*d - pi/2 (rounded as rng.uniform(-pi/2, pi/2) rounds it):
+    With U = pi*u - pi/2 (rounded as rng.uniform(-pi/2, pi/2) rounds it):
 
         S * sin(alpha*(U+B)) / cos(U)**(1/alpha)
           * (cos(U - alpha*(U+B)) / W)**((1-alpha)/alpha)
 
     B = arctan(beta*tan(pi*alpha/2))/alpha and S = (1 + beta**2 *
     tan(pi*alpha/2)**2)**(1/(2*alpha)); tan(U) for alpha = 1, beta = 0.
-    Overwrites both arrays and returns the variates in d's buffer; the
+    Overwrites both arrays and returns the variates in u's buffer; the
     in-place steps keep the formula's operation order and `**` operators.
     """
     a, b = params.alpha, params.beta
     if a == 1.0 and b != 0.0:
         raise ValueError("alpha = 1 with beta != 0 is unsupported")
-    u = d
     u *= math.pi
     u -= math.pi / 2.0
     if a == 1.0:
