@@ -126,9 +126,10 @@ def spitzer_profile(model: LevyModel, t_grid, n_paths: int, seed: int,
         step = max(1, ROW_CAP // grid.points.size)  # paths in one group of rows
         for lo in range(0, n_paths, step):
             paths = np.arange(lo, min(lo + step, n_paths))
-            for _, _, vals in exact_rows(model.stable, dt_pow, seed, paths, phase,
-                                         np.ones(paths.size, dtype=bool)):
-                counts += np.count_nonzero(vals[:, 1:] >= 0.0, axis=0)
+            for start, _, vals in exact_rows(model.stable, dt_pow, seed, paths, phase,
+                                             np.ones(paths.size, dtype=bool)):
+                counts[start:start + vals.shape[1] - 1] += np.count_nonzero(
+                    vals[:, 1:] >= 0.0, axis=0)
     else:
         plan = PerturbedPlan.from_model(model)
         for i in range(n_paths):

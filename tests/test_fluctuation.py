@@ -135,6 +135,18 @@ def test_spitzer_symmetric_flat_half():
     assert np.all(np.abs(prof.p - 0.5) < 3.0 * se)
 
 
+def test_spitzer_long_t_grid_matches_whole_paths():
+    """With more t-values than a first block of rows, exact profiles still
+    count each t-value on the whole-grid path of every path index."""
+    m = stable_model(0.7, -0.6, 1.5)
+    t = np.geomspace(0.01, 100.0, 300)
+    n = 40
+    prof = spitzer_profile(m, t, n, 78, phase=1)
+    grid = TimeGrid(np.concatenate([[0.0], t]), "geometric")
+    want = sum(sample_path(m, grid, (78, i, 1)).values[1:] >= 0.0 for i in range(n))
+    assert np.array_equal((prof.p * n).round().astype(int), want)
+
+
 def test_spitzer_subordinator_always_one():
     m = stable_model(0.5, 1.0)
     prof = spitzer_profile(m, [0.5, 2.0, 8.0], 5000, 76)
