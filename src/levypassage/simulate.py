@@ -251,14 +251,14 @@ def exact_rows(params: StableParams, dt_pow: np.ndarray, seed: int,
     for the rows still set in `alive`, in groups of about ROW_CAP doubles.
     The draws are those of sample_stable over the whole grid from the
     path's stream, on one reused cursor: uniforms from raw draw `start`,
-    exponentials from raw draw n, then from the path's saved state (the
+    exponentials from raw draw n, then from the path's saved position (the
     ziggurat may take extra raw draws, so it is saved, never computed).
     The carried cumsum rounds as one cumsum over the grid would.
     """
     n = dt_pow.size
     cur = Cursor()
     carry = np.zeros(paths.size)
-    w_state = [None] * paths.size
+    w_pos = np.empty((paths.size, 9), dtype=np.uint64)  # see Cursor.tell
     start, size = 0, FIRST_BLOCK
     while start < n and alive.any():
         stop = min(start + size, n)
@@ -272,12 +272,12 @@ def exact_rows(params: StableParams, dt_pow: np.ndarray, seed: int,
                 path = int(paths[row])
                 cur.place(seed, path, phase, start).random(out=vals[r, 1:])
                 if start:
-                    cur.bits.state = w_state[row]
+                    cur.resume(seed, path, w_pos[row])
                 elif stop < n:
                     cur.place(seed, path, phase, n)
                 cur.gen.standard_exponential(out=w[r])
                 if stop < n:
-                    w_state[row] = cur.bits.state
+                    cur.tell(w_pos[row])
             cms_transform(params, vals[:, 1:], w)
             vals[:, 1:] *= dt_pow[start:stop]
             vals[:, 0] = carry[rows]

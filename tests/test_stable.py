@@ -129,7 +129,8 @@ def test_streams_are_reproducible_and_distinct():
 @pytest.mark.parametrize("offset", [0, 1, 3, 4, 161, 16464])
 def test_cursor_places_like_a_skipped_stream(offset):
     """A reused cursor placed at raw draw `offset` yields the uniforms and
-    exponentials of the plain stream after `offset` raw draws."""
+    exponentials of the plain stream after `offset` raw draws, and a
+    position saved with `tell` resumes after the cursor has moved on."""
     cur = Cursor()
     for seed, path, phase in [(123, 5, 0), (2 ** 63 + 11, 7, 2), (123, 6, 1)]:
         want = stream(seed, path, phase)
@@ -140,11 +141,14 @@ def test_cursor_places_like_a_skipped_stream(offset):
         assert np.array_equal(g.uniform(lo, hi, 37), want.uniform(lo, hi, 37))
         assert np.array_equal(g.standard_exponential(37),
                               want.standard_exponential(37))
-        saved = cur.bits.state
-        ahead = g.standard_exponential(9)
-        cur.place(seed + 1, path)
-        cur.bits.state = saved
-        assert np.array_equal(g.standard_exponential(9), ahead)
+        for skip in (0, 1, 3):  # a saved position restores mid-buffer too
+            g.bit_generator.random_raw(skip)
+            saved = np.empty(9, dtype=np.uint64)
+            cur.tell(saved)
+            ahead = g.standard_exponential(9)
+            cur.place(seed + 1, path, phase + 1, 2)
+            assert np.array_equal(cur.resume(seed, path, saved)
+                                  .standard_exponential(9), ahead)
 
 
 @pytest.mark.parametrize("alpha, beta, scale", [
