@@ -8,9 +8,8 @@ the draws and the running sum are those of the whole-grid path, so the
 counts are the same as when every path runs to the largest horizon.  The
 exact paths of a chunk are drawn together, row by row on one reused stream
 cursor.  Workers own disjoint path-index ranges with a fixed chunk size and
-run in forked processes when run.threads asks for more than one; the only
-state they hand back is integer survivor counts combined by addition, so
-results are identical for any worker count.
+run in forked processes when run.threads asks for more than one.  The only state they hand back is integer survivor counts
+combined by addition, so results are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -29,15 +28,14 @@ from .decompose import (NEGATIVE, POSITIVE, DecompositionT, LaplaceBound,
 from .levymodel import Boundary, LevyModel
 from .passage import (boundary_value, first_crossing, first_crossings,
                       subordinator_stays_above)
-from .rng import PHASE_PATHS, PHASE_SECONDARY, PHASE_TERTIARY, Cursor, stream
-from .simulate import (FIRST_BLOCK, PerturbedPlan, TimeGrid,
+from .rng import PHASE_PATHS, PHASE_SECONDARY, PHASE_TERTIARY, stream
+from .simulate import (PerturbedPlan, TimeGrid, _running_sum,
                        discrete_increments, exact_rows, sample_path,
                        sample_subordinator_path)
 from .stable import StableParams, sample_stable, subordinator_unit_scale
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 CHUNK = 256  # paths per work unit; fixed so results never depend on threads
-POOL_MIN_CHUNKS = 8  # runs with fewer chunks stay in the calling process
 
 
 @dataclass(frozen=True)
@@ -130,22 +128,31 @@ def fit_exponent(estimates) -> ExponentFit:
 def _run_chunks(worker, n_paths: int, threads: int) -> np.ndarray:
     """Sum integer results of worker(lo, hi) over fixed-size path chunks.
 
-    With threads > 1 and at least POOL_MIN_CHUNKS chunks, the chunks run in
-    forked processes, at most one per usable CPU: a forked child inherits
-    the worker closure, which cannot be pickled, and the imported package.
-    A process running other threads does not fork, since a lock one of them
-    holds would stay held in the child.  Parts come back in chunk order.
+    With threads > 1 and more than one chunk, the chunks run in forked
+    processes, at most one per usable CPU: a forked child inherits the
+    worker closure, which cannot be pickled, and the imported package.
+    Where fork is unavailable, or other threads are running (a lock one of
+    them holds would stay held in the child), the chunks run in the calling
+    process.  Parts come back in chunk order.
     """
     ranges = [(lo, min(lo + CHUNK, n_paths)) for lo in range(0, n_paths, CHUNK)]
-    procs = min(threads, len(os.sched_getaffinity(0)), len(ranges))
-    if (procs <= 1 or len(ranges) < POOL_MIN_CHUNKS
-            or threading.active_count() > 1):
+    procs = 1
+    if (threads > 1 and len(ranges) > 1 and threading.active_count() == 1
+            and "fork" in multiprocessing.get_all_start_methods()):
+        procs = min(threads, _usable_cpus(), len(ranges))
+    if procs <= 1:
         parts = [worker(lo, hi) for lo, hi in ranges]
     else:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(procs, initializer=_adopt_worker, initargs=(worker,)) as pool:
             parts = pool.starmap(_call_worker, ranges, chunksize=1)
     return np.sum(parts, axis=0)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 _worker = None  # the chunk worker of a forked pool process, set as it starts
@@ -497,9 +504,7 @@ def gaussian_refinement_counts(sigma2: float, drift: float, level: float,
     The subgrid counts dominate the fine counts pathwise, which makes the
     shrinking of the monitoring bias under grid halving an exact integer
     comparison rather than a noisy one.  Returns shape (2, len(T_grid)):
-    row 0 the strided (coarse) counts, row 1 the fine counts.  A path's
-    normals are drawn in doubling blocks with the running sum carried, which
-    gives the draws and sums of one whole-grid path.
+    row 0 the strided (coarse) counts, row 1 the fine counts.
     """
     Tg = np.asarray(T_grid, dtype=float)
     T = float(Tg[-1])
@@ -509,35 +514,15 @@ def gaussian_refinement_counts(sigma2: float, drift: float, level: float,
     if sub[-1] != T:
         raise ValueError("stride must divide the fine grid")
     sd = math.sqrt(sigma2 * dt_fine)
-    limits = np.full((2, pts.size), np.inf)  # row 0 is crossed at strided points only
-    limits[0, ::stride] = level
-    limits[1] = level
-    n = pts.size - 1
 
     def worker(lo, hi):
         dead = np.zeros((2, Tg.size + 1), dtype=np.int64)
-        cur = Cursor()
         for i in range(lo, hi):
-            g = cur.place(seed, i)
-            # the fine grid holds the strided one, so it crosses no later
-            # and the path stops once the strided grid has crossed
-            hit = [None, None]
-            start, size, carry = 0, FIRST_BLOCK, 0.0
-            while start < n and hit[0] is None:
-                stop = min(start + size, n)
-                vals = np.empty(stop - start + 1)
-                vals[0] = carry
-                inc = g.standard_normal(out=vals[1:])
-                inc *= sd
-                inc += drift * dt_fine
-                np.cumsum(vals, out=vals)
-                for row in (0, 1):
-                    if hit[row] is None:
-                        k = first_crossing(vals, limits[row, start:stop + 1])
-                        hit[row] = None if k is None else pts[start + k]
-                start, size, carry = stop, 2 * size, vals[-1]
-            for row, t in enumerate(hit):
-                dead[row, Tg.size if t is None else Tg.searchsorted(t, side="left")] += 1
+            g = stream(seed, i)
+            vals = _running_sum(drift * dt_fine + sd * g.standard_normal(pts.size - 1))
+            for row, (p, v) in enumerate(((sub, vals[::stride]), (pts, vals))):
+                k = first_crossing(v, level)
+                dead[row, Tg.size if k is None else Tg.searchsorted(p[k], side="left")] += 1
         return dead
 
     return _nested_counts(_run_chunks(worker, n_paths, threads), n_paths)

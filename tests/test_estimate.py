@@ -182,12 +182,12 @@ def test_pool_parts_match_serial_and_run_in_children():
     def worker(lo, hi):
         return np.array([hi - lo, lo * hi, os.getpid() != parent])
 
-    chunks = estimate.POOL_MIN_CHUNKS + 1
+    chunks = 3
     n = estimate.CHUNK * (chunks - 1) + 5  # ragged last chunk
     serial = estimate._run_chunks(worker, n, 1)
     pooled = estimate._run_chunks(worker, n, 4)
     assert serial.tolist() == [n, pooled[1], 0] and pooled[0] == n
-    assert pooled[2] == (chunks if len(os.sched_getaffinity(0)) > 1 else 0)
+    assert pooled[2] == (chunks if estimate._usable_cpus() > 1 else 0)
 
     # a process running another thread keeps its chunks to itself
     release = threading.Event()
@@ -199,6 +199,34 @@ def test_pool_parts_match_serial_and_run_in_children():
         release.set()
         other.join(timeout=30.0)
     assert not other.is_alive()
+
+
+def test_pool_survival_counts_match_serial():
+    m = standard_symmetric_model(0.7)
+    n = estimate.CHUNK * 3 + 3
+    grid = TimeGrid.survival(8.0)
+    args = ([Boundary("constant"), Boundary("decreasing", 1.3)], [2.0, 8.0], n,
+            grid, 13)
+    assert np.array_equal(survival_counts(m, *args, threads=1),
+                          survival_counts(m, *args, threads=4))
+
+
+def test_chunks_stay_in_process_without_fork_or_affinity(monkeypatch):
+    parent = os.getpid()
+
+    def worker(lo, hi):
+        return np.array([hi - lo, os.getpid() != parent])
+
+    n = estimate.CHUNK * 4
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert estimate._run_chunks(worker, n, 4).tolist() == [n, 0]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert estimate._usable_cpus() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(estimate.multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    assert estimate._run_chunks(worker, n, 4).tolist() == [n, 0]
 
 
 def test_survival_guard_rails():
