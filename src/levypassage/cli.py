@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .decompose import InvalidDecompositionError
-from .estimate import (FitUnavailable, SurvivalEstimate,
+from .estimate import (WILSON_Z, FitUnavailable, SurvivalEstimate,
                        discrete_survival_experiment, fit_exponent,
                        lemma_n0N_experiment,
                        product_bound_check, survival_counts, wilson_log_ci)
@@ -35,7 +35,15 @@ from .passage import brownian_integral_test
 from .rvcalc import CONSTANT, LOG_POWER, SlowlyVaryingSpec
 from .simulate import TimeGrid
 
-GRID_POLICIES = ("survival", "uniform", "geometric", "integers")
+# run.grid_policy -> the monitoring grid it builds up to horizon T
+GRID_POLICIES = {
+    "survival": lambda cfg, T: TimeGrid.survival(
+        T, t_min=cfg.grid_t_min, per_octave=cfg.grid_per_octave),
+    "uniform": lambda cfg, T: TimeGrid.uniform(T, cfg.grid_dt),
+    "geometric": lambda cfg, T: TimeGrid.geometric(
+        T, t_min=cfg.grid_t_min, per_octave=cfg.grid_per_octave),
+    "integers": lambda cfg, T: TimeGrid.integers(T),
+}
 # kinds whose horizons are geomspace(run.t_min, run.t_max, run.t_points)
 HORIZON_KINDS = ("survival", "exponent", "discrete-survival")
 
@@ -263,17 +271,7 @@ def build_model(cfg: ExperimentConfig) -> LevyModel:
 
 
 def monitoring_grid(cfg: ExperimentConfig, T: float) -> TimeGrid:
-    if cfg.grid_policy == "survival":
-        return TimeGrid.survival(T, t_min=cfg.grid_t_min,
-                                 per_octave=cfg.grid_per_octave)
-    if cfg.grid_policy == "uniform":
-        return TimeGrid.uniform(T, cfg.grid_dt)
-    if cfg.grid_policy == "geometric":
-        return TimeGrid.geometric(T, t_min=cfg.grid_t_min,
-                                  per_octave=cfg.grid_per_octave)
-    if cfg.grid_policy == "integers":
-        return TimeGrid.integers(T)
-    raise ConfigError([("run.grid_policy", f"unknown policy {cfg.grid_policy!r}")])
+    return GRID_POLICIES[cfg.grid_policy](cfg, T)
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +284,6 @@ def _row(cfg: ExperimentConfig, **kw) -> dict:
                 alpha=cfg.alpha, beta=cfg.beta, seed=cfg.seed)
     base.update(kw)
     return base
-
-
-FIT_CI_Z = 1.959963984540054
 
 
 def _estimate_row(cfg, boundary_kind, est: SurvivalEstimate, kind=None, gamma=None):
@@ -311,8 +306,8 @@ def _fit_row(cfg, boundary_kind, ests):
               file=sys.stderr)
         return row
     row.update(p_hat=fit.rho_hat, ln_p=fit.stderr,
-               ci_low=fit.rho_hat - FIT_CI_Z * fit.stderr,
-               ci_high=fit.rho_hat + FIT_CI_Z * fit.stderr)
+               ci_low=fit.rho_hat - WILSON_Z * fit.stderr,
+               ci_high=fit.rho_hat + WILSON_Z * fit.stderr)
     return row
 
 

@@ -20,12 +20,10 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import integrate
 
 from .levymodel import LevyModel
-from .rvcalc import (QUAD_EPSABS, QUAD_EPSREL, RegVaryingTail,
-                     eval_slowly_varying, power_tail_remainder,
-                     truncation_point)
+from .rvcalc import (RegVaryingTail, eval_slowly_varying, mass_beyond,
+                     power_tail_remainder, truncation_point)
 
 NEGATIVE = "negative"   # thin big negative jumps (decreasing-boundary side)
 POSITIVE = "positive"   # thin big positive jumps (increasing-boundary side)
@@ -127,11 +125,13 @@ class DecompositionT:
         """Mask of the signed jumps handed to S_T.
 
         A jump beyond 1 on this side goes to S_T when its uniform u falls
-        below the thinning probability; callers draw u so that one uniform
-        per jump can be shared across horizons.
+        below the thinning probability, evaluated on those jumps only;
+        callers draw u so that one uniform per jump can be shared across
+        horizons.
         """
-        on_side = signed < -1.0 if self.side == NEGATIVE else signed > 1.0
-        return on_side & (u < self.thinning_probability(np.abs(signed)))
+        mask = signed < -1.0 if self.side == NEGATIVE else signed > 1.0
+        mask[mask] = u[mask] < self.thinning_probability(np.abs(signed[mask]))
+        return mask
 
     def nu_S(self, x):
         """Subordinator jump density at magnitude x (zero for x <= 1)."""
@@ -178,11 +178,7 @@ def build_decomposition(model: LevyModel, T: float, side: str) -> DecompositionT
         x_bad = grid[bad[0]]
         raise InvalidDecompositionError(
             f"nu_rest < 0 at x = {x_bad:.6g}: thinning probability {probs[bad[0]]:.6g} > 1")
-    hi = truncation_point(tail, 1.0)
-    total, _ = integrate.quad(lambda v: d.nu_S(math.exp(v)) * math.exp(v),
-                              0.0, math.log(hi), epsabs=QUAD_EPSABS,
-                              epsrel=QUAD_EPSREL, limit=200)
-    total += power_tail_remainder(d.nu_S, hi)
+    total = mass_beyond(d.nu_S, 1.0, truncation_point(tail, 1.0))
     return replace(d, total_mass=total,
                    table=JumpTable(d.nu_S, x_lo=1.0, alpha=tail.alpha))
 

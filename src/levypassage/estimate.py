@@ -143,8 +143,9 @@ def _run_chunks(worker, n_paths: int, threads: int) -> np.ndarray:
     if procs <= 1:
         parts = [worker(lo, hi) for lo, hi in ranges]
     else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(procs, initializer=_adopt_worker, initargs=(worker,)) as pool:
+        global _worker
+        _worker = worker
+        with multiprocessing.get_context("fork").Pool(procs) as pool:
             parts = pool.starmap(_call_worker, ranges, chunksize=1)
     return np.sum(parts, axis=0)
 
@@ -155,12 +156,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-_worker = None  # the chunk worker of a forked pool process, set as it starts
-
-
-def _adopt_worker(worker) -> None:
-    global _worker
-    _worker = worker
+_worker = None  # the chunk worker, set before the pool forks; children inherit it
 
 
 def _call_worker(lo: int, hi: int) -> np.ndarray:
@@ -246,13 +242,12 @@ def survival_counts(model: LevyModel, boundaries: list[Boundary], T_grid,
 
 def survival_probability(model: LevyModel, boundary: Boundary, T_grid,
                          n_paths: int, grid: TimeGrid | None = None,
-                         seed: int = 0, threads: int = 1,
-                         phase: int = PHASE_PATHS) -> list[SurvivalEstimate]:
+                         seed: int = 0, threads: int = 1) -> list[SurvivalEstimate]:
     """Survival estimates over the horizon grid, one reused path set."""
     Tg = np.asarray(T_grid, dtype=float)
     if grid is None:
         grid = TimeGrid.survival(float(Tg[-1]))
-    counts = survival_counts(model, [boundary], Tg, n_paths, grid, seed, threads, phase)
+    counts = survival_counts(model, [boundary], Tg, n_paths, grid, seed, threads)
     return [SurvivalEstimate.from_counts(float(T), int(k), n_paths, seed)
             for T, k in zip(Tg, counts[0])]
 
@@ -461,9 +456,9 @@ class LaplaceCheck:
 
 
 def _subordinator_marginal(decomp: DecompositionT, t: float, n_draws: int,
-                           seed: int, phase: int = PHASE_PATHS) -> np.ndarray:
+                           seed: int) -> np.ndarray:
     """n_draws of S_T(t): compound Poisson sums, one vectorized stream."""
-    rng = stream(seed, 0, phase)
+    rng = stream(seed, 0)
     counts = rng.poisson(decomp.total_mass * t, size=n_draws)
     total = int(counts.sum())
     if total == 0:

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import NEGATIVE, DecompositionT
+from .decompose import DecompositionT
 from .levymodel import LevyModel
 from .rng import PHASE_PATHS, stream
-from .simulate import (ROW_CAP, PathSample, PerturbedPlan, TimeGrid,
-                       _cell_jumps, _gaussian_path, _merge_with_epochs,
-                       _running_sum, exact_rows, sample_path)
+from .simulate import (ROW_CAP, PathSample, PerturbedPlan, TimeGrid, exact_rows,
+                       sample_coupled_decomposition, sample_path)
 
 KAPPA_U_RANGE = 40.0
 KAPPA_PANELS = 10_000
@@ -58,15 +57,14 @@ class PositivityProfile:
         return np.interp(np.log(t), np.log(self.t), self.p)
 
 
-def kappa(profile: PositivityProfile, a: float, b: float = 0.0) -> float:
+def kappa(profile: PositivityProfile, a: float) -> float:
     """kappa(a, 0) = exp( int_0^inf (e**-t - e**-at) t**-1 P(X(t) >= 0) dt ).
 
     Quadrature after t = e**u, trapezoid on u in [-40, 40] with 10^4 panels;
-    the integrand decays double-exponentially at both ends.  b > 0 would need
-    the joint inverse-local-time / ladder-height marginal and is unsupported.
+    the integrand decays double-exponentially at both ends.  kappa(a, b) for
+    b > 0 would need the joint inverse-local-time / ladder-height marginal
+    and is not implemented.
     """
-    if b != 0.0:
-        raise ValueError("kappa is only supported for b = 0 in this artifact")
     if not (math.isfinite(a) and a > 0):
         raise ValueError("kappa requires a > 0")
     if a == 1.0:
@@ -161,21 +159,17 @@ def renewal_convergence_gaps(model: LevyModel, decomp_by_T: dict[float, Decompos
     gaps shrink monotonically as delta(T) decreases.
     """
     Ts = sorted(decomp_by_T)
+    decomps = [decomp_by_T[T] for T in Ts]
     plan = PerturbedPlan.from_model(model)
     count_x = 0.0
     count_y = {T: 0.0 for T in Ts}
     for i in range(n_paths):
-        rng = stream(seed, i)
-        epochs, signed = plan.draw_jumps(rng, grid.horizon)
-        u = rng.uniform(size=epochs.size)
-        merged, jumps = _merge_with_epochs(grid.points, epochs, signed)
-        vx = _gaussian_path(plan, merged, jumps, rng)
+        x_path, pairs = sample_coupled_decomposition(model, decomps, grid,
+                                                     stream(seed, i), plan)
+        vx = x_path.values
         count_x += int(np.count_nonzero(vx[_record_mask(vx)] < x))
-        for T in Ts:
-            d = decomp_by_T[T]
-            thin = d.thinned(signed, u)
-            s = _running_sum(_cell_jumps(merged, epochs[thin], np.abs(signed[thin])))
-            vy = vx + s if d.side == NEGATIVE else vx - s
+        for T, (y_path, _) in zip(Ts, pairs):
+            vy = y_path.values
             count_y[T] += int(np.count_nonzero(vy[_record_mask(vy)] < x))
     v_x = count_x / n_paths
     return {T: abs(count_y[T] / n_paths - v_x) for T in Ts}

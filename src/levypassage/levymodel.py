@@ -17,7 +17,7 @@ import numpy as np
 from scipy import integrate
 
 from .rvcalc import (CONSTANT, QUAD_EPSABS, QUAD_EPSREL, RegVaryingTail,
-                     SlowlyVaryingSpec, tail_mass)
+                     SlowlyVaryingSpec, quad, tail_mass)
 from .stable import StableParams, positivity_parameter
 
 RHO_CONSISTENCY_TOL = 1e-6
@@ -143,9 +143,7 @@ class ValidationReport:
 
 def levy_integrability(tail: RegVaryingTail) -> float:
     """int (1 ^ x**2) d(nu) for one tail: x**2 near 0 plus the mass past 1."""
-    inner, _ = integrate.quad(lambda x: x * x * tail.density(x), 0.0, 1.0,
-                              epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=200)
-    return inner + tail_mass(tail, 1.0)
+    return quad(lambda x: x * x * tail.density(x), 0.0, 1.0) + tail_mass(tail, 1.0)
 
 
 def effective_rho(model: LevyModel) -> float | None:

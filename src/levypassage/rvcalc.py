@@ -8,7 +8,8 @@ Two concrete slowly-varying-at-zero families are supported:
 A regularly varying tail is the jump density |x|**(-alpha-1) * ell(1/|x|) on
 one side of the origin, written in the magnitude coordinate x > 0.  Tail
 masses are integrated adaptively; the integrand is truncated where it has
-dropped below 1e-16 of its value at the left endpoint.
+dropped below 1e-16 of its value at the left endpoint.  `quad` and
+`mass_beyond` are the package's one quadrature recipe.
 """
 
 from __future__ import annotations
@@ -107,6 +108,24 @@ def power_tail_remainder(density, x: float) -> float:
     return g0 * x / (-(s + 1.0))
 
 
+def quad(f, a: float, b: float) -> float:
+    """Adaptive quadrature of f over [a, b] at the package's tolerances."""
+    return integrate.quad(f, a, b, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL,
+                          limit=200)[0]
+
+
+def mass_beyond(density, x: float, hi: float) -> float:
+    """int_x^inf of a regularly varying density, truncated at hi.
+
+    Integrates in v = ln u, where the integrand decays exponentially, up to
+    hi, and completes the truncated tail with its regular-variation
+    asymptotic.
+    """
+    inner = quad(lambda v: density(math.exp(v)) * math.exp(v),
+                 math.log(x), math.log(hi))
+    return inner + power_tail_remainder(density, hi)
+
+
 def tail_mass(tail: RegVaryingTail, x: float) -> float:
     """nu_+(x) or nu_-(x): integrated density from x to infinity, x > 0."""
     if not (math.isfinite(x) and x > 0):
@@ -115,13 +134,7 @@ def tail_mass(tail: RegVaryingTail, x: float) -> float:
         raise ValueError("tail mass diverges for alpha <= 0")
     if tail.ell.is_constant:
         return tail.ell.c * x ** (-tail.alpha) / tail.alpha
-    # integrate in v = ln u where the integrand decays exponentially, then
-    # complete the truncated tail with its regular-variation asymptotic
-    hi = truncation_point(tail, x)
-    val, _ = integrate.quad(lambda v: tail.density(math.exp(v)) * math.exp(v),
-                            math.log(x), math.log(hi),
-                            epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=200)
-    return val + power_tail_remainder(tail.density, hi)
+    return mass_beyond(tail.density, x, truncation_point(tail, x))
 
 
 def potter_lambda0(spec: SlowlyVaryingSpec, epsilon: float,

@@ -18,12 +18,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
-from .decompose import NEGATIVE, POSITIVE, DecompositionT, JumpTable
+from .decompose import NEGATIVE, DecompositionT, JumpTable
 from .levymodel import LevyModel
 from .rng import Cursor, as_generator
-from .rvcalc import QUAD_EPSABS, QUAD_EPSREL
+from .rvcalc import quad
 from .stable import StableParams, cms_transform, sample_stable
 
 ETA = 1e-3  # small-jump cutoff for the perturbed mode
@@ -105,18 +104,6 @@ class PathSample:
 # perturbed-mode plan
 # ---------------------------------------------------------------------------
 
-def _small_jump_variance(tail) -> float:
-    val, _ = integrate.quad(lambda x: x * x * tail.density(x), 0.0, ETA,
-                            epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=200)
-    return val
-
-
-def _compensator_mean(tail) -> float:
-    val, _ = integrate.quad(lambda x: x * tail.density(x), ETA, 1.0,
-                            epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=200)
-    return val
-
-
 @dataclass(frozen=True, eq=False)
 class PerturbedPlan:
     """Precomputed ingredients of the perturbed simulation of one model."""
@@ -133,9 +120,8 @@ class PerturbedPlan:
                    remove: DecompositionT | None = None) -> "PerturbedPlan":
         """Plan for the model itself, or for Y_T when `remove` is given.
 
-        With `remove`, the big-jump density on the decomposition side is
-        multiplied by (1 - thinning probability) beyond 1, i.e. the plan
-        simulates the remainder process of the split.
+        With `remove`, the jump table of the split's tail is built from the
+        remainder density remove.nu_rest; the other tail keeps its own.
         """
         drift = model.b
         var_unit = model.sigma2
@@ -145,17 +131,10 @@ class PerturbedPlan:
             if tail is None:
                 tables[name] = None
                 continue
-            var_unit += _small_jump_variance(tail)
-            drift -= sign * _compensator_mean(tail)
-            thinned = (remove is not None
-                       and ((remove.side == POSITIVE and name == "right")
-                            or (remove.side == NEGATIVE and name == "left")))
-            if thinned:
-                def density(x, t=tail, r=remove):
-                    keep = np.where(np.asarray(x, float) > 1.0,
-                                    1.0 - r.thinning_probability(x), 1.0)
-                    return keep * t.density(x)
-                tables[name] = JumpTable(density, x_lo=ETA, alpha=tail.alpha,
+            var_unit += quad(lambda x: x * x * tail.density(x), 0.0, ETA)
+            drift -= sign * quad(lambda x: x * tail.density(x), ETA, 1.0)
+            if remove is not None and remove.tail == tail:
+                tables[name] = JumpTable(remove.nu_rest, x_lo=ETA, alpha=tail.alpha,
                                          breakpoints=(1.0,))
             else:
                 tables[name] = JumpTable(tail.density, x_lo=ETA, alpha=tail.alpha)
@@ -206,6 +185,8 @@ def _running_sum(inc: np.ndarray) -> np.ndarray:
 def _merge_with_epochs(points: np.ndarray, epochs: np.ndarray,
                        signed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Monitored points including epochs, plus the jump sum of each cell."""
+    if epochs.size == 0:
+        return points, np.zeros(points.size - 1)
     merged = np.union1d(points, epochs)
     return merged, _cell_jumps(merged, epochs, signed)
 
@@ -278,8 +259,7 @@ def exact_rows(params: StableParams, dt_pow: np.ndarray, seed: int,
                 cur.gen.standard_exponential(out=w[r])
                 if stop < n:
                     cur.tell(w_pos[row])
-            cms_transform(params, vals[:, 1:], w)
-            vals[:, 1:] *= dt_pow[start:stop]
+            vals[:, 1:] = cms_transform(params, vals[:, 1:], w) * dt_pow[start:stop]
             vals[:, 0] = carry[rows]
             np.cumsum(vals, axis=1, out=vals)
             carry[rows] = vals[:, -1]
@@ -304,31 +284,35 @@ def sample_subordinator_path(decomp: DecompositionT, grid: TimeGrid,
                       values=_running_sum(jumps), jump_times=epochs)
 
 
-def sample_coupled_decomposition(model: LevyModel, decomp: DecompositionT,
-                                 grid: TimeGrid, stream,
-                                 plan: PerturbedPlan | None = None
-                                 ) -> tuple[PathSample, PathSample, PathSample]:
-    """Jointly consistent (X, Y_T, S_T) paths from one perturbed simulation.
+def sample_coupled_decomposition(model: LevyModel, decomps, grid: TimeGrid,
+                                 stream, plan: PerturbedPlan | None = None
+                                 ) -> tuple[PathSample, list]:
+    """(X, [(Y_T, S_T) per split in `decomps`]) from one perturbed simulation.
 
-    X is simulated with its full jump measure; each jump beyond 1 on the
-    decomposition side is handed to S_T with the thinning probability.  The
-    remainder is exactly Y_T, and the identity X = Y_T -+ S_T holds pathwise,
-    which is what the ordering checks rely on.
+    X is simulated with its full jump measure; each jump beyond 1 on a
+    split's side is handed to its S_T with the thinning probability, decided
+    by one uniform per jump that every split shares.  The remainder is
+    exactly Y_T, and the identity X = Y_T -+ S_T holds pathwise, which is
+    what the ordering checks rely on.  When the thinning probability falls
+    with T, a larger T hands S_T a subset of a smaller T's jumps.
     """
     rng = as_generator(stream)
     if plan is None:
         plan = PerturbedPlan.from_model(model)
     epochs, signed = plan.draw_jumps(rng, grid.horizon)
-    thin = decomp.thinned(signed, rng.uniform(size=epochs.size))
+    u = rng.uniform(size=epochs.size)
     merged, jumps_x = _merge_with_epochs(grid.points, epochs, signed)
     values_x = _gaussian_path(plan, merged, jumps_x, rng)
-    values_s = _running_sum(_cell_jumps(merged, epochs[thin], np.abs(signed[thin])))
-    # negative side: X = Y - S  =>  Y = X + S ; positive side: Y = X - S
-    values_y = values_x + values_s if decomp.side == NEGATIVE else values_x - values_s
     out_grid = TimeGrid(merged, grid.policy) if epochs.size else grid
-    return (PathSample(out_grid, values_x, epochs),
-            PathSample(out_grid, values_y, epochs[thin]),
-            PathSample(out_grid, values_s, epochs[thin]))
+    pairs = []
+    for decomp in decomps:
+        thin = decomp.thinned(signed, u)
+        values_s = _running_sum(_cell_jumps(merged, epochs[thin], np.abs(signed[thin])))
+        # negative side: X = Y - S  =>  Y = X + S ; positive side: Y = X - S
+        values_y = values_x + values_s if decomp.side == NEGATIVE else values_x - values_s
+        pairs.append((PathSample(out_grid, values_y, epochs[thin]),
+                      PathSample(out_grid, values_s, epochs[thin])))
+    return PathSample(out_grid, values_x, epochs), pairs
 
 
 def discrete_increments(plan: PerturbedPlan, n_steps: int,

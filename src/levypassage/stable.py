@@ -54,35 +54,19 @@ def cms_transform(params: StableParams, u: np.ndarray, w: np.ndarray) -> np.ndar
 
     B = arctan(beta*tan(pi*alpha/2))/alpha and S = (1 + beta**2 *
     tan(pi*alpha/2)**2)**(1/(2*alpha)); tan(U) for alpha = 1, beta = 0.
-    Overwrites both arrays and returns the variates in u's buffer; the
-    in-place steps keep the formula's operation order and `**` operators.
     """
     a, b = params.alpha, params.beta
     if a == 1.0 and b != 0.0:
         raise ValueError("alpha = 1 with beta != 0 is unsupported")
-    u *= math.pi
-    u -= math.pi / 2.0
+    U = u * math.pi - math.pi / 2.0
     if a == 1.0:
-        np.tan(u, out=u)
-        u *= params.scale
-        return u
+        return np.tan(U) * params.scale
     tb = b * math.tan(math.pi * a / 2.0)
     B = math.atan(tb) / a
     S = (1.0 + tb * tb) ** (1.0 / (2.0 * a))
-    v = u + B
-    v *= a                      # alpha*(U+B)
-    c = u - v
-    np.cos(c, out=c)
-    np.divide(c, w, out=w)
-    w **= (1.0 - a) / a
-    np.sin(v, out=v)
-    v *= S
-    np.cos(u, out=u)
-    u **= 1.0 / a
-    np.divide(v, u, out=u)
-    u *= w
-    u *= params.scale
-    return u
+    v = (U + B) * a
+    return (np.sin(v) * S / np.cos(U) ** (1.0 / a)
+            * (np.cos(U - v) / w) ** ((1.0 - a) / a) * params.scale)
 
 
 def positivity_parameter(params: StableParams) -> float:

@@ -13,7 +13,7 @@ from levypassage.estimate import (subordinator_exceedance,
                                   subordinator_laplace_check)
 from levypassage.levymodel import tail_only_model
 from levypassage.rng import stream
-from levypassage.rvcalc import SlowlyVaryingSpec
+from levypassage.rvcalc import SlowlyVaryingSpec, eval_slowly_varying
 
 ELL1 = SlowlyVaryingSpec("constant", c=1.0)
 
@@ -80,6 +80,24 @@ def test_measure_split_identity():
     nu = m.tail_left.density(xs)
     rel = np.abs(d.nu_S(xs) + d.nu_rest(xs) - nu) / nu
     assert np.max(rel) < 1e-12
+
+
+@pytest.mark.parametrize("ell", [ELL1, SlowlyVaryingSpec("log-power", p=1.0)])
+@pytest.mark.parametrize("side", [NEGATIVE, POSITIVE])
+def test_thinned_mask_matches_the_all_jumps_formula(ell, side):
+    # thinned() evaluates the probability only on jumps beyond 1 on its side;
+    # here it is evaluated on every jump and masked afterwards
+    alpha = 0.7
+    d = build_decomposition(tail_only_model(alpha, ell), 256.0, side)
+    rng = np.random.default_rng(41)
+    for n in (0, 1, 7, 300, 5000):
+        signed = 4.0 * rng.standard_cauchy(n)
+        u = rng.uniform(size=n)
+        x = np.abs(signed)
+        p = (d.delta * eval_slowly_varying(ell, d.delta ** (1.0 / alpha) / x)
+             / eval_slowly_varying(ell, 1.0 / x))
+        on_side = signed < -1.0 if side == NEGATIVE else signed > 1.0
+        assert np.array_equal(d.thinned(signed, u), on_side & (u < p))
 
 
 def test_nu_rest_negative_detected():

@@ -49,8 +49,6 @@ def test_kappa_tabulated_near_constant():
 def test_kappa_unsupported_arguments():
     prof = PositivityProfile.constant(0.5)
     with pytest.raises(ValueError):
-        kappa(prof, 2.0, b=0.5)
-    with pytest.raises(ValueError):
         kappa(prof, 0.0)
 
 

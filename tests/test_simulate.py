@@ -153,12 +153,20 @@ def test_subordinator_path_laplace_example():
 
 def test_coupled_decomposition_identity():
     m = tail_only_model(0.7, ELL1)
+    grid = TimeGrid.integers(64.0)
     for side, sign in ((NEGATIVE, 1.0), (POSITIVE, -1.0)):
-        d = build_decomposition(m, 64.0, side)
-        grid = TimeGrid.integers(64.0)
-        x, y, s = sample_coupled_decomposition(m, d, grid, (13, 2, 0))
-        assert np.allclose(x.values + sign * s.values, y.values, atol=1e-10)
-        assert np.all(np.diff(s.values) >= 0.0)
+        decomps = [build_decomposition(m, T, side) for T in (64.0, 4096.0)]
+        x, pairs = sample_coupled_decomposition(m, decomps, grid, (13, 2, 0))
+        assert len(pairs) == 2
+        for y, s in pairs:
+            assert np.array_equal(y.grid.points, x.grid.points)
+            assert np.allclose(x.values + sign * s.values, y.values, atol=1e-10)
+            assert np.all(np.diff(s.values) >= 0.0)
+        # the shared uniform nests the thinned jumps: the larger T's S_T
+        # takes a subset of the smaller T's jumps
+        (_, s_small), (_, s_large) = pairs
+        assert s_large.jump_times.size > 0
+        assert np.all(np.isin(s_large.jump_times, s_small.jump_times))
 
 
 def test_discrete_increments_match_path_law():
