@@ -22,10 +22,10 @@ from levypassage.estimate import (gaussian_refinement_counts,
                                   lemma_n0N_experiment, product_bound_check,
                                   survival_counts)
 from levypassage.fluctuation import renewal_convergence_gaps, spitzer_profile
-from levypassage.levymodel import (Boundary, stable_model,
+from levypassage.levymodel import (Boundary, brownian_model, stable_model,
                                    standard_symmetric_model, tail_only_model)
 from levypassage.rvcalc import SlowlyVaryingSpec
-from levypassage.simulate import TimeGrid
+from levypassage.simulate import PerturbedPlan, TimeGrid
 
 UNIT = standard_symmetric_model(0.7)
 
@@ -77,6 +77,59 @@ def test_golden_survival_counts(name, threads):
     model, boundaries, T_grid, n_paths, grid, seed, want = _cases()[name]
     got = survival_counts(model, boundaries, T_grid, n_paths, grid, seed,
                           threads=threads)
+    assert got.tolist() == want
+
+
+SCALED = stable_model(0.7, 0.0, 1.5)
+
+
+def _perturbed_cases():
+    """Perturbed paths over several time blocks, with the plan to use."""
+    return {
+        # p_right != 1/2, Gaussian part and drift, non-integer horizon
+        "skewed-diffusive-geometric": (
+            replace(stable_model(0.5, 0.6), stable=None, sigma2=0.3, b=0.1),
+            None,
+            [Boundary("constant"), Boundary("decreasing", 0.6, 2.0),
+             Boundary("increasing", 0.9)],
+            np.array([0.5, 2.0, 8.0, 40.5]), 300, TimeGrid.geometric(40.5), 16,
+            [[207, 76, 15, 3], [218, 68, 11, 3], [217, 104, 24, 5]]),
+        "log-power-integers": (
+            tail_only_model(0.8, SlowlyVaryingSpec("log-power", c=0.5, p=0.5)),
+            None,
+            [Boundary("constant", level=2.0), Boundary("increasing", 0.9)],
+            np.array([1.0, 4.0, 16.0, 64.0]), 300, TimeGrid.integers(64.0), 17,
+            [[136, 59, 34, 15], [119, 53, 30, 14]]),
+        # the Y_T factor of the product bound: big negative jumps thinned
+        "thinned-y-plan": (
+            replace(SCALED, stable=None),
+            PerturbedPlan.from_model(SCALED, build_decomposition(SCALED, 256.0,
+                                                                 NEGATIVE)),
+            [Boundary("constant", level=0.5), Boundary("constant", level=2.0)],
+            np.array([1.0, 4.0, 16.0, 64.0, 256.0]), 60,
+            TimeGrid.survival(256.0), 18,
+            [[25, 6, 2, 0, 0], [41, 13, 3, 0, 0]]),
+        # a horizon <= 1 is a single block
+        "horizon-below-one": (
+            replace(SCALED, stable=None), None,
+            [Boundary("constant", level=0.5), Boundary("decreasing", 0.5)],
+            np.array([0.125, 0.5, 0.75]), 300, TimeGrid.survival(0.75), 19,
+            [[268, 198, 177], [272, 177, 136]]),
+        "jump-free": (
+            brownian_model(0.5, 0.05), None,
+            [Boundary("constant"), Boundary("increasing", 0.5, 0.25)],
+            np.array([0.5, 2.0, 8.0, 32.0]), 300, TimeGrid.survival(32.0), 20,
+            [[290, 228, 137, 59], [280, 253, 215, 171]]),
+    }
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("name", list(_perturbed_cases()))
+def test_golden_perturbed_survival_counts(name, threads):
+    model, plan, boundaries, T_grid, n_paths, grid, seed, want = \
+        _perturbed_cases()[name]
+    got = survival_counts(model, boundaries, T_grid, n_paths, grid, seed,
+                          threads=threads, plan=plan)
     assert got.tolist() == want
 
 
