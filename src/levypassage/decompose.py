@@ -90,9 +90,11 @@ class JumpTable:
         self._ln_rest = math.log(rest)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if n == 0:
-            return np.empty(0)
-        target = np.log(rng.uniform(size=n) * self.total_mass)
+        return self.sizes(rng.uniform(size=n))
+
+    def sizes(self, u: np.ndarray) -> np.ndarray:
+        """Jump sizes from uniforms on [0, 1), one per uniform, elementwise."""
+        target = np.log(u * self.total_mass)
         # ln(mass) decreases in ln(x); np.interp needs increasing xp
         lnx = np.interp(target, self._ln_mass[::-1], self._ln_x[::-1])
         beyond = target < self._ln_rest

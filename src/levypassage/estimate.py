@@ -7,9 +7,13 @@ a path in doubling blocks and stops once every boundary has been crossed;
 the draws and the running sum are those of the whole-grid path, so the
 counts are the same as when every path runs to the largest horizon.  The
 exact paths of a chunk are drawn together, row by row on one reused stream
-cursor.  Workers own disjoint path-index ranges with a fixed chunk size and
-run in forked processes when run.threads asks for more than one.  The only state they hand back is integer survivor counts
-combined by addition, so results are identical for any worker count.
+cursor.  A perturbed-mode path stops in the same way: its up-front draws
+cover the whole horizon, and its jumps, normals and running sum are
+evaluated in time blocks ending at t = 1, 2, 4, ... from the same draws.
+Workers own disjoint path-index ranges with a fixed chunk size and run in
+forked processes when run.threads asks for more than one.  The only state
+they hand back is integer survivor counts combined by addition, so results
+are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -30,8 +34,9 @@ from .passage import (boundary_value, first_crossing, first_crossings,
                       subordinator_stays_above)
 from .rng import PHASE_PATHS, PHASE_SECONDARY, PHASE_TERTIARY, stream
 from .simulate import (PerturbedPlan, TimeGrid, _running_sum,
-                       discrete_increments, exact_rows, sample_path,
+                       discrete_increments, exact_rows, path_blocks,
                        sample_subordinator_path)
+from .simulate import sample_path  # noqa: F401  (bench/child.py wraps it here)
 from .stable import StableParams, sample_stable, subordinator_unit_scale
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -195,10 +200,12 @@ def survival_counts(model: LevyModel, boundaries: list[Boundary], T_grid,
     One path set is reused for every boundary and every horizon: counts are
     exactly nonincreasing in T and respect pointwise boundary ordering.  A
     path is scored at the first monitored point where its value exceeds the
-    boundary (ties survive); an exact-mode path stops being simulated once
-    every boundary has such a point, since later points cannot change its
-    contribution.  Perturbed-mode paths use `plan`, by default the plan of
-    the model itself.
+    boundary (ties survive); a path stops being simulated once every
+    boundary has such a point, since later points cannot change its
+    contribution.  Exact-mode paths are drawn in doubling blocks of cells;
+    perturbed-mode paths in time blocks ending at the last grid points
+    <= 1, 2, 4, ..., and the horizon, with `plan`, by default the plan of
+    the model itself.  Either way the draws are those of the whole path.
     """
     if n_paths <= 0:
         raise ValueError("n_paths must be positive")
@@ -214,6 +221,11 @@ def survival_counts(model: LevyModel, boundaries: list[Boundary], T_grid,
     if exact:
         dt_pow = np.diff(pts) ** (1.0 / model.stable.alpha)
         bvals = np.array([boundary_value(b, pts) for b in boundaries])
+    else:
+        # blocks end at the last grid points <= 1, 2, 4, ..., then the horizon
+        ends = pts.searchsorted(
+            2.0 ** np.arange(math.ceil(math.log2(grid.horizon))), side="right") - 1
+        ends = np.unique(np.append(ends[ends > 0], pts.size - 1))
 
     def worker(lo: int, hi: int) -> np.ndarray:
         dead = np.zeros((len(boundaries), Tg.size + 1), dtype=np.int64)
@@ -228,12 +240,14 @@ def survival_counts(model: LevyModel, boundaries: list[Boundary], T_grid,
                 alive[rows] = pending[rows].any(axis=1)
         else:
             for i in range(lo, hi):
-                path = sample_path(model, grid, stream=stream(seed, i, phase),
-                                   plan=plan)
-                mpts = path.grid.points
-                _score_rows(dead, pending, np.array([i - lo]), path.values[None],
-                            mpts, np.array([boundary_value(b, mpts)
-                                            for b in boundaries]), Tg)
+                row = np.array([i - lo])
+                for mpts, vals, _ in path_blocks(plan, pts, ends,
+                                                 stream(seed, i, phase)):
+                    _score_rows(dead, pending, row, vals[None], mpts,
+                                np.array([boundary_value(b, mpts)
+                                          for b in boundaries]), Tg)
+                    if not pending[row[0]].any():
+                        break
         dead[:, Tg.size] += pending.sum(axis=0)
         return dead
 

@@ -8,6 +8,13 @@ approximation.  Perturbed paths monitor the union of the requested grid and
 the jump epochs, which removes the dominant crossing-detection error for
 jump-driven paths.
 
+A perturbed path is built by one block source, path_blocks: it makes the
+path's up-front draws (the jump count and three uniforms per jump) over the
+whole horizon, then evaluates the path block by block in time, each jump's
+size and each cell's normal only when its block is asked for.  The blocks
+together equal the path built over the whole grid at once, bit for bit, so
+a caller can stop asking once it has seen enough.
+
 Determinism contract: a path is a pure function of (seed, path index, phase),
 independent of thread count and scheduling.
 """
@@ -145,24 +152,38 @@ class PerturbedPlan:
                    p_right=rate_r / rate if rate > 0 else 0.0,
                    table_right=tables["right"], table_left=tables["left"])
 
-    def draw_jumps(self, rng: np.random.Generator, horizon: float):
-        """(epochs sorted, signed sizes) of all jumps beyond eta up to horizon."""
+    def jump_draws(self, rng: np.random.Generator, horizon: float):
+        """A path's up-front draws, in stream order: (epochs, right, u).
+
+        The Poisson count n of jumps beyond eta up to horizon; n epochs on
+        [0, horizon), unsorted; n side uniforms, of which those of the
+        epochs > 0 give `right`, in the order of the sorted epochs; one size
+        uniform u per epoch > 0.  Right jumps take u from the front in epoch
+        order, left jumps the rest.  Normals, if any, come next in the stream.
+        """
         n = rng.poisson(self.rate * horizon) if self.rate > 0 else 0
         if n == 0:
-            return np.empty(0), np.empty(0)
-        epochs = np.sort(rng.uniform(0.0, horizon, size=n))
-        keep = epochs > 0.0
-        right = rng.uniform(size=n)[keep] < self.p_right
-        return epochs[keep], self.signed_sizes(rng, right)
+            return np.empty(0), np.empty(0, dtype=bool), np.empty(0)
+        epochs = rng.uniform(0.0, horizon, size=n)
+        kept = n - np.count_nonzero(epochs == 0.0)
+        right = rng.uniform(size=n)[n - kept:] < self.p_right
+        return epochs, right, rng.uniform(size=kept)
 
-    def signed_sizes(self, rng: np.random.Generator, right: np.ndarray) -> np.ndarray:
-        """Jump sizes from the right table where `right`, else negated left draws."""
+    def draw_jumps(self, rng: np.random.Generator, horizon: float):
+        """(epochs sorted, signed sizes) of all jumps beyond eta up to horizon."""
+        epochs, right, u = self.jump_draws(rng, horizon)
+        return np.sort(epochs[epochs > 0.0]), self.signed_sizes(right, u)
+
+    def signed_sizes(self, right: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Jump sizes from their uniforms u: the right jumps in order take
+        the first ones through the right table, the left jumps the rest,
+        negated, through the left table."""
         sizes = np.empty(right.size)
-        nr = int(right.sum())
+        nr = np.count_nonzero(right)
         if nr:
-            sizes[right] = self.table_right.sample(rng, nr)
+            sizes[right] = self.table_right.sizes(u[:nr])
         if right.size - nr:
-            sizes[~right] = -self.table_left.sample(rng, right.size - nr)
+            sizes[~right] = -self.table_left.sizes(u[nr:])
         return sizes
 
 
@@ -174,12 +195,12 @@ def _cell_jumps(points: np.ndarray, epochs: np.ndarray,
     return acc[1:]
 
 
-def _running_sum(inc: np.ndarray) -> np.ndarray:
-    """Path values from cell increments: 0 at the first point, then the cumsum."""
+def _running_sum(inc: np.ndarray, start: float = 0.0) -> np.ndarray:
+    """Path values from cell increments: start at the first point, then the cumsum."""
     out = np.empty(inc.size + 1)
-    out[0] = 0.0
-    np.cumsum(inc, out=out[1:])
-    return out
+    out[0] = start
+    out[1:] = inc
+    return np.cumsum(out, out=out)
 
 
 def _merge_with_epochs(points: np.ndarray, epochs: np.ndarray,
@@ -191,13 +212,47 @@ def _merge_with_epochs(points: np.ndarray, epochs: np.ndarray,
     return merged, _cell_jumps(merged, epochs, signed)
 
 
-def _gaussian_path(plan: PerturbedPlan, merged: np.ndarray,
-                   jumps: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _gaussian_path(plan: PerturbedPlan, merged: np.ndarray, jumps: np.ndarray,
+                   rng: np.random.Generator, start: float = 0.0) -> np.ndarray:
     dt = np.diff(merged)
     inc = plan.drift * dt
     if plan.var_unit > 0:
         inc = inc + np.sqrt(plan.var_unit * dt) * rng.standard_normal(dt.size)
-    return _running_sum(inc + jumps)
+    return _running_sum(inc + jumps, start)
+
+
+def path_blocks(plan: PerturbedPlan, points: np.ndarray, ends,
+                rng: np.random.Generator):
+    """A perturbed path on `points`, block by block in time.
+
+    For each grid index b in the increasing `ends`, yields (merged, values,
+    epochs) of the block (points[a], points[b]], a being the previous end
+    (0 at first): the block's grid points and jump epochs merged, preceded
+    by points[a], the path values there (values[0] carries the previous
+    block's last value) and the sorted epochs.  The up-front draws cover
+    points[-1]; a jump's side and size uniform are looked up by its rank
+    among the epochs, and the block's normals are drawn when it is asked
+    for, so the blocks equal the path over the whole grid bit for bit.
+    """
+    epochs, right, u = plan.jump_draws(rng, points[-1])
+    n_right = np.count_nonzero(right)
+    done = done_right = 0  # jumps, right jumps in earlier blocks
+    a, carry = 0, 0.0
+    for b in ends:
+        inside, sizes = epochs, u  # both empty when the path has no jumps
+        if epochs.size:
+            inside = np.sort(epochs[(epochs > points[a]) & (epochs <= points[b])])
+            side = right[done:done + inside.size]
+            k_right = np.count_nonzero(side)
+            left0 = n_right + done - done_right
+            sizes = plan.signed_sizes(side, np.concatenate(
+                (u[done_right:done_right + k_right],
+                 u[left0:left0 + inside.size - k_right])))
+            done, done_right = done + inside.size, done_right + k_right
+        merged, jumps = _merge_with_epochs(points[a:b + 1], inside, sizes)
+        values = _gaussian_path(plan, merged, jumps, rng, carry)
+        yield merged, values, inside
+        a, carry = b, values[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +270,8 @@ def sample_path(model: LevyModel, grid: TimeGrid, stream,
         return PathSample(grid=grid, values=values, jump_times=np.empty(0))
     if plan is None:
         plan = PerturbedPlan.from_model(model)
-    epochs, signed = plan.draw_jumps(rng, grid.horizon)
-    merged, jumps = _merge_with_epochs(grid.points, epochs, signed)
-    values = _gaussian_path(plan, merged, jumps, rng)
+    ((merged, values, epochs),) = path_blocks(plan, grid.points,
+                                              [grid.points.size - 1], rng)
     out_grid = grid if epochs.size == 0 else TimeGrid(merged, grid.policy)
     return PathSample(grid=out_grid, values=values, jump_times=epochs)
 
@@ -328,7 +382,8 @@ def discrete_increments(plan: PerturbedPlan, n_steps: int,
     counts = rng.poisson(plan.rate, size=n_steps) if plan.rate > 0 else np.zeros(n_steps, int)
     total = int(counts.sum())
     cell = np.repeat(np.arange(n_steps), counts)
-    sizes = plan.signed_sizes(rng, rng.uniform(size=total) < plan.p_right)
+    right = rng.uniform(size=total) < plan.p_right
+    sizes = plan.signed_sizes(right, rng.uniform(size=total))
     jump_sums = np.bincount(cell, weights=sizes, minlength=n_steps)
     inc = plan.drift + np.sqrt(plan.var_unit) * rng.standard_normal(n_steps) + jump_sums
     s_inc = None

@@ -1,18 +1,22 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from levypassage.decompose import NEGATIVE, POSITIVE, DecompositionT, build_decomposition
-from levypassage.levymodel import (brownian_model, drift_model,
-                                   standard_symmetric_model,
+from levypassage.decompose import (NEGATIVE, POSITIVE, DecompositionT,
+                                   JumpTable, build_decomposition)
+from levypassage.estimate import survival_counts
+from levypassage.levymodel import (Boundary, brownian_model, drift_model,
+                                   stable_model, standard_symmetric_model,
                                    symmetric_stable_model, tail_only_model)
 from levypassage.rng import stream
 from levypassage.rvcalc import SlowlyVaryingSpec
 from levypassage.simulate import (ETA, PerturbedPlan, TimeGrid,
-                                  discrete_increments, sample_coupled_decomposition,
-                                  sample_path, sample_subordinator_path)
+                                  discrete_increments, path_blocks,
+                                  sample_coupled_decomposition, sample_path,
+                                  sample_subordinator_path)
 from levypassage.stable import StableParams, sample_stable
 
 ELL1 = SlowlyVaryingSpec("constant", c=1.0)
@@ -186,3 +190,97 @@ def test_discrete_increments_match_path_law():
 
 def test_small_jump_cutoff_constant():
     assert ETA == 1e-3
+
+
+def _whole_path(plan, points, rng):
+    """Reference perturbed path over the whole grid: all jumps, then normals."""
+    n = rng.poisson(plan.rate * points[-1]) if plan.rate > 0 else 0
+    epochs = np.sort(rng.uniform(0.0, points[-1], size=n))
+    keep = epochs > 0.0
+    right = rng.uniform(size=n)[keep] < plan.p_right
+    epochs = epochs[keep]
+    signed = np.empty(epochs.size)
+    nr = int(right.sum())
+    if nr:
+        signed[right] = plan.table_right.sample(rng, nr)
+    if epochs.size - nr:
+        signed[~right] = -plan.table_left.sample(rng, epochs.size - nr)
+    merged = np.union1d(points, epochs)
+    acc = np.zeros(merged.size)
+    np.add.at(acc, np.searchsorted(merged, epochs), signed)
+    dt = np.diff(merged)
+    inc = plan.drift * dt
+    if plan.var_unit > 0:
+        inc = inc + np.sqrt(plan.var_unit * dt) * rng.standard_normal(dt.size)
+    values = np.concatenate([[0.0], np.cumsum(inc + acc[1:])])
+    return merged, values, epochs, signed
+
+
+SCALED = stable_model(0.7, 0.0, 1.5)
+
+
+def _block_cases():
+    x_model = replace(SCALED, stable=None)
+    skewed = replace(stable_model(0.5, 0.6), stable=None, sigma2=0.3, b=0.1)
+    log_power = tail_only_model(0.8, SlowlyVaryingSpec("log-power", c=0.5, p=0.5))
+    return {
+        "x-plan-T256": (PerturbedPlan.from_model(x_model), TimeGrid.survival(256.0)),
+        "y-plan-T256": (PerturbedPlan.from_model(
+            SCALED, build_decomposition(SCALED, 256.0, NEGATIVE)),
+            TimeGrid.survival(256.0)),
+        "skewed-diffusive": (PerturbedPlan.from_model(skewed),
+                             TimeGrid.geometric(40.5)),
+        "log-power-integers": (PerturbedPlan.from_model(log_power),
+                               TimeGrid.integers(64.0)),
+    }
+
+
+@pytest.mark.parametrize("ends", ["doubling", "scattered"])
+@pytest.mark.parametrize("name", list(_block_cases()))
+def test_path_blocks_equal_the_whole_path(name, ends):
+    plan, grid = _block_cases()[name]
+    pts = grid.points
+    if ends == "doubling":
+        marks = pts.searchsorted(2.0 ** np.arange(math.ceil(math.log2(pts[-1]))),
+                                 side="right") - 1
+        stops = np.unique(np.append(marks[marks > 0], pts.size - 1))
+    else:
+        pick = np.random.default_rng(len(name)).choice(
+            np.arange(1, pts.size - 1), size=6, replace=False)
+        stops = np.append(np.sort(pick), pts.size - 1)
+    for i in range(8):
+        merged, values, epochs, signed = _whole_path(plan, pts, stream(61, i))
+        blocks = list(path_blocks(plan, pts, stops, stream(61, i)))
+        assert len(blocks) == stops.size
+        assert all(b[0][0] == pts[a] for b, a in zip(blocks, np.append(0, stops)))
+        got_pts = np.concatenate([blocks[0][0]] + [b[0][1:] for b in blocks[1:]])
+        got_vals = np.concatenate([blocks[0][1]] + [b[1][1:] for b in blocks[1:]])
+        got_epochs = np.concatenate([b[2] for b in blocks])
+        assert np.array_equal(got_pts, merged)
+        assert np.array_equal(got_vals, values)
+        assert np.array_equal(got_epochs, epochs)
+        d_epochs, d_signed = plan.draw_jumps(stream(61, i), pts[-1])
+        assert np.array_equal(d_epochs, epochs) and np.array_equal(d_signed, signed)
+    assert epochs.size > 0
+
+
+def test_crossed_perturbed_paths_stop_drawing_sizes(monkeypatch):
+    # every path crosses a level below 0 at t = 0, in the first block
+    model = replace(standard_symmetric_model(0.7), stable=None)
+    plan = PerturbedPlan.from_model(model)
+    T, n_paths, seed = 2.0 ** 12, 4, 62
+    sized = []
+    sizes = JumpTable.sizes
+    monkeypatch.setattr(JumpTable, "sizes",
+                        lambda self, u: sized.append(u.size) or sizes(self, u))
+    got = survival_counts(model, [Boundary("constant", level=-0.5)],
+                          [1.0, T], n_paths, TimeGrid.survival(T), seed, plan=plan)
+    assert got.tolist() == [[0, 0]]
+    first_block = total = 0
+    for i in range(n_paths):
+        rng = stream(seed, i)
+        epochs = rng.uniform(0.0, T, size=rng.poisson(plan.rate * T))
+        first_block += np.count_nonzero((epochs > 0.0) & (epochs <= 1.0))
+        total += epochs.size
+    assert sum(sized) == first_block
+    assert 0 < first_block < total / 1000
