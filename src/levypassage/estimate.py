@@ -200,12 +200,10 @@ def survival_counts(model: LevyModel, boundaries: list[Boundary], T_grid,
     One path set is reused for every boundary and every horizon: counts are
     exactly nonincreasing in T and respect pointwise boundary ordering.  A
     path is scored at the first monitored point where its value exceeds the
-    boundary (ties survive); a path stops being simulated once every
-    boundary has such a point, since later points cannot change its
-    contribution.  Exact-mode paths are drawn in doubling blocks of cells;
-    perturbed-mode paths in time blocks ending at the last grid points
-    <= 1, 2, 4, ..., and the horizon, with `plan`, by default the plan of
-    the model itself.  Either way the draws are those of the whole path.
+    boundary (ties survive); a path, drawn in blocks from the draws of the
+    whole path, stops once every boundary has such a point, since later
+    points cannot change its contribution.  Perturbed-mode paths use `plan`,
+    by default the plan of the model itself.
     """
     if n_paths <= 0:
         raise ValueError("n_paths must be positive")
@@ -221,11 +219,9 @@ def survival_counts(model: LevyModel, boundaries: list[Boundary], T_grid,
     if exact:
         dt_pow = np.diff(pts) ** (1.0 / model.stable.alpha)
         bvals = np.array([boundary_value(b, pts) for b in boundaries])
-    else:
-        # blocks end at the last grid points <= 1, 2, 4, ..., then the horizon
-        ends = pts.searchsorted(
-            2.0 ** np.arange(math.ceil(math.log2(grid.horizon))), side="right") - 1
-        ends = np.unique(np.append(ends[ends > 0], pts.size - 1))
+    else:  # time blocks end at the last points <= 1, 2, 4, ..., and the horizon
+        ends = pts.searchsorted(2.0 ** np.arange(math.ceil(math.log2(pts[-1]))), "right")
+        ends = np.unique(np.append(ends[ends > 1] - 1, pts.size - 1))
 
     def worker(lo: int, hi: int) -> np.ndarray:
         dead = np.zeros((len(boundaries), Tg.size + 1), dtype=np.int64)
@@ -241,11 +237,9 @@ def survival_counts(model: LevyModel, boundaries: list[Boundary], T_grid,
         else:
             for i in range(lo, hi):
                 row = np.array([i - lo])
-                for mpts, vals, _ in path_blocks(plan, pts, ends,
-                                                 stream(seed, i, phase)):
+                for mpts, vals, _ in path_blocks(plan, pts, ends, stream(seed, i, phase)):
                     _score_rows(dead, pending, row, vals[None], mpts,
-                                np.array([boundary_value(b, mpts)
-                                          for b in boundaries]), Tg)
+                                np.array([boundary_value(b, mpts) for b in boundaries]), Tg)
                     if not pending[row[0]].any():
                         break
         dead[:, Tg.size] += pending.sum(axis=0)

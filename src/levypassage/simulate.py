@@ -8,12 +8,9 @@ approximation.  Perturbed paths monitor the union of the requested grid and
 the jump epochs, which removes the dominant crossing-detection error for
 jump-driven paths.
 
-A perturbed path is built by one block source, path_blocks: it makes the
-path's up-front draws (the jump count and three uniforms per jump) over the
-whole horizon, then evaluates the path block by block in time, each jump's
-size and each cell's normal only when its block is asked for.  The blocks
-together equal the path built over the whole grid at once, bit for bit, so
-a caller can stop asking once it has seen enough.
+One block source, path_blocks, builds perturbed paths: the jump count and
+three uniforms per jump up front, then sizes, normals and the running sum
+block by block in time, bit for bit the whole-grid path; callers may stop.
 
 Determinism contract: a path is a pure function of (seed, path index, phase),
 independent of thread count and scheduling.
@@ -153,13 +150,11 @@ class PerturbedPlan:
                    table_right=tables["right"], table_left=tables["left"])
 
     def jump_draws(self, rng: np.random.Generator, horizon: float):
-        """A path's up-front draws, in stream order: (epochs, right, u).
+        """A path's up-front draws in stream order: (epochs, right, u).
 
-        The Poisson count n of jumps beyond eta up to horizon; n epochs on
-        [0, horizon), unsorted; n side uniforms, of which those of the
-        epochs > 0 give `right`, in the order of the sorted epochs; one size
-        uniform u per epoch > 0.  Right jumps take u from the front in epoch
-        order, left jumps the rest.  Normals, if any, come next in the stream.
+        A Poisson count n, n unsorted epochs on [0, horizon), n side uniforms
+        (`right` holds those of the epochs > 0, in sorted order) and a size
+        uniform per epoch > 0 (right jumps' first, in epoch order).
         """
         n = rng.poisson(self.rate * horizon) if self.rate > 0 else 0
         if n == 0:
@@ -175,9 +170,7 @@ class PerturbedPlan:
         return np.sort(epochs[epochs > 0.0]), self.signed_sizes(right, u)
 
     def signed_sizes(self, right: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Jump sizes from their uniforms u: the right jumps in order take
-        the first ones through the right table, the left jumps the rest,
-        negated, through the left table."""
+        """Signed sizes: right jumps take u[:nr] in order, left jumps the rest."""
         sizes = np.empty(right.size)
         nr = np.count_nonzero(right)
         if nr:
@@ -198,8 +191,7 @@ def _cell_jumps(points: np.ndarray, epochs: np.ndarray,
 def _running_sum(inc: np.ndarray, start: float = 0.0) -> np.ndarray:
     """Path values from cell increments: start at the first point, then the cumsum."""
     out = np.empty(inc.size + 1)
-    out[0] = start
-    out[1:] = inc
+    out[0], out[1:] = start, inc
     return np.cumsum(out, out=out)
 
 
@@ -221,18 +213,13 @@ def _gaussian_path(plan: PerturbedPlan, merged: np.ndarray, jumps: np.ndarray,
     return _running_sum(inc + jumps, start)
 
 
-def path_blocks(plan: PerturbedPlan, points: np.ndarray, ends,
-                rng: np.random.Generator):
-    """A perturbed path on `points`, block by block in time.
+def path_blocks(plan: PerturbedPlan, points: np.ndarray, ends, rng: np.random.Generator):
+    """A perturbed path on `points` in blocks (points[a], points[b]], b in `ends`.
 
-    For each grid index b in the increasing `ends`, yields (merged, values,
-    epochs) of the block (points[a], points[b]], a being the previous end
-    (0 at first): the block's grid points and jump epochs merged, preceded
-    by points[a], the path values there (values[0] carries the previous
-    block's last value) and the sorted epochs.  The up-front draws cover
-    points[-1]; a jump's side and size uniform are looked up by its rank
-    among the epochs, and the block's normals are drawn when it is asked
-    for, so the blocks equal the path over the whole grid bit for bit.
+    Yields (merged, values, epochs) per block: its grid points and sorted
+    epochs merged, led by points[a] with the carried value.  Jumps are looked
+    up by rank in the up-front draws and normals drawn per block, so the
+    blocks equal the whole-grid path bit for bit.
     """
     epochs, right, u = plan.jump_draws(rng, points[-1])
     n_right = np.count_nonzero(right)
@@ -244,10 +231,9 @@ def path_blocks(plan: PerturbedPlan, points: np.ndarray, ends,
             inside = np.sort(epochs[(epochs > points[a]) & (epochs <= points[b])])
             side = right[done:done + inside.size]
             k_right = np.count_nonzero(side)
-            left0 = n_right + done - done_right
             sizes = plan.signed_sizes(side, np.concatenate(
                 (u[done_right:done_right + k_right],
-                 u[left0:left0 + inside.size - k_right])))
+                 u[n_right + done - done_right:][:inside.size - k_right])))
             done, done_right = done + inside.size, done_right + k_right
         merged, jumps = _merge_with_epochs(points[a:b + 1], inside, sizes)
         values = _gaussian_path(plan, merged, jumps, rng, carry)
@@ -270,8 +256,7 @@ def sample_path(model: LevyModel, grid: TimeGrid, stream,
         return PathSample(grid=grid, values=values, jump_times=np.empty(0))
     if plan is None:
         plan = PerturbedPlan.from_model(model)
-    ((merged, values, epochs),) = path_blocks(plan, grid.points,
-                                              [grid.points.size - 1], rng)
+    ((merged, values, epochs),) = path_blocks(plan, grid.points, [grid.points.size - 1], rng)
     out_grid = grid if epochs.size == 0 else TimeGrid(merged, grid.policy)
     return PathSample(grid=out_grid, values=values, jump_times=epochs)
 
