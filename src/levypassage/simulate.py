@@ -149,7 +149,7 @@ class PerturbedPlan:
                    p_right=rate_r / rate if rate > 0 else 0.0,
                    table_right=tables["right"], table_left=tables["left"])
 
-    def jump_draws(self, rng: np.random.Generator, horizon: float):
+    def up_front_draws(self, rng: np.random.Generator, horizon: float):
         """A path's up-front draws in stream order: (epochs, right, u).
 
         A Poisson count n, n unsorted epochs on [0, horizon), n side uniforms
@@ -166,7 +166,7 @@ class PerturbedPlan:
 
     def draw_jumps(self, rng: np.random.Generator, horizon: float):
         """(epochs sorted, signed sizes) of all jumps beyond eta up to horizon."""
-        epochs, right, u = self.jump_draws(rng, horizon)
+        epochs, right, u = self.up_front_draws(rng, horizon)
         return np.sort(epochs[epochs > 0.0]), self.signed_sizes(right, u)
 
     def signed_sizes(self, right: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -221,7 +221,7 @@ def path_blocks(plan: PerturbedPlan, points: np.ndarray, ends, rng: np.random.Ge
     up by rank in the up-front draws and normals drawn per block, so the
     blocks equal the whole-grid path bit for bit.
     """
-    epochs, right, u = plan.jump_draws(rng, points[-1])
+    epochs, right, u = plan.up_front_draws(rng, points[-1])
     n_right = np.count_nonzero(right)
     done = done_right = 0  # jumps, right jumps in earlier blocks
     a, carry = 0, 0.0
