@@ -32,6 +32,7 @@ VALIDATION_GRID_POINTS = 512
 VALIDATION_GRID_HI = 1e6
 TABLE_KNOTS = 4096
 TABLE_HI = 1e10
+GUIDE_BUCKETS_PER_KNOT = 4
 MIN_EXPERIMENT_T = 16.0
 LAPLACE_REGIME_MAX = 0.1
 
@@ -58,12 +59,16 @@ def t0_threshold(T: float, alpha: float, gamma: float, epsilon: float) -> int:
 
 
 class JumpTable:
-    """Inverse-CDF sampler for a density on [x_lo, inf), log-space interpolated.
+    """Inverse-CDF sampler for a density on [x_lo, inf), piecewise linear in logs.
 
-    Stores ln(tail mass) on 4096 log-spaced knots; segment masses come from
-    vectorized Gauss-Legendre panels and the mass past the last knot from the
-    regular-variation tail asymptotic.  Draws landing beyond the last knot
-    fall back to the pure power-law inverse.
+    Holds ln(tail mass) against ln(x) on 4096 log-spaced knots; segment
+    masses come from vectorized Gauss-Legendre panels and the mass past the
+    last knot from the regular-variation tail asymptotic.  A target's
+    segment is found through a Chen-Asau (1974) guide table: a direct index
+    into equal buckets of ln(mass), then forward steps until the next knot
+    lies above the target.  The value is np.interp's own formula and edge
+    rules, so the sizes equal np.interp's bit for bit.  Draws landing beyond
+    the last knot fall back to the pure power-law inverse.
     """
 
     _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -85,9 +90,24 @@ class JumpTable:
         mass = np.concatenate([np.cumsum(seg[::-1])[::-1] + rest, [rest]])
         self.alpha = alpha
         self.total_mass = float(mass[0])
-        self._ln_x = np.log(pts)
-        self._ln_mass = np.log(mass)
         self._ln_rest = math.log(rest)
+        # ln(mass) decreases in ln(x): knots xp = ln(mass) increasing, fp = ln(x)
+        xp = np.ascontiguousarray(np.log(mass)[::-1])
+        fp = np.ascontiguousarray(np.log(pts)[::-1])
+        self._xp, self._fp = xp, fp
+        self._slopes = (fp[1:] - fp[:-1]) / (xp[1:] - xp[:-1])  # np.interp's expression
+        # xp[j + 1], with NaN (never <= a target) keeping the index j <= m - 2
+        self._xnext = np.append(xp[1:-1], np.nan)
+        # about one knot per bucket; the cap bounds the table when a
+        # breakpoint sits next to a knot, and the forward steps absorb it
+        span = xp[-1] - xp[0]
+        n_buckets = math.ceil(min(span / np.min(np.diff(xp)),
+                                  GUIDE_BUCKETS_PER_KNOT * xp.size))
+        self._scale, self._last_bucket = n_buckets / span, n_buckets - 1
+        # bucket b starts from the last knot j <= m - 2 in an earlier bucket:
+        # bucket indices are monotone in the target, so xp[j] <= every target in b
+        first = np.searchsorted(self._bucket(xp[:-1]), np.arange(n_buckets))
+        self._guide = np.maximum(first - 1, 0).astype(np.int32)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.sizes(rng.uniform(size=n))
@@ -95,12 +115,29 @@ class JumpTable:
     def sizes(self, u: np.ndarray) -> np.ndarray:
         """Jump sizes from uniforms on [0, 1), one per uniform, elementwise."""
         target = np.log(u * self.total_mass)
-        # ln(mass) decreases in ln(x); np.interp needs increasing xp
-        lnx = np.interp(target, self._ln_mass[::-1], self._ln_x[::-1])
+        lnx = self._interp(target)
         beyond = target < self._ln_rest
         if np.any(beyond):
-            lnx[beyond] = self._ln_x[-1] + (self._ln_rest - target[beyond]) / self.alpha
+            lnx[beyond] = self._fp[0] + (self._ln_rest - target[beyond]) / self.alpha
         return np.exp(lnx)
+
+    def _bucket(self, t: np.ndarray) -> np.ndarray:
+        return np.clip((t - self._xp[0]) * self._scale,
+                       0, self._last_bucket).astype(np.intp)
+
+    def _interp(self, t: np.ndarray) -> np.ndarray:
+        """np.interp(t, xp, fp) bit for bit, segments found by the guide table."""
+        xp, fp = self._xp, self._fp
+        j = self._guide[self._bucket(t)].astype(np.intp)  # int32 indexes slowly
+        while True:
+            step = self._xnext[j] <= t
+            if not step.any():
+                break
+            j += step
+        out = self._slopes[j] * (t - xp[j]) + fp[j]
+        out[t < xp[0]] = fp[0]
+        out[t >= xp[-1]] = fp[-1]
+        return out
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levypassage.decompose import (NEGATIVE, POSITIVE, DecompositionT,
-                                   InvalidDecompositionError,
+from levypassage.decompose import (GUIDE_BUCKETS_PER_KNOT, NEGATIVE, POSITIVE,
+                                   DecompositionT,
+                                   InvalidDecompositionError, JumpTable,
                                    build_decomposition, delta, laplace_bound,
                                    t0_threshold)
 from levypassage.estimate import (subordinator_exceedance,
@@ -14,6 +15,7 @@ from levypassage.estimate import (subordinator_exceedance,
 from levypassage.levymodel import tail_only_model
 from levypassage.rng import stream
 from levypassage.rvcalc import SlowlyVaryingSpec, eval_slowly_varying
+from levypassage.simulate import ETA, PerturbedPlan
 
 ELL1 = SlowlyVaryingSpec("constant", c=1.0)
 
@@ -144,6 +146,53 @@ def test_jump_table_matches_pareto_for_constant_ell():
     emp = 1.0 - np.arange(1, u.size + 1) / u.size
     # exact jump law is Pareto(1/2): P(S > x) = x**-0.5
     assert np.max(np.abs(emp - u ** -0.5)) < 1.628 / math.sqrt(u.size)
+
+
+@pytest.fixture(scope="module")
+def bit_identity_tables():
+    m = tail_only_model(0.7, ELL1)
+    split = build_decomposition(m, 128.0, POSITIVE)
+    log_power = tail_only_model(0.8, SlowlyVaryingSpec("log-power", p=0.5))
+    # a breakpoint 1e-9 past the kink of nu_rest at 1 leaves a segment far
+    # shorter than the others: the bucket count hits its cap, one bucket
+    # holds both ends of that segment, and the segments on either side of it
+    # have different slopes
+    near = JumpTable(split.nu_rest, x_lo=ETA, alpha=0.7,
+                     breakpoints=(1.0, 1.0 + 1e-9))
+    assert near._guide.size == GUIDE_BUCKETS_PER_KNOT * near._xp.size
+    return {"X": PerturbedPlan.from_model(m).table_right,
+            "Y_T": PerturbedPlan.from_model(m, split).table_right,
+            "S_T": split.table,
+            "log-power": PerturbedPlan.from_model(log_power).table_right,
+            "near-knot": near}
+
+
+@pytest.mark.parametrize("name", ["X", "Y_T", "S_T", "log-power", "near-knot"])
+def test_jump_table_sizes_equal_the_np_interp_formula(bit_identity_tables, name):
+    table = bit_identity_tables[name]
+    xp, fp, total = table._xp, table._fp, table.total_mass
+    # uniforms whose ln(u * total_mass) is exactly a knot, found among a
+    # few spacings around exp(knot) / total_mass
+    u0 = np.exp(xp) / total
+    cand = u0[:, None] + np.arange(-8, 9) * np.spacing(u0)[:, None]
+    on_knot = (np.log(cand * total) == xp[:, None]) & (cand < 1.0)
+    assert on_knot.any(axis=1).mean() > 0.5
+    u = np.concatenate([stream(17, 0).uniform(size=100_000),
+                        [1.0 - 2.0 ** -53], cand[on_knot]])
+
+    target = np.log(u * total)
+    lnx = np.interp(target, xp, fp)
+    beyond = target < table._ln_rest
+    lnx[beyond] = fp[0] + (table._ln_rest - target[beyond]) / table.alpha
+    assert np.array_equal(table.sizes(u), np.exp(lnx))
+
+    # the lookup itself on targets next to each knot, at fractions of the
+    # following segment and outside the knots, where np.interp's edge rules
+    # apply
+    after = [xp[:-1] + f * np.diff(xp) for f in (1e-3, 1e-2, 0.5)]
+    t = np.concatenate([xp, np.nextafter(xp, -np.inf), np.nextafter(xp, np.inf),
+                        *after, [xp[0] - 1.0, xp[-1] + 1.0, -np.inf, np.inf]])
+    assert np.array_equal(table._interp(t), np.interp(t, xp, fp))
 
 
 @pytest.mark.parametrize("side", [NEGATIVE, POSITIVE])
