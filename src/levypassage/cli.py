@@ -252,6 +252,30 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
     return cfg
 
 
+def _regime_warning(cfg: ExperimentConfig) -> str | None:
+    """Why the run lies outside the theorem's regime, or None.
+
+    The theorem needs alpha < 1 and, for a moving boundary 1 -/+ t^gamma,
+    gamma < 1/alpha.  Product bounds and the lemma always use a moving
+    boundary; kappa and the integral test read no alpha.
+    """
+    if cfg.alpha is None or cfg.kind in ("kappa", "integral-test"):
+        return None
+    reasons = []
+    if cfg.alpha >= 1.0:
+        reasons.append(f"alpha = {cfg.alpha:g} >= 1")
+    moving = cfg.kind in ("product-bound", "lemma-n0N") or (
+        cfg.kind in ("survival", "exponent")
+        and any(bk != "constant" for bk in cfg.boundary_kinds))
+    if moving and cfg.alpha * cfg.gamma >= 1.0:
+        reasons.append(f"gamma = {cfg.gamma:g} >= 1/alpha = {1.0 / cfg.alpha:.4g} "
+                       "for a moving boundary")
+    if not reasons:
+        return None
+    return ("outside the theorem's regime (alpha < 1, and gamma < 1/alpha "
+            "for a moving boundary): " + "; ".join(reasons))
+
+
 def _has_custom_ell(cfg: ExperimentConfig) -> bool:
     """True when the ell keys deviate from the matched constant-tail default."""
     return (cfg.ell_family != CONSTANT or cfg.ell_c != 1.0 or cfg.ell_p != 0.0)
@@ -505,6 +529,9 @@ def main(argv: list[str] | None = None) -> int:
         print(_error_record(2, [("--config", str(exc))]), file=sys.stderr)
         return 2
 
+    warning = _regime_warning(cfg)
+    if warning:
+        print(f"levypassage: warning: {warning}", file=sys.stderr)
     try:
         return run_experiment(cfg, Path(args.out), quiet=args.quiet)
     except (InvalidDecompositionError, ValueError, RuntimeError) as exc:

@@ -1,19 +1,21 @@
 """Survival-probability Monte Carlo, exponent regression, lemma experiments.
 
-Every path is simulated once and scored against every horizon and every
-boundary, so survivor counts are exactly nested in T and exactly ordered
-across pointwise-ordered boundaries.  In exact mode the survival engine draws
-a path in doubling blocks and stops once every boundary has been crossed;
-the draws and the running sum are those of the whole-grid path, so the
-counts are the same as when every path runs to the largest horizon.  The
-exact paths of a chunk are drawn together, row by row on one reused stream
-cursor.  A perturbed-mode path stops in the same way: its up-front draws
-cover the whole horizon, and its jumps, normals and running sum are
-evaluated in time blocks ending at t = 1, 2, 4, ... from the same draws.
-Workers own disjoint path-index ranges with a fixed chunk size and run in
-forked processes when run.threads asks for more than one.  The only state
-they hand back is integer survivor counts combined by addition, so results
-are identical for any worker count.
+In the survival engine every path is simulated once and scored against every
+horizon and every boundary, so survivor counts are exactly nested in T and
+exactly ordered across pointwise-ordered boundaries.  Discrete survival is
+the exception: it draws a different path from each path stream for every
+horizon, so its counts are not nested in T (ROADMAP item 2).  In exact mode
+the survival engine draws a path in doubling blocks and stops once every
+boundary has been crossed; the draws and the running sum are those of the
+whole-grid path, so the counts are the same as when every path runs to the
+largest horizon.  The exact paths of a chunk are drawn together, row by row
+on one reused stream cursor.  A perturbed-mode path stops in the same way:
+its up-front draws cover the whole horizon, and its jumps, normals and
+running sum are evaluated in time blocks ending at t = 1, 2, 4, ... from
+the same draws.  Workers own disjoint path-index ranges with a fixed chunk
+size and run in forked processes when run.threads asks for more than one.
+The only state they hand back is integer survivor counts combined by
+addition, so results are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -415,8 +417,11 @@ def discrete_survival_experiment(model: LevyModel, T_grid, x: float,
     Simulates (X, Y_T = X - S_T) jointly by thinning the big positive jumps
     of one perturbed path set, so the domination survivors(Y) >= survivors(X)
     holds pathwise, not just in expectation.  Returns one result per horizon
-    T in T_grid, each with its own split of the jump measure and the same
-    path streams; the jump plan of X is built once.
+    T in T_grid, each with its own split of the jump measure; the jump plan
+    of X is built once.  Path i reads stream i at every horizon, but
+    discrete_increments draws all floor(T) cell counts before any jump size,
+    so each horizon sees a different path and the X counts are not nested
+    in T (ROADMAP item 2).
     """
     if model.tail_right is None:
         raise ValueError("discrete survival experiment needs the right tail")

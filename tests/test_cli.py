@@ -288,6 +288,24 @@ run.seed = 9
     assert kinds.count("fit") == 1
 
 
+def test_out_of_regime_run_warns_and_succeeds(tmp_path, capsys):
+    # gamma = 2 >= 1/alpha: 1 - t^2 lies outside the theorem's regime
+    text = BASE.replace("boundary.kind = constant",
+                        "boundary.kind = decreasing\nboundary.gamma = 2")
+    cfg = write_config(tmp_path, text.replace("run.n_paths = 400", "run.n_paths = 50"))
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    regime = [ln for ln in err if "regime" in ln]
+    assert len(regime) == 1 and regime[0].startswith("levypassage: warning:")
+    assert "gamma = 2 >= 1/alpha" in regime[0]
+    assert (out / "results.csv").exists()
+
+    cfg = write_config(tmp_path, BASE)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "p"), "--quiet"]) == 0
+    assert "regime" not in capsys.readouterr().err
+
+
 def test_seed_override_changes_id(tmp_path):
     cfg = write_config(tmp_path, BASE)
     main(["--config", str(cfg), "--out", str(tmp_path / "a"), "--quiet"])
