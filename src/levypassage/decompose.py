@@ -65,10 +65,11 @@ class JumpTable:
     masses come from vectorized Gauss-Legendre panels and the mass past the
     last knot from the regular-variation tail asymptotic.  A target's
     segment is found through a Chen-Asau (1974) guide table: a direct index
-    into equal buckets of ln(mass), then forward steps until the next knot
-    lies above the target.  The value is np.interp's own formula and edge
-    rules, so the sizes equal np.interp's bit for bit.  Draws landing beyond
-    the last knot fall back to the pure power-law inverse.
+    into equal buckets of ln(mass), then as many forward steps as the
+    fullest bucket holds knots, each taken while the next knot is at or
+    below the target.  The value is np.interp's own formula and edge rules,
+    so the sizes equal np.interp's bit for bit.  Draws landing beyond the
+    last knot fall back to the pure power-law inverse.
     """
 
     _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -95,19 +96,25 @@ class JumpTable:
         xp = np.ascontiguousarray(np.log(mass)[::-1])
         fp = np.ascontiguousarray(np.log(pts)[::-1])
         self._xp, self._fp = xp, fp
-        self._slopes = (fp[1:] - fp[:-1]) / (xp[1:] - xp[:-1])  # np.interp's expression
-        # xp[j + 1], with NaN (never <= a target) keeping the index j <= m - 2
-        self._xnext = np.append(xp[1:-1], np.nan)
+        # np.interp's slope expression per segment; the last knot gets slope 0
+        # and a NaN next knot (never <= a target), so a target at xp[-1]
+        # stops there and takes fp[-1]
+        self._slopes = np.append((fp[1:] - fp[:-1]) / (xp[1:] - xp[:-1]), 0.0)
+        self._xnext = np.append(xp[1:], np.nan)
         # about one knot per bucket; the cap bounds the table when a
-        # breakpoint sits next to a knot, and the forward steps absorb it
+        # breakpoint sits next to a knot, and extra forward steps absorb it
         span = xp[-1] - xp[0]
         n_buckets = math.ceil(min(span / np.min(np.diff(xp)),
                                   GUIDE_BUCKETS_PER_KNOT * xp.size))
-        self._scale, self._last_bucket = n_buckets / span, n_buckets - 1
-        # bucket b starts from the last knot j <= m - 2 in an earlier bucket:
-        # bucket indices are monotone in the target, so xp[j] <= every target in b
-        first = np.searchsorted(self._bucket(xp[:-1]), np.arange(n_buckets))
+        self._scale = n_buckets / span
+        # bucket b starts from the last knot in an earlier bucket: bucket
+        # indices are monotone in the target, so that knot is <= every target
+        # in b, and reaching the right knot takes at most as many steps as a
+        # bucket holds knots
+        bucket = self._bucket(xp)
+        first = np.searchsorted(bucket, np.arange(n_buckets + 1))
         self._guide = np.maximum(first - 1, 0).astype(np.int32)
+        self._steps = int(np.bincount(bucket).max())
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.sizes(rng.uniform(size=n))
@@ -117,27 +124,22 @@ class JumpTable:
         target = np.log(u * self.total_mass)
         lnx = self._interp(target)
         beyond = target < self._ln_rest
-        if np.any(beyond):
+        if beyond.any():
             lnx[beyond] = self._fp[0] + (self._ln_rest - target[beyond]) / self.alpha
         return np.exp(lnx)
 
     def _bucket(self, t: np.ndarray) -> np.ndarray:
-        return np.clip((t - self._xp[0]) * self._scale,
-                       0, self._last_bucket).astype(np.intp)
+        """Guide-table bucket of targets in [xp[0], xp[-1]]."""
+        return ((t - self._xp[0]) * self._scale).astype(np.intp)
 
     def _interp(self, t: np.ndarray) -> np.ndarray:
         """np.interp(t, xp, fp) bit for bit, segments found by the guide table."""
-        xp, fp = self._xp, self._fp
+        xp = self._xp
+        t = np.minimum(np.maximum(t, xp[0]), xp[-1])  # np.interp's edge values
         j = self._guide[self._bucket(t)].astype(np.intp)  # int32 indexes slowly
-        while True:
-            step = self._xnext[j] <= t
-            if not step.any():
-                break
-            j += step
-        out = self._slopes[j] * (t - xp[j]) + fp[j]
-        out[t < xp[0]] = fp[0]
-        out[t >= xp[-1]] = fp[-1]
-        return out
+        for _ in range(self._steps):
+            j += self._xnext[j] <= t
+        return self._slopes[j] * (t - xp[j]) + self._fp[j]
 
 
 @dataclass(frozen=True)

@@ -159,7 +159,8 @@ def bit_identity_tables():
     # have different slopes
     near = JumpTable(split.nu_rest, x_lo=ETA, alpha=0.7,
                      breakpoints=(1.0, 1.0 + 1e-9))
-    assert near._guide.size == GUIDE_BUCKETS_PER_KNOT * near._xp.size
+    assert near._guide.size == GUIDE_BUCKETS_PER_KNOT * near._xp.size + 1
+    assert near._steps == 2
     return {"X": PerturbedPlan.from_model(m).table_right,
             "Y_T": PerturbedPlan.from_model(m, split).table_right,
             "S_T": split.table,
