@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levypassage.decompose import (GUIDE_BUCKETS_PER_KNOT, NEGATIVE, POSITIVE,
-                                   DecompositionT,
-                                   InvalidDecompositionError, JumpTable,
-                                   build_decomposition, delta, laplace_bound,
-                                   t0_threshold)
+                                   DecompositionT, InvalidDecompositionError,
+                                   JumpTable, build_decomposition, delta,
+                                   laplace_bound, t0_threshold)
 from levypassage.estimate import (subordinator_exceedance,
                                   subordinator_laplace_check)
 from levypassage.levymodel import tail_only_model
