@@ -24,7 +24,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .decompose import InvalidDecompositionError
+from .decompose import MIN_EXPERIMENT_T, InvalidDecompositionError
 from .estimate import (WILSON_Z, FitUnavailable, SurvivalEstimate,
                        discrete_survival_experiment, fit_exponent,
                        lemma_n0N_experiment,
@@ -178,49 +178,38 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
         if key not in known_keys:
             violations.append((key, "unknown configuration key"))
 
-    # semantic validation
-    if cfg.seed is None:
-        violations.append(("run.seed", "an explicit seed is required"))
-    if cfg.threads < 1:
-        violations.append(("run.threads", "threads must be >= 1"))
-    if cfg.n_paths < 1:
-        violations.append(("run.n_paths", "n_paths must be >= 1"))
-    if cfg.kind in ("exponent", "discrete-survival") and cfg.t_points < 4:
-        violations.append(("run.t_points", "exponent fits need at least 4 T points"))
-    if cfg.kind in HORIZON_KINDS or (cfg.kind == "spitzer" and not cfg.t_values):
-        if not cfg.t_min > 0:
-            violations.append(("run.t_min", "t_min must be > 0"))
-        elif not (cfg.t_min < cfg.t_max
-                  or (cfg.t_min == cfg.t_max and cfg.t_points == 1)):
-            violations.append(("run.t_min", "t_min must be below run.t_max"))
-        if cfg.t_points < 1:
-            violations.append(("run.t_points", "t_points must be >= 1"))
-    if cfg.grid_policy not in GRID_POLICIES:
-        violations.append(("run.grid_policy",
-                           f"must be one of {', '.join(GRID_POLICIES)}"))
-    if cfg.mode not in ("exact", "perturbed"):
-        violations.append(("model.mode", "mode must be 'exact' or 'perturbed'"))
-    if cfg.ell_family not in (CONSTANT, LOG_POWER):
-        violations.append(("model.ell_family", "unknown slowly varying family"))
+    # Every rule as (key, holds, message), in report order: what build_model,
+    # monitoring_grid, Boundary and the experiment engines rely on.
     custom_ell = _has_custom_ell(cfg)
-    if cfg.kind not in ("lemma-n0N",) and custom_ell and cfg.mode == "exact":
-        violations.append(("model.mode",
-                           "exact mode fixes the matched constant tails; "
-                           "custom ell requires mode = perturbed"))
-    if custom_ell and cfg.mode == "perturbed" and cfg.beta != 0.0 \
-            and cfg.kind != "lemma-n0N":
-        violations.append(("model.beta", "custom ell models must be symmetric"))
-    if cfg.mode == "exact" and cfg.alpha is not None and (cfg.sigma2 or cfg.drift):
-        violations.append(("model.mode",
-                           "exact stable increments admit no extra drift or "
-                           "Gaussian part; use mode = perturbed"))
-    if cfg.kind in ("survival", "exponent", "spitzer", "product-bound",
-                    "discrete-survival"):
-        if cfg.alpha is None and cfg.sigma2 == 0.0 and cfg.drift == 0.0:
-            violations.append(("model.alpha", "this experiment needs a model"))
-    # ranges that build_model, monitoring_grid and Boundary rely on
     matched = cfg.alpha is not None and not (custom_ell and cfg.mode == "perturbed")
-    ranges = [
+    horizons = cfg.kind in HORIZON_KINDS or (cfg.kind == "spitzer" and not cfg.t_values)
+    lemma = cfg.kind == "lemma-n0N"
+    ds, pb = cfg.kind == "discrete-survival", cfg.kind == "product-bound"
+    rules = [
+        ("run.seed", cfg.seed is not None, "an explicit seed is required"),
+        ("run.threads", cfg.threads >= 1, "threads must be >= 1"),
+        ("run.n_paths", cfg.n_paths >= 1, "n_paths must be >= 1"),
+        ("run.t_points", cfg.kind not in ("exponent", "discrete-survival")
+         or cfg.t_points >= 4, "exponent fits need at least 4 T points"),
+        ("run.t_min", not horizons or 0.0 < cfg.t_min < cfg.t_max
+         or (0.0 < cfg.t_min == cfg.t_max and cfg.t_points == 1),
+         "t_min must be > 0 and below run.t_max"),
+        ("run.t_points", not horizons or cfg.t_points >= 1, "t_points must be >= 1"),
+        ("run.grid_policy", cfg.grid_policy in GRID_POLICIES,
+         f"must be one of {', '.join(GRID_POLICIES)}"),
+        ("model.mode", cfg.mode in ("exact", "perturbed"),
+         "mode must be 'exact' or 'perturbed'"),
+        ("model.ell_family", cfg.ell_family in (CONSTANT, LOG_POWER),
+         "unknown slowly varying family"),
+        ("model.mode", lemma or not custom_ell or cfg.mode != "exact",
+         "exact mode fixes the matched constant tails; custom ell requires mode = perturbed"),
+        ("model.beta", lemma or not custom_ell or cfg.mode != "perturbed" or cfg.beta == 0.0,
+         "custom ell models must be symmetric"),
+        ("model.mode", cfg.mode != "exact" or cfg.alpha is None or not (cfg.sigma2 or cfg.drift),
+         "exact stable increments admit no extra drift or Gaussian part; use mode = perturbed"),
+        ("model.alpha", cfg.kind not in HORIZON_KINDS + ("spitzer", "product-bound")
+         or cfg.alpha is not None or cfg.sigma2 != 0.0 or cfg.drift != 0.0,
+         "this experiment needs a model"),
         ("model.alpha", cfg.alpha is None or 0.0 < cfg.alpha < 2.0,
          "alpha must lie in (0, 2)"),
         ("model.alpha", not matched or cfg.alpha < 1.0
@@ -245,8 +234,26 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
          "run.t_max"),
         ("run.grid_per_octave", cfg.grid_per_octave >= 1,
          "grid_per_octave must be >= 1"),
+        ("model.alpha", not (ds or pb) or (cfg.alpha is not None and cfg.alpha < 1.0),
+         "this experiment needs jumps with alpha < 1"),
+        ("model.beta", (not ds or cfg.beta > -1.0) and (not pb or cfg.beta < 1.0),
+         "the thinned tail must exist: beta > -1 for discrete-survival, < 1 for product-bound"),
+        ("run.t_min", not ds or cfg.t_min >= MIN_EXPERIMENT_T,
+         f"discrete-survival horizons must be >= {MIN_EXPERIMENT_T:g}"),
+        ("run.t_max", not pb or cfg.t_max >= MIN_EXPERIMENT_T,
+         f"product-bound horizons must be >= {MIN_EXPERIMENT_T:g}"),
+        ("model.alpha", not lemma or cfg.alpha is not None, "lemma-n0N needs model.alpha"),
+        ("boundary.gamma", not lemma or cfg.alpha is None or cfg.gamma * cfg.alpha < 1.0,
+         "lemma-n0N needs gamma * alpha < 1"),
+        ("model.ell_family", not lemma or cfg.ell_family == CONSTANT,
+         "lemma-n0N supports constant ell only"),
+        ("lemma.n", not lemma or cfg.lemma_n > math.e, "lemma.n must be >= 3"),
+        ("spitzer.t_values", cfg.kind != "spitzer" or all(np.diff((0.0,) + cfg.t_values) > 0),
+         "t_values must be positive and increasing"),
+        ("kappa.a_values", cfg.kind != "kappa" or all(0.0 < a < math.inf for a in cfg.a_values),
+         "a_values must be finite and > 0"),
     ]
-    violations += [(key, message) for key, ok, message in ranges if not ok]
+    violations += [(key, message) for key, ok, message in rules if not ok]
     if violations:
         raise ConfigError(violations)
     return cfg

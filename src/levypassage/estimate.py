@@ -2,9 +2,9 @@
 
 In the survival engine every path is simulated once and scored against every
 horizon and every boundary, so survivor counts are exactly nested in T and
-exactly ordered across pointwise-ordered boundaries.  Discrete survival is
-the exception: it draws a different path from each path stream for every
-horizon, so its counts are not nested in T (ROADMAP item 2).  In exact mode
+exactly ordered across pointwise-ordered boundaries.  Discrete survival
+draws each path once too, over the integer cells of its largest horizon,
+so its counts are nested in T as well.  In exact mode
 the survival engine draws a path in doubling blocks and stops once every
 boundary has been crossed; the draws and the running sum are those of the
 whole-grid path, so the counts are the same as when every path runs to the
@@ -294,11 +294,9 @@ def product_bound_check(model: LevyModel, T: float, gamma: float, n_paths: int,
     and asserts LHS >= RHS - 3 combined standard errors.
     """
     if decomp is None:
-        if model.tail_left is None:
-            raise ValueError("product bound needs the left tail")
+        decomp = build_decomposition(model, T, NEGATIVE)  # needs the left tail
         if model.alpha >= 1.0:
             raise ValueError("product bound experiments require alpha < 1")
-        decomp = build_decomposition(model, T, NEGATIVE)
     if grid is None:
         grid = TimeGrid.survival(T)
     Tg = np.array([T])
@@ -417,42 +415,34 @@ def discrete_survival_experiment(model: LevyModel, T_grid, x: float,
     Simulates (X, Y_T = X - S_T) jointly by thinning the big positive jumps
     of one perturbed path set, so the domination survivors(Y) >= survivors(X)
     holds pathwise, not just in expectation.  Returns one result per horizon
-    T in T_grid, each with its own split of the jump measure; the jump plan
-    of X is built once.  Path i reads stream i at every horizon, but
-    discrete_increments draws all floor(T) cell counts before any jump size,
-    so each horizon sees a different path and the X counts are not nested
-    in T (ROADMAP item 2).
+    T in T_grid, each with its own split of the jump measure.  Path i is
+    drawn once, over the floor(T) cells of the largest horizon, and every
+    split thins its jumps with one shared uniform per jump; horizon T scores
+    the first floor(T) cells, so the X counts are nested in T.
     """
-    if model.tail_right is None:
-        raise ValueError("discrete survival experiment needs the right tail")
+    Ts = [float(T) for T in T_grid]
+    decomps = [build_decomposition(model, T, POSITIVE) for T in Ts]  # needs the right tail
     if model.alpha >= 1.0:
         raise ValueError("discrete survival experiments require alpha < 1")
     plan = PerturbedPlan.from_model(model)
-    results = []
-    for T in map(float, T_grid):
-        decomp = build_decomposition(model, T, POSITIVE)
-        n_steps = int(math.floor(T))
+    steps = np.floor(Ts).astype(int)  # cells per horizon
 
-        def worker(lo, hi):
-            res = np.zeros(3, dtype=np.int64)  # survivors_y, survivors_x, violations
-            for i in range(lo, hi):
-                g = stream(seed, i)
-                inc, s_inc = discrete_increments(plan, n_steps, g, decomp=decomp)
-                xv = np.cumsum(inc)
-                yv = xv - np.cumsum(s_inc)
-                ok_y = bool(np.all(yv <= x))
-                ok_x = bool(np.all(xv <= x))
-                res[0] += ok_y
-                res[1] += ok_x
-                res[2] += ok_x and not ok_y
-            return res
+    def worker(lo, hi):
+        res = np.zeros((3, steps.size), dtype=np.int64)  # survivors_y, survivors_x, violations
+        for i in range(lo, hi):
+            inc, s_inc = discrete_increments(plan, steps.max(), stream(seed, i), decomp=decomps)
+            xv = np.cumsum(inc)
+            ky = first_crossings(xv - np.cumsum(s_inc, axis=1), x)  # Y_T of each horizon
+            kx = first_crossings(xv, x)
+            ok_y, ok_x = ((k < 0) | (k >= steps) for k in (ky, kx))  # survives horizon j
+            res += ok_y, ok_x, ok_x & ~ok_y
+        return res
 
-        k_y, k_x, violations = (int(v) for v in _run_chunks(worker, n_paths, threads))
-        results.append(DiscreteSurvivalResult(
-            estimate_y=SurvivalEstimate.from_counts(T, k_y, n_paths, seed),
-            estimate_x=SurvivalEstimate.from_counts(T, k_x, n_paths, seed),
-            ordering_ok=violations == 0))
-    return results
+    k_y, k_x, violations = _run_chunks(worker, n_paths, threads)
+    return [DiscreteSurvivalResult(
+        estimate_y=SurvivalEstimate.from_counts(T, int(ky), n_paths, seed),
+        estimate_x=SurvivalEstimate.from_counts(T, int(kx), n_paths, seed),
+        ordering_ok=bool(v == 0)) for T, ky, kx, v in zip(Ts, k_y, k_x, violations)]
 
 
 # ---------------------------------------------------------------------------

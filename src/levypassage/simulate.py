@@ -362,7 +362,8 @@ def discrete_increments(plan: PerturbedPlan, n_steps: int,
 
     Law-identical to sample_path restricted to integers, but draws per-cell
     jump sums directly.  With `decomp`, also returns the thinned subordinator
-    increments so callers can form Y_T = X -+ S_T pathwise.
+    increments so callers can form Y_T = X -+ S_T pathwise; a sequence of
+    splits gives one row per split, all decided by one uniform per jump.
     """
     counts = rng.poisson(plan.rate, size=n_steps) if plan.rate > 0 else np.zeros(n_steps, int)
     total = int(counts.sum())
@@ -371,8 +372,10 @@ def discrete_increments(plan: PerturbedPlan, n_steps: int,
     sizes = plan.signed_sizes(right, rng.uniform(size=total))
     jump_sums = np.bincount(cell, weights=sizes, minlength=n_steps)
     inc = plan.drift + np.sqrt(plan.var_unit) * rng.standard_normal(n_steps) + jump_sums
-    s_inc = None
-    if decomp is not None:
-        thin = decomp.thinned(sizes, rng.uniform(size=total))
-        s_inc = np.bincount(cell[thin], weights=np.abs(sizes[thin]), minlength=n_steps)
-    return inc, s_inc
+    if decomp is None:
+        return inc, None
+    splits = [decomp] if isinstance(decomp, DecompositionT) else decomp
+    u = rng.uniform(size=total)
+    s_inc = np.array([np.bincount(cell[t], weights=np.abs(sizes[t]), minlength=n_steps)
+                      for t in (d.thinned(sizes, u) for d in splits)])
+    return inc, s_inc if splits is decomp else s_inc[0]

@@ -347,6 +347,60 @@ def test_range_checks_exit_2(tmp_path, capsys, change, field):
     assert not out.exists()
 
 
+# One valid config per experiment kind whose engine checks its own inputs;
+# each case below changes or removes (None) keys of one of them.
+ENGINE_BASES = {
+    "discrete-survival": {"model.alpha": "0.7", "run.t_min": "16",
+                          "run.t_max": "40", "run.t_points": "4"},
+    "product-bound": {"model.alpha": "0.7", "boundary.gamma": "1", "run.t_max": "64"},
+    "lemma-n0N": {"model.alpha": "0.7", "boundary.gamma": "1", "lemma.n": "100"},
+    "spitzer": {"model.alpha": "0.7", "spitzer.t_values": "1,2"},
+    "kappa": {},
+}
+
+
+def engine_config(tmp_path, kind, change=()):
+    keys = {"experiment.kind": kind, "run.n_paths": "20", "run.seed": "3",
+            **ENGINE_BASES[kind], **dict(change)}
+    return write_config(tmp_path, "".join(f"{k} = {v}\n" for k, v in keys.items()
+                                          if v is not None))
+
+
+@pytest.mark.parametrize("kind, change, field", [
+    ("discrete-survival", {"run.t_min": "4"}, "run.t_min"),
+    ("product-bound", {"run.t_max": "8"}, "run.t_max"),
+    ("discrete-survival", {"model.alpha": "1.5"}, "model.alpha"),
+    ("product-bound", {"model.alpha": "1.5"}, "model.alpha"),
+    ("discrete-survival", {"model.beta": "-1"}, "model.beta"),
+    ("product-bound", {"model.beta": "1"}, "model.beta"),
+    ("discrete-survival", {"model.alpha": None, "model.sigma2": "1"}, "model.alpha"),
+    ("lemma-n0N", {"boundary.gamma": "1.5"}, "boundary.gamma"),
+    ("lemma-n0N", {"model.ell_family": "log-power", "model.ell_p": "0.5"},
+     "model.ell_family"),
+    ("lemma-n0N", {"model.alpha": None}, "model.alpha"),
+    ("lemma-n0N", {"lemma.n": "2"}, "lemma.n"),
+    ("spitzer", {"spitzer.t_values": "2,1"}, "spitzer.t_values"),
+    ("spitzer", {"spitzer.t_values": "-1,2"}, "spitzer.t_values"),
+    ("kappa", {"kappa.a_values": "-1"}, "kappa.a_values"),
+])
+def test_engine_input_rules_exit_2(tmp_path, capsys, kind, change, field):
+    # each config failed in the engine (exit 3, or a traceback) before
+    # build_config checked what the engine needs
+    out = tmp_path / "o"
+    assert main(["--config", str(engine_config(tmp_path, kind, change)),
+                 "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["code"] == 2
+    assert {v["field"] for v in err["error"]["violations"]} == {field}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", list(ENGINE_BASES))
+def test_engine_bases_run(tmp_path, kind):
+    assert main(["--config", str(engine_config(tmp_path, kind)),
+                 "--out", str(tmp_path / "o"), "--quiet"]) == 0
+
+
 def test_failed_fit_keeps_survival_rows(tmp_path, capsys):
     # the largest horizons keep no survivors below 1 - t^1.3
     text = """

@@ -1,6 +1,7 @@
 import math
 import os
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from levypassage.estimate import (SurvivalEstimate,
                                   lemma_n0N_experiment, product_bound_check,
                                   survival_counts, survival_probability,
                                   wilson_log_ci)
-from levypassage.levymodel import (Boundary, brownian_model,
+from levypassage.levymodel import (Boundary, brownian_model, stable_model,
                                    standard_symmetric_model)
 from levypassage.rng import stream
 from levypassage.rvcalc import SlowlyVaryingSpec
@@ -311,6 +312,19 @@ def test_discrete_trivial_when_level_large():
     [res] = discrete_survival_experiment(m, [16.0], 1e6, seed=11, n_paths=300)
     assert res.estimate_y.p_hat == 1.0
     assert res.ordering_ok
+
+
+def test_discrete_survival_reuses_one_path_set():
+    # every horizon scores a prefix of the same paths: X survivors nest in T,
+    # and the largest horizon counts as in a run at that horizon alone
+    m = replace(stable_model(0.7), stable=None)
+    Ts = (16.0, 32.0, 64.0, 128.0)
+    results = discrete_survival_experiment(m, Ts, 1.0, seed=22, n_paths=60)
+    xs = [r.estimate_x.survivors for r in results]
+    assert xs == sorted(xs, reverse=True)
+    [alone] = discrete_survival_experiment(m, Ts[-1:], 1.0, seed=22, n_paths=60)
+    assert (alone.estimate_y, alone.estimate_x) == \
+        (results[-1].estimate_y, results[-1].estimate_x)
 
 
 @pytest.mark.slow

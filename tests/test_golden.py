@@ -160,8 +160,8 @@ run.seed = 22
 """))
     rows = DRIVERS[cfg.kind](replace(cfg, t_points=2, threads=threads))
     got = [(r["kind"], r["T"], r["survivors"]) for r in rows if r["T"] != ""]
-    assert got == [("discrete-survival-y", 16.0, 25),
-                   ("discrete-survival-x", 16.0, 9),
+    assert got == [("discrete-survival-y", 16.0, 28),
+                   ("discrete-survival-x", 16.0, 17),
                    ("discrete-survival-y", 32.0, 25),
                    ("discrete-survival-x", 32.0, 14)]
 

@@ -173,6 +173,26 @@ def test_coupled_decomposition_identity():
         assert np.all(np.isin(s_large.jump_times, s_small.jump_times))
 
 
+def test_discrete_increments_share_thinning_across_splits():
+    # one call with several splits equals one call per split on the same
+    # stream, bit for bit; with constant ell the larger T's thinned jumps are
+    # a subset of the smaller T's, so its S_T increments are never larger
+    m = tail_only_model(0.7, ELL1)
+    plan = PerturbedPlan.from_model(m)
+    decomps = [build_decomposition(m, T, POSITIVE) for T in (16.0, 1e8)]
+    assert decomps[1].delta < decomps[0].delta
+    differ = 0
+    for i in range(20):
+        inc, s_inc = discrete_increments(plan, 64, stream(61, i), decomp=decomps)
+        assert s_inc.shape == (2, 64)
+        for d, row in zip(decomps, s_inc):
+            inc_d, s_d = discrete_increments(plan, 64, stream(61, i), decomp=d)
+            assert np.array_equal(inc_d, inc) and np.array_equal(s_d, row)
+        assert np.all(s_inc[1] <= s_inc[0])
+        differ += np.count_nonzero(s_inc[1] < s_inc[0])
+    assert differ > 0
+
+
 def test_discrete_increments_match_path_law():
     # integer-grid shortcut must agree in law with epoch-based simulation
     pm = tail_only_model(0.7, ELL1)
