@@ -384,8 +384,8 @@ def engine_config(tmp_path, kind, change=()):
     ("kappa", {"kappa.a_values": "-1"}, "kappa.a_values"),
 ])
 def test_engine_input_rules_exit_2(tmp_path, capsys, kind, change, field):
-    # each config failed in the engine (exit 3, or a traceback) before
-    # build_config checked what the engine needs
+    # each config is one the engine would reject at run time (exit 3, or a
+    # traceback for lemma-n0N without alpha); build_config rejects it first
     out = tmp_path / "o"
     assert main(["--config", str(engine_config(tmp_path, kind, change)),
                  "--out", str(out)]) == 2
