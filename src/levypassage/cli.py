@@ -248,8 +248,11 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
         ("model.ell_family", not lemma or cfg.ell_family == CONSTANT,
          "lemma-n0N supports constant ell only"),
         ("lemma.n", not lemma or cfg.lemma_n > math.e, "lemma.n must be >= 3"),
-        ("spitzer.t_values", cfg.kind != "spitzer" or all(np.diff((0.0,) + cfg.t_values) > 0),
-         "t_values must be positive and increasing"),
+        ("spitzer.t_values", cfg.kind != "spitzer" or (
+            all(np.diff((0.0,) + cfg.t_values) > 0) and all(map(math.isfinite, cfg.t_values))),
+         "t_values must be finite, positive and increasing"),
+        ("kappa.rho_values", cfg.kind != "kappa" or all(0.0 <= r <= 1.0 for r in cfg.rho_values),
+         "rho_values must lie in [0, 1]"),
         ("kappa.a_values", cfg.kind != "kappa" or all(0.0 < a < math.inf for a in cfg.a_values),
          "a_values must be finite and > 0"),
     ]
@@ -399,7 +402,8 @@ def run_kappa(cfg: ExperimentConfig) -> list[dict]:
 def run_spitzer(cfg: ExperimentConfig) -> list[dict]:
     model = build_model(cfg)
     t_values = cfg.t_values or tuple(np.geomspace(cfg.t_min, cfg.t_max, cfg.t_points))
-    prof = spitzer_profile(model, np.asarray(t_values), cfg.n_paths, cfg.seed)
+    prof = spitzer_profile(model, np.asarray(t_values), cfg.n_paths, cfg.seed,
+                           threads=cfg.threads)
     rows = []
     for t, p in zip(prof.t, prof.p):
         k = int(round(p * cfg.n_paths))

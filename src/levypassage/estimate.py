@@ -39,7 +39,8 @@ from .simulate import (PerturbedPlan, TimeGrid, _running_sum,
                        discrete_increments, exact_rows, path_blocks,
                        sample_subordinator_path)
 from .simulate import sample_path  # noqa: F401  (bench/child.py wraps it here)
-from .stable import StableParams, sample_stable, subordinator_unit_scale
+from .stable import StableParams, subordinator_unit_scale
+from .stable import sample_stable  # noqa: F401  (bench/child.py wraps it here)
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 CHUNK = 256  # paths per work unit; fixed so results never depend on threads
@@ -382,18 +383,17 @@ def lemma_n0N_experiment(alpha: float, gamma: float, ell, N: int,
     N1 = max(N1, 1)
     scale = (d * ell.c) ** (1.0 / alpha) * subordinator_unit_scale(alpha)
     params = StableParams(alpha, 1.0, scale)
-    steps = N - N1 + 1
     bound = (np.arange(N1, N + 1, dtype=float) + 1.0) ** gamma
+    dt_pow = np.ones(bound.size)
+    dt_pow[0] = N1 ** (1.0 / alpha)  # the first increment spans [0, N1]
 
     def worker(lo, hi):
-        count = np.zeros(1, dtype=np.int64)
-        for i in range(lo, hi):
-            g = stream(seed, i)
-            draws = sample_stable(params, steps, g)
-            draws[0] *= N1 ** (1.0 / alpha)  # increment over [0, N1]
-            s = np.cumsum(draws)
-            count[0] += bool(np.all(s >= bound))
-        return count
+        alive = np.ones(hi - lo, dtype=bool)
+        for start, rows, vals in exact_rows(params, dt_pow, seed, np.arange(lo, hi),
+                                            PHASE_PATHS, alive):
+            stop = start + vals.shape[1] - 1
+            alive[rows] = np.all(vals[:, 1:] >= bound[start:stop], axis=1)
+        return np.array([np.count_nonzero(alive)])
 
     k = int(_run_chunks(worker, n_paths, threads)[0])
     return LemmaN0NResult(N=N, N1=N1, epsilon=eps, delta=d, n_paths=n_paths,

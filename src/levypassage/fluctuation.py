@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import DecompositionT
+from .decompose import NEGATIVE, DecompositionT
 from .levymodel import LevyModel
 from .rng import PHASE_PATHS, stream
-from .simulate import (ROW_CAP, PathSample, PerturbedPlan, TimeGrid, exact_rows,
-                       sample_coupled_decomposition, sample_path)
+from .estimate import _run_chunks
+from .simulate import PathSample, PerturbedPlan, TimeGrid, exact_rows, path_blocks, sample_path
 
 KAPPA_U_RANGE = 40.0
 KAPPA_PANELS = 10_000
@@ -112,29 +112,31 @@ def renewal_estimate(samples, x: float) -> float:
 
 
 def spitzer_profile(model: LevyModel, t_grid, n_paths: int, seed: int,
-                    phase: int = PHASE_PATHS) -> PositivityProfile:
+                    phase: int = PHASE_PATHS, threads: int = 1) -> PositivityProfile:
     """Tabulated MC estimates of P(X(t) >= 0) with binomial standard errors."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or np.any(t_grid <= 0) or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be positive and increasing")
     grid = TimeGrid(np.concatenate([[0.0], t_grid]), "geometric")
-    counts = np.zeros(t_grid.size, dtype=np.int64)
     if model.stable is not None:
         dt_pow = np.diff(grid.points) ** (1.0 / model.stable.alpha)
-        step = max(1, ROW_CAP // grid.points.size)  # paths in one group of rows
-        for lo in range(0, n_paths, step):
-            paths = np.arange(lo, min(lo + step, n_paths))
-            for start, _, vals in exact_rows(model.stable, dt_pow, seed, paths, phase,
-                                             np.ones(paths.size, dtype=bool)):
-                counts[start:start + vals.shape[1] - 1] += np.count_nonzero(
-                    vals[:, 1:] >= 0.0, axis=0)
     else:
         plan = PerturbedPlan.from_model(model)
-        for i in range(n_paths):
-            path = sample_path(model, grid, stream(seed, i, phase), plan=plan)
-            idx = np.searchsorted(path.grid.points, t_grid)
-            counts += path.values[idx] >= 0.0
-    p = counts / n_paths
+
+    def worker(lo, hi):
+        counts = np.zeros(t_grid.size, dtype=np.int64)
+        if model.stable is not None:
+            for start, _, vals in exact_rows(model.stable, dt_pow, seed, np.arange(lo, hi),
+                                             phase, np.ones(hi - lo, dtype=bool)):
+                counts[start:start + vals.shape[1] - 1] += np.count_nonzero(
+                    vals[:, 1:] >= 0.0, axis=0)
+        else:
+            for i in range(lo, hi):
+                path = sample_path(model, grid, stream(seed, i, phase), plan=plan)
+                counts += path.values[np.searchsorted(path.grid.points, t_grid)] >= 0.0
+        return counts
+
+    p = _run_chunks(worker, n_paths, threads) / n_paths
     se = np.sqrt(p * (1.0 - p) / n_paths)
     return PositivityProfile.tabulated(t_grid, p, se)
 
@@ -161,15 +163,15 @@ def renewal_convergence_gaps(model: LevyModel, decomp_by_T: dict[float, Decompos
     Ts = sorted(decomp_by_T)
     decomps = [decomp_by_T[T] for T in Ts]
     plan = PerturbedPlan.from_model(model)
+    ends = [grid.points.size - 1]
     count_x = 0.0
     count_y = {T: 0.0 for T in Ts}
     for i in range(n_paths):
-        x_path, pairs = sample_coupled_decomposition(model, decomps, grid,
-                                                     stream(seed, i), plan)
-        vx = x_path.values
+        ((_, vx, _, s_values),) = path_blocks(plan, grid.points, ends, stream(seed, i), decomps)
         count_x += int(np.count_nonzero(vx[_record_mask(vx)] < x))
-        for T, (y_path, _) in zip(Ts, pairs):
-            vy = y_path.values
+        for T, d, vs in zip(Ts, decomps, s_values):
+            # negative side: X = Y - S  =>  Y = X + S ; positive side: Y = X - S
+            vy = vx + vs if d.side == NEGATIVE else vx - vs
             count_y[T] += int(np.count_nonzero(vy[_record_mask(vy)] < x))
     v_x = count_x / n_paths
     return {T: abs(count_y[T] / n_paths - v_x) for T in Ts}

@@ -9,8 +9,10 @@ the jump epochs, which removes the dominant crossing-detection error for
 jump-driven paths.
 
 One block source, path_blocks, builds perturbed paths: the jump count and
-three uniforms per jump up front, then sizes, normals and the running sum
-block by block in time, bit for bit the whole-grid path; callers may stop.
+three uniforms per jump up front (PerturbedPlan.draw_jumps), then sizes,
+normals and the running sum block by block in time, bit for bit the
+whole-grid path; callers may stop.  Given splits, it also builds the
+coupled S_T of each split, so that Y_T = X -+ S_T holds pathwise.
 
 Determinism contract: a path is a pure function of (seed, path index, phase),
 independent of thread count and scheduling.
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import NEGATIVE, DecompositionT, JumpTable
+from .decompose import DecompositionT, JumpTable
 from .levymodel import LevyModel
 from .rng import Cursor, as_generator
 from .rvcalc import quad
@@ -149,7 +151,7 @@ class PerturbedPlan:
                    p_right=rate_r / rate if rate > 0 else 0.0,
                    table_right=tables["right"], table_left=tables["left"])
 
-    def up_front_draws(self, rng: np.random.Generator, horizon: float):
+    def draw_jumps(self, rng: np.random.Generator, horizon: float):
         """A path's up-front draws in stream order: (epochs, right, u).
 
         A Poisson count n, n unsorted epochs on [0, horizon), n side uniforms
@@ -163,11 +165,6 @@ class PerturbedPlan:
         kept = n - np.count_nonzero(epochs == 0.0)
         right = rng.uniform(size=n)[n - kept:] < self.p_right
         return epochs, right, rng.uniform(size=kept)
-
-    def draw_jumps(self, rng: np.random.Generator, horizon: float):
-        """(epochs sorted, signed sizes) of all jumps beyond eta up to horizon."""
-        epochs, right, u = self.up_front_draws(rng, horizon)
-        return np.sort(epochs[epochs > 0.0]), self.signed_sizes(right, u)
 
     def signed_sizes(self, right: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Signed sizes: right jumps take u[:nr] in order, left jumps the rest."""
@@ -204,29 +201,27 @@ def _merge_with_epochs(points: np.ndarray, epochs: np.ndarray,
     return merged, _cell_jumps(merged, epochs, signed)
 
 
-def _gaussian_path(plan: PerturbedPlan, merged: np.ndarray, jumps: np.ndarray,
-                   rng: np.random.Generator, start: float = 0.0) -> np.ndarray:
-    dt = np.diff(merged)
-    inc = plan.drift * dt
-    if plan.var_unit > 0:
-        inc = inc + np.sqrt(plan.var_unit * dt) * rng.standard_normal(dt.size)
-    return _running_sum(inc + jumps, start)
-
-
-def path_blocks(plan: PerturbedPlan, points: np.ndarray, ends, rng: np.random.Generator):
+def path_blocks(plan: PerturbedPlan, points: np.ndarray, ends, rng: np.random.Generator,
+                splits=()):
     """A perturbed path on `points` in blocks (points[a], points[b]], b in `ends`.
 
     Yields (merged, values, epochs) per block: its grid points and sorted
     epochs merged, led by points[a] with the carried value.  Jumps are looked
     up by rank in the up-front draws and normals drawn per block, so the
-    blocks equal the whole-grid path bit for bit.
+    blocks equal the whole-grid path bit for bit.  With `splits`, one
+    thinning uniform per jump follows the up-front draws, shared by every
+    split, and each block also yields the values of each split's S_T (one
+    row per split, carried like X): the jumps beyond 1 on its side that the
+    split thins, by magnitude.
     """
-    epochs, right, u = plan.up_front_draws(rng, points[-1])
+    epochs, right, u = plan.draw_jumps(rng, points[-1])
+    thin_u = rng.uniform(size=u.size) if splits else None
+    s_values = np.zeros((len(splits), 1))
     n_right = np.count_nonzero(right)
     done = done_right = 0  # jumps, right jumps in earlier blocks
     a, carry = 0, 0.0
     for b in ends:
-        inside, sizes = epochs, u  # both empty when the path has no jumps
+        first, inside, sizes = done, epochs, u  # both empty when the path has no jumps
         if epochs.size:
             inside = np.sort(epochs[(epochs > points[a]) & (epochs <= points[b])])
             side = right[done:done + inside.size]
@@ -236,9 +231,19 @@ def path_blocks(plan: PerturbedPlan, points: np.ndarray, ends, rng: np.random.Ge
                  u[n_right + done - done_right:][:inside.size - k_right])))
             done, done_right = done + inside.size, done_right + k_right
         merged, jumps = _merge_with_epochs(points[a:b + 1], inside, sizes)
-        values = _gaussian_path(plan, merged, jumps, rng, carry)
-        yield merged, values, inside
+        dt = np.diff(merged)
+        inc = plan.drift * dt
+        if plan.var_unit > 0:
+            inc = inc + np.sqrt(plan.var_unit * dt) * rng.standard_normal(dt.size)
+        values = _running_sum(inc + jumps, carry)
         a, carry = b, values[-1]
+        if not splits:
+            yield merged, values, inside
+            continue
+        thin = [d.thinned(sizes, thin_u[first:done]) for d in splits]
+        s_values = np.array([_running_sum(_cell_jumps(merged, inside[t], np.abs(sizes[t])), c)
+                             for t, c in zip(thin, s_values[:, -1])])
+        yield merged, values, inside, s_values
 
 
 # ---------------------------------------------------------------------------
@@ -321,37 +326,6 @@ def sample_subordinator_path(decomp: DecompositionT, grid: TimeGrid,
     merged, jumps = _merge_with_epochs(grid.points, epochs, sizes)
     return PathSample(grid=TimeGrid(merged, grid.policy),
                       values=_running_sum(jumps), jump_times=epochs)
-
-
-def sample_coupled_decomposition(model: LevyModel, decomps, grid: TimeGrid,
-                                 stream, plan: PerturbedPlan | None = None
-                                 ) -> tuple[PathSample, list]:
-    """(X, [(Y_T, S_T) per split in `decomps`]) from one perturbed simulation.
-
-    X is simulated with its full jump measure; each jump beyond 1 on a
-    split's side is handed to its S_T with the thinning probability, decided
-    by one uniform per jump that every split shares.  The remainder is
-    exactly Y_T, and the identity X = Y_T -+ S_T holds pathwise, which is
-    what the ordering checks rely on.  When the thinning probability falls
-    with T, a larger T hands S_T a subset of a smaller T's jumps.
-    """
-    rng = as_generator(stream)
-    if plan is None:
-        plan = PerturbedPlan.from_model(model)
-    epochs, signed = plan.draw_jumps(rng, grid.horizon)
-    u = rng.uniform(size=epochs.size)
-    merged, jumps_x = _merge_with_epochs(grid.points, epochs, signed)
-    values_x = _gaussian_path(plan, merged, jumps_x, rng)
-    out_grid = TimeGrid(merged, grid.policy) if epochs.size else grid
-    pairs = []
-    for decomp in decomps:
-        thin = decomp.thinned(signed, u)
-        values_s = _running_sum(_cell_jumps(merged, epochs[thin], np.abs(signed[thin])))
-        # negative side: X = Y - S  =>  Y = X + S ; positive side: Y = X - S
-        values_y = values_x + values_s if decomp.side == NEGATIVE else values_x - values_s
-        pairs.append((PathSample(out_grid, values_y, epochs[thin]),
-                      PathSample(out_grid, values_s, epochs[thin])))
-    return PathSample(out_grid, values_x, epochs), pairs
 
 
 def discrete_increments(plan: PerturbedPlan, n_steps: int,

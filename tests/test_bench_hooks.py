@@ -15,12 +15,25 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = """
+import pathlib, tempfile
 import child, workloads
-child.install_tracer(child.Tracer())
+from levypassage import cli
+tracer = child.Tracer()
+child.install_tracer(tracer)
 for name, w in workloads.WORKLOADS.items():
     text = workloads.config_text(w.config(1, True, 1))
     share = child.needed_point_share(text, 5)
     assert 0.0 < share <= 1.0, (name, share)
+# the draw_jumps span sees the perturbed paths of a product-bound run
+with tempfile.TemporaryDirectory() as tmp:
+    cfg = pathlib.Path(tmp) / "run.cfg"
+    cfg.write_text(workloads.config_text(
+        workloads.WORKLOADS["perturbed-product-bound"].config(1, True, 1)))
+    tracer.calls.clear()
+    tracer.counts.clear()
+    assert cli.main(["--config", str(cfg), "--out", tmp, "--quiet"]) == 0
+assert tracer.calls["simulate.draw_jumps"] > 0, dict(tracer.calls)
+assert tracer.counts["simulate.jumps_drawn"] > 0, dict(tracer.counts)
 """
 
 

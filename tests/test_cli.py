@@ -103,6 +103,27 @@ def test_cli_threads_do_not_change_output(tmp_path):
     assert outs[1] == outs[4]
 
 
+@pytest.mark.parametrize("mode", ["exact", "perturbed"])
+def test_spitzer_threads_do_not_change_output(tmp_path, mode):
+    # 600 paths make three chunks, so four threads fork worker processes
+    cfg = write_config(tmp_path, f"""
+experiment.kind = spitzer
+model.alpha = 0.7
+model.beta = 0.5
+model.mode = {mode}
+spitzer.t_values = 0.5,1,2,4,8
+run.n_paths = 600
+run.seed = 8
+""")
+    outs = {}
+    for threads in (1, 4):
+        out = tmp_path / f"t{threads}"
+        assert main(["--config", str(cfg), "--out", str(out),
+                     "--threads", str(threads), "--quiet"]) == 0
+        outs[threads] = [(out / name).read_bytes() for name in ("results.csv", "plotdata.tsv")]
+    assert outs[1] == outs[4]
+
+
 def test_manifest_round_trip(tmp_path):
     cfg = write_config(tmp_path, BASE)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "a"), "--quiet"]) == 0
@@ -381,11 +402,16 @@ def engine_config(tmp_path, kind, change=()):
     ("lemma-n0N", {"lemma.n": "2"}, "lemma.n"),
     ("spitzer", {"spitzer.t_values": "2,1"}, "spitzer.t_values"),
     ("spitzer", {"spitzer.t_values": "-1,2"}, "spitzer.t_values"),
+    ("spitzer", {"spitzer.t_values": "1,inf"}, "spitzer.t_values"),
     ("kappa", {"kappa.a_values": "-1"}, "kappa.a_values"),
+    ("kappa", {"kappa.rho_values": "-1"}, "kappa.rho_values"),
+    ("kappa", {"kappa.rho_values": "1.5,nan"}, "kappa.rho_values"),
 ])
 def test_engine_input_rules_exit_2(tmp_path, capsys, kind, change, field):
     # each config is one the engine would reject at run time (exit 3, or a
-    # traceback for lemma-n0N without alpha); build_config rejects it first
+    # traceback for lemma-n0N without alpha), or would turn into meaningless
+    # rows (a Spitzer row at t = inf, kappa for rho outside [0, 1]);
+    # build_config rejects it first
     out = tmp_path / "o"
     assert main(["--config", str(engine_config(tmp_path, kind, change)),
                  "--out", str(out)]) == 2

@@ -14,8 +14,7 @@ from levypassage.levymodel import (Boundary, brownian_model, drift_model,
 from levypassage.rng import stream
 from levypassage.rvcalc import SlowlyVaryingSpec
 from levypassage.simulate import (ETA, PerturbedPlan, TimeGrid,
-                                  discrete_increments, path_blocks,
-                                  sample_coupled_decomposition, sample_path,
+                                  discrete_increments, path_blocks, sample_path,
                                   sample_subordinator_path)
 from levypassage.stable import StableParams, sample_stable
 
@@ -156,21 +155,29 @@ def test_subordinator_path_laplace_example():
 
 
 def test_coupled_decomposition_identity():
+    # each split's S_T starts at 0 and jumps only at X's epochs, by the
+    # magnitude of a jump of X beyond 1 on its side: X = Y_T - S_T on the
+    # negative side, X = Y_T + S_T on the positive one
     m = tail_only_model(0.7, ELL1)
-    grid = TimeGrid.integers(64.0)
-    for side, sign in ((NEGATIVE, 1.0), (POSITIVE, -1.0)):
+    plan = PerturbedPlan.from_model(m)
+    pts = TimeGrid.integers(64.0).points
+    for side, sign in ((NEGATIVE, -1.0), (POSITIVE, 1.0)):
         decomps = [build_decomposition(m, T, side) for T in (64.0, 4096.0)]
-        x, pairs = sample_coupled_decomposition(m, decomps, grid, (13, 2, 0))
-        assert len(pairs) == 2
-        for y, s in pairs:
-            assert np.array_equal(y.grid.points, x.grid.points)
-            assert np.allclose(x.values + sign * s.values, y.values, atol=1e-10)
-            assert np.all(np.diff(s.values) >= 0.0)
+        ((merged, x, epochs, s),) = path_blocks(plan, pts, [pts.size - 1],
+                                                stream(13, 2), decomps)
+        assert s.shape == (2, merged.size) and np.all(s[:, 0] == 0.0)
+        jumps = np.diff(s, axis=1)
+        assert np.all(jumps >= 0.0)
+        at = jumps.any(axis=0)
+        assert np.all(np.isin(merged[1:][at], epochs))
+        assert np.all(jumps[jumps > 0.0] > 1.0)
+        assert np.all(sign * np.diff(x)[at] > 1.0)
         # the shared uniform nests the thinned jumps: the larger T's S_T
         # takes a subset of the smaller T's jumps
-        (_, s_small), (_, s_large) = pairs
-        assert s_large.jump_times.size > 0
-        assert np.all(np.isin(s_large.jump_times, s_small.jump_times))
+        small, large = jumps
+        assert np.count_nonzero(large) > 0
+        assert np.all(small[large > 0.0] > 0.0)
+        assert np.allclose(large[large > 0.0], small[large > 0.0])
 
 
 def test_discrete_increments_share_thinning_across_splits():
@@ -212,8 +219,13 @@ def test_small_jump_cutoff_constant():
     assert ETA == 1e-3
 
 
-def _whole_path(plan, points, rng):
-    """Reference perturbed path over the whole grid: all jumps, then normals."""
+def _whole_path(plan, points, rng, splits=()):
+    """Reference perturbed path over the whole grid: all jumps, then normals.
+
+    With splits, one thinning uniform per jump is drawn after the sizes and
+    shared by every split; each split's S_T sums the magnitudes of the jumps
+    it thins.
+    """
     n = rng.poisson(plan.rate * points[-1]) if plan.rate > 0 else 0
     epochs = np.sort(rng.uniform(0.0, points[-1], size=n))
     keep = epochs > 0.0
@@ -225,40 +237,53 @@ def _whole_path(plan, points, rng):
         signed[right] = plan.table_right.sample(rng, nr)
     if epochs.size - nr:
         signed[~right] = -plan.table_left.sample(rng, epochs.size - nr)
+    thin_u = rng.uniform(size=epochs.size) if splits else None
     merged = np.union1d(points, epochs)
+    cell = np.searchsorted(merged, epochs)
     acc = np.zeros(merged.size)
-    np.add.at(acc, np.searchsorted(merged, epochs), signed)
+    np.add.at(acc, cell, signed)
     dt = np.diff(merged)
     inc = plan.drift * dt
     if plan.var_unit > 0:
         inc = inc + np.sqrt(plan.var_unit * dt) * rng.standard_normal(dt.size)
     values = np.concatenate([[0.0], np.cumsum(inc + acc[1:])])
-    return merged, values, epochs, signed
+    s_values = np.zeros((len(splits), merged.size))
+    for row, d in zip(s_values, splits):
+        thin = d.thinned(signed, thin_u)
+        np.add.at(row, cell[thin], np.abs(signed[thin]))
+        np.cumsum(row, out=row)
+    return merged, values, epochs, s_values
 
 
 SCALED = stable_model(0.7, 0.0, 1.5)
 
 
 def _block_cases():
+    """name -> (plan, grid, model whose tails the splits thin)."""
     x_model = replace(SCALED, stable=None)
     skewed = replace(stable_model(0.5, 0.6), stable=None, sigma2=0.3, b=0.1)
     log_power = tail_only_model(0.8, SlowlyVaryingSpec("log-power", c=0.5, p=0.5))
     return {
-        "x-plan-T256": (PerturbedPlan.from_model(x_model), TimeGrid.survival(256.0)),
+        "x-plan-T256": (PerturbedPlan.from_model(x_model), TimeGrid.survival(256.0),
+                        x_model),
         "y-plan-T256": (PerturbedPlan.from_model(
             SCALED, build_decomposition(SCALED, 256.0, NEGATIVE)),
-            TimeGrid.survival(256.0)),
+            TimeGrid.survival(256.0), SCALED),
         "skewed-diffusive": (PerturbedPlan.from_model(skewed),
-                             TimeGrid.geometric(40.5)),
+                             TimeGrid.geometric(40.5), skewed),
         "log-power-integers": (PerturbedPlan.from_model(log_power),
-                               TimeGrid.integers(64.0)),
+                               TimeGrid.integers(64.0), log_power),
     }
 
 
+@pytest.mark.parametrize("with_splits", [False, True])
 @pytest.mark.parametrize("ends", ["doubling", "scattered"])
 @pytest.mark.parametrize("name", list(_block_cases()))
-def test_path_blocks_equal_the_whole_path(name, ends):
-    plan, grid = _block_cases()[name]
+def test_path_blocks_equal_the_whole_path(name, ends, with_splits):
+    plan, grid, model = _block_cases()[name]
+    splits = [build_decomposition(model, 16.0, NEGATIVE),
+              build_decomposition(model, 16.0, POSITIVE),
+              build_decomposition(model, 1e4, POSITIVE)] if with_splits else []
     pts = grid.points
     if ends == "doubling":
         marks = pts.searchsorted(2.0 ** np.arange(math.ceil(math.log2(pts[-1]))),
@@ -268,10 +293,12 @@ def test_path_blocks_equal_the_whole_path(name, ends):
         pick = np.random.default_rng(len(name)).choice(
             np.arange(1, pts.size - 1), size=6, replace=False)
         stops = np.append(np.sort(pick), pts.size - 1)
+    thinned = 0
     for i in range(8):
-        merged, values, epochs, signed = _whole_path(plan, pts, stream(61, i))
-        blocks = list(path_blocks(plan, pts, stops, stream(61, i)))
+        merged, values, epochs, s_values = _whole_path(plan, pts, stream(61, i), splits)
+        blocks = list(path_blocks(plan, pts, stops, stream(61, i), splits))
         assert len(blocks) == stops.size
+        assert all(len(b) == 3 + bool(splits) for b in blocks)
         assert all(b[0][0] == pts[a] for b, a in zip(blocks, np.append(0, stops)))
         got_pts = np.concatenate([blocks[0][0]] + [b[0][1:] for b in blocks[1:]])
         got_vals = np.concatenate([blocks[0][1]] + [b[1][1:] for b in blocks[1:]])
@@ -279,9 +306,13 @@ def test_path_blocks_equal_the_whole_path(name, ends):
         assert np.array_equal(got_pts, merged)
         assert np.array_equal(got_vals, values)
         assert np.array_equal(got_epochs, epochs)
-        d_epochs, d_signed = plan.draw_jumps(stream(61, i), pts[-1])
-        assert np.array_equal(d_epochs, epochs) and np.array_equal(d_signed, signed)
+        if splits:
+            got_s = np.concatenate([blocks[0][3]] + [b[3][:, 1:] for b in blocks[1:]],
+                                   axis=1)
+            assert np.array_equal(got_s, s_values)
+            thinned += np.count_nonzero(s_values[:, -1])
     assert epochs.size > 0
+    assert thinned > 0 or not splits
 
 
 def test_crossed_perturbed_paths_stop_drawing_sizes(monkeypatch):
