@@ -221,7 +221,7 @@ def path_blocks(plan: PerturbedPlan, points: np.ndarray, ends, rng: np.random.Ge
     done = done_right = 0  # jumps, right jumps in earlier blocks
     a, carry = 0, 0.0
     for b in ends:
-        first, inside, sizes = done, epochs, u  # both empty when the path has no jumps
+        first, inside, sizes = done, epochs, u  # inside, sizes: empty when no jumps
         if epochs.size:
             inside = np.sort(epochs[(epochs > points[a]) & (epochs <= points[b])])
             side = right[done:done + inside.size]

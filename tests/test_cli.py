@@ -402,8 +402,8 @@ def engine_config(tmp_path, kind, change=()):
     ("lemma-n0N", {"lemma.n": "2"}, "lemma.n"),
     ("spitzer", {"spitzer.t_values": "2,1"}, "spitzer.t_values"),
     ("spitzer", {"spitzer.t_values": "-1,2"}, "spitzer.t_values"),
-    ("spitzer", {"spitzer.t_values": "1,inf"}, "spitzer.t_values"),
     ("kappa", {"kappa.a_values": "-1"}, "kappa.a_values"),
+    ("spitzer", {"spitzer.t_values": "1,inf"}, "spitzer.t_values"),
     ("kappa", {"kappa.rho_values": "-1"}, "kappa.rho_values"),
     ("kappa", {"kappa.rho_values": "1.5,nan"}, "kappa.rho_values"),
 ])

@@ -186,16 +186,17 @@ def test_golden_gaussian_refinement(threads):
 SKEWED = stable_model(0.7, -0.6, 1.5)
 
 
-@pytest.mark.parametrize("threads", [1, 4])
 @pytest.mark.parametrize("model, seed, want", [
     (SKEWED, 31, [60, 58, 55, 62, 59]),
     (replace(SKEWED, stable=None), 32, [67, 64, 58, 50, 50]),
 ])
-def test_golden_spitzer_profile(model, seed, want, threads):
-    # 600 paths: two full chunks of 256 and a ragged one of 88
+def test_golden_spitzer_profile(model, seed, want):
+    # 600 paths: two full chunks of 256 and a ragged one of 88, at one
+    # thread and in forked workers
     n = 600
-    prof = spitzer_profile(model, [0.5, 1.0, 2.0, 4.0, 8.0], n, seed, threads=threads)
-    assert (prof.p * n).round().astype(int).tolist() == want
+    for threads in (1, 4):
+        prof = spitzer_profile(model, [0.5, 1.0, 2.0, 4.0, 8.0], n, seed, threads=threads)
+        assert (prof.p * n).round().astype(int).tolist() == want
 
 
 @pytest.mark.parametrize("threads", [1, 4])

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -276,14 +277,14 @@ def _block_cases():
     }
 
 
-@pytest.mark.parametrize("with_splits", [False, True])
 @pytest.mark.parametrize("ends", ["doubling", "scattered"])
 @pytest.mark.parametrize("name", list(_block_cases()))
-def test_path_blocks_equal_the_whole_path(name, ends, with_splits):
+def test_path_blocks_equal_the_whole_path(name, ends):
+    # each path without splits, then with splits of both sides and two T
     plan, grid, model = _block_cases()[name]
     splits = [build_decomposition(model, 16.0, NEGATIVE),
               build_decomposition(model, 16.0, POSITIVE),
-              build_decomposition(model, 1e4, POSITIVE)] if with_splits else []
+              build_decomposition(model, 1e4, POSITIVE)]
     pts = grid.points
     if ends == "doubling":
         marks = pts.searchsorted(2.0 ** np.arange(math.ceil(math.log2(pts[-1]))),
@@ -294,11 +295,12 @@ def test_path_blocks_equal_the_whole_path(name, ends, with_splits):
             np.arange(1, pts.size - 1), size=6, replace=False)
         stops = np.append(np.sort(pick), pts.size - 1)
     thinned = 0
-    for i in range(8):
-        merged, values, epochs, s_values = _whole_path(plan, pts, stream(61, i), splits)
-        blocks = list(path_blocks(plan, pts, stops, stream(61, i), splits))
+    for i, with_splits in itertools.product(range(8), (False, True)):
+        splits_i = splits if with_splits else []
+        merged, values, epochs, s_values = _whole_path(plan, pts, stream(61, i), splits_i)
+        blocks = list(path_blocks(plan, pts, stops, stream(61, i), splits_i))
         assert len(blocks) == stops.size
-        assert all(len(b) == 3 + bool(splits) for b in blocks)
+        assert all(len(b) == 3 + with_splits for b in blocks)
         assert all(b[0][0] == pts[a] for b, a in zip(blocks, np.append(0, stops)))
         got_pts = np.concatenate([blocks[0][0]] + [b[0][1:] for b in blocks[1:]])
         got_vals = np.concatenate([blocks[0][1]] + [b[1][1:] for b in blocks[1:]])
@@ -306,13 +308,12 @@ def test_path_blocks_equal_the_whole_path(name, ends, with_splits):
         assert np.array_equal(got_pts, merged)
         assert np.array_equal(got_vals, values)
         assert np.array_equal(got_epochs, epochs)
-        if splits:
+        if with_splits:
             got_s = np.concatenate([blocks[0][3]] + [b[3][:, 1:] for b in blocks[1:]],
                                    axis=1)
             assert np.array_equal(got_s, s_values)
             thinned += np.count_nonzero(s_values[:, -1])
-    assert epochs.size > 0
-    assert thinned > 0 or not splits
+    assert epochs.size > 0 and thinned > 0
 
 
 def test_crossed_perturbed_paths_stop_drawing_sizes(monkeypatch):
