@@ -32,7 +32,7 @@ from .estimate import (WILSON_Z, FitUnavailable, SurvivalEstimate,
 from .fluctuation import PositivityProfile, kappa, spitzer_profile
 from .levymodel import Boundary, LevyModel, stable_model, tail_only_model
 from .passage import brownian_integral_test
-from .rvcalc import CONSTANT, LOG_POWER, SlowlyVaryingSpec
+from .rvcalc import CONSTANT, LOG_POWER, SlowlyVaryingSpec, quadpack
 from .simulate import TimeGrid
 
 # run.grid_policy -> the monitoring grid it builds up to horizon T
@@ -187,6 +187,8 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
     ds, pb = cfg.kind == "discrete-survival", cfg.kind == "product-bound"
     rules = [
         ("run.seed", cfg.seed is not None, "an explicit seed is required"),
+        ("run.seed", cfg.seed is None or 0 <= cfg.seed < 1 << 64,
+         "seed must lie in [0, 2**64)"),
         ("run.threads", cfg.threads >= 1, "threads must be >= 1"),
         ("run.n_paths", cfg.n_paths >= 1, "n_paths must be >= 1"),
         ("run.t_points", cfg.kind not in ("exponent", "discrete-survival")
@@ -216,6 +218,7 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
          or (cfg.alpha > 1.0 and cfg.beta == 0.0),
          "matched stable tails need alpha < 1, or alpha > 1 with beta = 0"),
         ("model.beta", -1.0 <= cfg.beta <= 1.0, "beta must lie in [-1, 1]"),
+        ("model.rho", cfg.rho is None or 0.0 <= cfg.rho <= 1.0, "rho must lie in [0, 1]"),
         ("model.scale", 0.0 < cfg.scale < math.inf, "scale must be finite and > 0"),
         ("model.sigma2", 0.0 <= cfg.sigma2 < math.inf,
          "sigma2 must be finite and >= 0"),
@@ -543,6 +546,8 @@ def main(argv: list[str] | None = None) -> int:
     warning = _regime_warning(cfg)
     if warning:
         print(f"levypassage: warning: {warning}", file=sys.stderr)
+    if cfg.mode == "perturbed" or cfg.kind in ("product-bound", "discrete-survival"):
+        quadpack()  # these runs build jump plans by quadrature: import scipy in set-up
     try:
         return run_experiment(cfg, Path(args.out), quiet=args.quiet)
     except (InvalidDecompositionError, ValueError, RuntimeError) as exc:

@@ -10,6 +10,7 @@ Philox counter instead of rehashing the seed.
 from __future__ import annotations
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy loads it lazily; load it at import, not mid-run)
 
 _MASK64 = (1 << 64) - 1
 

@@ -10,6 +10,10 @@ one side of the origin, written in the magnitude coordinate x > 0.  Tail
 masses are integrated adaptively; the integrand is truncated where it has
 dropped below 1e-16 of its value at the left endpoint.  `quad` and
 `mass_beyond` are the package's one quadrature recipe.
+
+`quadpack` is the one entry to scipy's quadrature: `scipy.integrate` is
+imported on its first call, never at module import, because it costs most
+of a run's start-up and exact-mode runs integrate nothing.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 QUAD_EPSABS = 1e-10
 QUAD_EPSREL = 1e-8
@@ -108,10 +111,16 @@ def power_tail_remainder(density, x: float) -> float:
     return g0 * x / (-(s + 1.0))
 
 
+def quadpack():
+    """The `scipy.integrate` module, imported on the first call."""
+    from scipy import integrate
+    return integrate
+
+
 def quad(f, a: float, b: float) -> float:
     """Adaptive quadrature of f over [a, b] at the package's tolerances."""
-    return integrate.quad(f, a, b, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL,
-                          limit=200)[0]
+    return quadpack().quad(f, a, b, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL,
+                           limit=200)[0]
 
 
 def mass_beyond(density, x: float, hi: float) -> float:

@@ -406,11 +406,14 @@ def engine_config(tmp_path, kind, change=()):
     ("spitzer", {"spitzer.t_values": "1,inf"}, "spitzer.t_values"),
     ("kappa", {"kappa.rho_values": "-1"}, "kappa.rho_values"),
     ("kappa", {"kappa.rho_values": "1.5,nan"}, "kappa.rho_values"),
+    ("spitzer", {"model.rho": "2"}, "model.rho"),
+    ("spitzer", {"model.rho": "nan"}, "model.rho"),
 ])
 def test_engine_input_rules_exit_2(tmp_path, capsys, kind, change, field):
     # each config is one the engine would reject at run time (exit 3, or a
     # traceback for lemma-n0N without alpha), or would turn into meaningless
-    # rows (a Spitzer row at t = inf, kappa for rho outside [0, 1]);
+    # rows (a Spitzer row at t = inf, kappa for rho outside [0, 1]) or a
+    # meaningless experiment id (model.rho outside [0, 1]);
     # build_config rejects it first
     out = tmp_path / "o"
     assert main(["--config", str(engine_config(tmp_path, kind, change)),
@@ -419,6 +422,18 @@ def test_engine_input_rules_exit_2(tmp_path, capsys, kind, change, field):
     assert err["error"]["code"] == 2
     assert {v["field"] for v in err["error"]["violations"]} == {field}
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seed, rc", [("-1", 2), (str(1 << 64), 2), ("0", 0),
+                                      (str((1 << 64) - 1), 0)])
+def test_seed_must_fit_64_bits(tmp_path, capsys, seed, rc):
+    # the stream key keeps the low 64 bits of the seed, so a seed outside
+    # [0, 2**64) would draw the paths of another seed under its own id
+    assert main(["--config", str(engine_config(tmp_path, "spitzer")), "--seed", seed,
+                 "--out", str(tmp_path / "o"), "--quiet"]) == rc
+    if rc:
+        err = json.loads(capsys.readouterr().err)
+        assert [v["field"] for v in err["error"]["violations"]] == ["run.seed"]
 
 
 @pytest.mark.parametrize("kind", list(ENGINE_BASES))

@@ -123,6 +123,19 @@ def test_exact_nesting_and_boundary_ordering():
     assert np.all(counts[0] <= counts[1]) and np.all(counts[1] <= counts[2])
 
 
+def test_skewed_constant_boundary_exponent():
+    # beta = -0.5 breaks the rho = 1/2 symmetry every other check sits on
+    m = stable_model(0.7, -0.5)
+    rho = positivity_parameter(m.stable)
+    assert rho == pytest.approx(0.1471, abs=1e-4)
+    T_grid, n = np.geomspace(16.0, 16384.0, 8), 4000
+    counts = survival_counts(m, [Boundary("constant")], T_grid, n,
+                             TimeGrid.survival(16384.0), seed=4242)
+    fit = fit_exponent([SurvivalEstimate.from_counts(float(T), int(k), n, 4242)
+                        for T, k in zip(T_grid, counts[0])])
+    assert abs(fit.rho_hat - rho) < 4.0 * fit.stderr
+
+
 def test_determinism_across_thread_counts():
     m = standard_symmetric_model(0.7)
     T_grid = np.array([2.0, 8.0, 32.0])

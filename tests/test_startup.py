@@ -1,0 +1,81 @@
+"""Set-up imports stay in set-up.
+
+scipy's quadrature is most of a run's start-up, and exact runs integrate
+nothing, so they must never load it.  Runs that build jump plans or
+decompositions integrate; `cli.main` loads scipy for them before the first
+engine call, so the import is start-up cost and not engine time.  numpy
+loads `numpy.random` lazily; importing the CLI loads it.  An import happens
+once per process, so each case runs in a fresh interpreter.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Runs the config text in argv[1] through cli.main, with each engine entry
+# wrapped under the name cli looks it up by, and prints what was loaded when.
+SCRIPT = """
+import json, sys, tempfile
+from pathlib import Path
+from levypassage import cli
+seen = {"numpy.random at import": "numpy.random" in sys.modules}
+
+def first_call(fn):
+    def wrapper(*args, **kwargs):
+        seen.setdefault("scipy.integrate at engine start", "scipy.integrate" in sys.modules)
+        return fn(*args, **kwargs)
+    return wrapper
+
+for name in ("survival_counts", "product_bound_check",
+             "discrete_survival_experiment", "spitzer_profile"):
+    setattr(cli, name, first_call(getattr(cli, name)))
+with tempfile.TemporaryDirectory() as tmp:
+    cfg = Path(tmp) / "run.cfg"
+    cfg.write_text(sys.argv[1])
+    seen["rc"] = cli.main(["--config", str(cfg), "--out", tmp, "--quiet"])
+seen["loaded"] = [m for m in ("scipy", "scipy.integrate", "scipy.special")
+                  if m in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def run_fresh(keys: dict[str, str]) -> dict:
+    text = "".join(f"{k} = {v}\n" for k, v in
+                   {"model.alpha": "0.7", "run.n_paths": "20", "run.seed": "3",
+                    **keys}.items())
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    out = subprocess.run([sys.executable, "-c", SCRIPT, text], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    seen = json.loads(out.stdout.splitlines()[-1])
+    assert seen["rc"] == 0 and seen["numpy.random at import"], seen
+    return seen
+
+
+@pytest.mark.parametrize("keys", [
+    {"experiment.kind": "exponent", "boundary.kind": "constant,decreasing,increasing",
+     "run.t_min": "4", "run.t_max": "64", "run.t_points": "4"},
+    {"experiment.kind": "spitzer", "model.beta": "0.5", "spitzer.t_values": "1,2,4"},
+], ids=["exponent", "spitzer"])
+def test_exact_runs_never_load_scipy(keys):
+    seen = run_fresh(keys)
+    assert seen["loaded"] == [], seen
+    assert seen["scipy.integrate at engine start"] is False
+
+
+@pytest.mark.parametrize("keys", [
+    {"experiment.kind": "product-bound", "boundary.gamma": "1", "run.t_max": "64"},
+    {"experiment.kind": "discrete-survival", "run.t_min": "16", "run.t_max": "40",
+     "run.t_points": "4"},
+    {"experiment.kind": "survival", "model.mode": "perturbed", "run.t_min": "4",
+     "run.t_max": "16", "run.t_points": "2"},
+], ids=["product-bound", "discrete-survival", "perturbed-survival"])
+def test_integrating_runs_load_scipy_in_setup(keys):
+    assert run_fresh(keys)["scipy.integrate at engine start"] is True
