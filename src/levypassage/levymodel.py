@@ -85,16 +85,16 @@ def _jump_side_integrals(tail: RegVaryingTail, u: float,
     the infinite interval; both are computed at |u| so that Psi(-u) is the
     exact float conjugate of Psi(u).
     """
-    g, integrate_quad = tail.density, quadpack().quad
+    g, integrate = tail.density, quadpack()
     kw = dict(epsabs=epsabs, epsrel=epsrel, limit=500)
-    i_cos_inner, _ = integrate_quad(lambda x: (math.cos(u * x) - 1.0) * g(x), 0.0, 1.0, **kw)
-    i_sin_inner, _ = integrate_quad(lambda x: (math.sin(u * x) - u * x) * g(x), 0.0, 1.0, **kw)
+    i_cos_inner, _ = integrate.quad(lambda x: (math.cos(u * x) - 1.0) * g(x), 0.0, 1.0, **kw)
+    i_sin_inner, _ = integrate.quad(lambda x: (math.sin(u * x) - u * x) * g(x), 0.0, 1.0, **kw)
     if u == 0.0:
         return i_cos_inner, i_sin_inner
     au = abs(u)
-    cos_outer, _ = integrate_quad(g, 1.0, np.inf, weight="cos", wvar=au,
+    cos_outer, _ = integrate.quad(g, 1.0, np.inf, weight="cos", wvar=au,
                                   epsabs=epsabs, limlst=200, limit=500)
-    sin_outer, _ = integrate_quad(g, 1.0, np.inf, weight="sin", wvar=au,
+    sin_outer, _ = integrate.quad(g, 1.0, np.inf, weight="sin", wvar=au,
                                   epsabs=epsabs, limlst=200, limit=500)
     mass_outer = tail_mass(tail, 1.0)
     return i_cos_inner + (cos_outer - mass_outer), \
