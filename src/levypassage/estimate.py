@@ -10,9 +10,9 @@ boundary has been crossed; the draws and the running sum are those of the
 whole-grid path, so the counts are the same as when every path runs to the
 largest horizon.  The exact paths of a chunk are drawn together, row by row
 on one reused stream cursor.  A perturbed-mode path stops in the same way:
-its up-front draws cover the whole horizon, and its jumps, normals and
-running sum are evaluated in time blocks ending at t = 1, 2, 4, ... from
-the same draws.  Workers own disjoint path-index ranges with a fixed chunk
+it is drawn in time blocks ending at t = 1, 2, 4, ..., each block drawing
+its own jumps and normals from the path's stream, so a path that stops
+early draws nothing for later times.  Workers own disjoint path-index ranges with a fixed chunk
 size and run in forked processes when run.threads asks for more than one.
 The only state they hand back is integer survivor counts combined by
 addition, so results are identical for any worker count.
@@ -203,9 +203,9 @@ def survival_counts(model: LevyModel, boundaries: list[Boundary], T_grid,
     One path set is reused for every boundary and every horizon: counts are
     exactly nonincreasing in T and respect pointwise boundary ordering.  A
     path is scored at the first monitored point where its value exceeds the
-    boundary (ties survive); a path, drawn in blocks from the draws of the
-    whole path, stops once every boundary has such a point, since later
-    points cannot change its contribution.  Perturbed-mode paths use `plan`,
+    boundary (ties survive); a path, drawn in blocks that continue the
+    whole path's stream, stops once every boundary has such a point, since
+    later points cannot change its contribution.  Perturbed-mode paths use `plan`,
     by default the plan of the model itself.
     """
     if n_paths <= 0:
@@ -222,9 +222,6 @@ def survival_counts(model: LevyModel, boundaries: list[Boundary], T_grid,
     if exact:
         dt_pow = np.diff(pts) ** (1.0 / model.stable.alpha)
         bvals = np.array([boundary_value(b, pts) for b in boundaries])
-    else:  # time blocks end at the last points <= 1, 2, 4, ..., and the horizon
-        ends = pts.searchsorted(2.0 ** np.arange(math.ceil(math.log2(pts[-1]))), "right")
-        ends = np.unique(np.append(ends[ends > 1] - 1, pts.size - 1))
 
     def worker(lo: int, hi: int) -> np.ndarray:
         dead = np.zeros((len(boundaries), Tg.size + 1), dtype=np.int64)
@@ -240,7 +237,7 @@ def survival_counts(model: LevyModel, boundaries: list[Boundary], T_grid,
         else:
             for i in range(lo, hi):
                 row = np.array([i - lo])
-                for mpts, vals, _ in path_blocks(plan, pts, ends, stream(seed, i, phase)):
+                for mpts, vals, _ in path_blocks(plan, pts, stream(seed, i, phase)):
                     _score_rows(dead, pending, row, vals[None], mpts,
                                 np.array([boundary_value(b, mpts) for b in boundaries]), Tg)
                     if not pending[row[0]].any():

@@ -19,7 +19,8 @@ from .decompose import NEGATIVE, DecompositionT
 from .levymodel import LevyModel
 from .rng import PHASE_PATHS, stream
 from .estimate import _run_chunks
-from .simulate import PathSample, PerturbedPlan, TimeGrid, exact_rows, path_blocks, sample_path
+from .simulate import (PathSample, PerturbedPlan, TimeGrid, exact_rows, joined_blocks,
+                       sample_path)
 
 KAPPA_U_RANGE = 40.0
 KAPPA_PANELS = 10_000
@@ -163,11 +164,10 @@ def renewal_convergence_gaps(model: LevyModel, decomp_by_T: dict[float, Decompos
     Ts = sorted(decomp_by_T)
     decomps = [decomp_by_T[T] for T in Ts]
     plan = PerturbedPlan.from_model(model)
-    ends = [grid.points.size - 1]
     count_x = 0.0
     count_y = {T: 0.0 for T in Ts}
     for i in range(n_paths):
-        ((_, vx, _, s_values),) = path_blocks(plan, grid.points, ends, stream(seed, i), decomps)
+        _, vx, _, s_values = joined_blocks(plan, grid.points, stream(seed, i), decomps)
         count_x += int(np.count_nonzero(vx[_record_mask(vx)] < x))
         for T, d, vs in zip(Ts, decomps, s_values):
             # negative side: X = Y - S  =>  Y = X + S ; positive side: Y = X - S

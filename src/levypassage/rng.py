@@ -25,10 +25,13 @@ def _layout(seed: int, path_index: int, phase: int, offset: int = 0):
     """Philox key and counter at raw 64-bit draw `offset` of a path's stream.
 
     The one definition of the stream layout; a counter step yields four
-    raw draws.
+    raw draws.  Seed, path index and phase must lie in [0, 2**64): a value
+    outside would otherwise wrap onto another stream.
     """
-    return ((seed & _MASK64, path_index & _MASK64),
-            (offset // 4, 0, phase & _MASK64, 0))
+    if not (0 <= seed <= _MASK64 and 0 <= path_index <= _MASK64 and 0 <= phase <= _MASK64):
+        raise ValueError(f"seed {seed}, path index {path_index} and phase {phase} "
+                         "must lie in [0, 2**64)")
+    return (seed, path_index), (offset // 4, 0, phase, 0)
 
 
 def stream(seed: int, path_index: int, phase: int = PHASE_PATHS) -> np.random.Generator:

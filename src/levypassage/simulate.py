@@ -8,11 +8,13 @@ approximation.  Perturbed paths monitor the union of the requested grid and
 the jump epochs, which removes the dominant crossing-detection error for
 jump-driven paths.
 
-One block source, path_blocks, builds perturbed paths: the jump count and
-three uniforms per jump up front (PerturbedPlan.draw_jumps), then sizes,
-normals and the running sum block by block in time, bit for bit the
-whole-grid path; callers may stop.  Given splits, it also builds the
-coupled S_T of each split, so that Y_T = X -+ S_T holds pathwise.
+One block source, path_blocks, builds perturbed paths in time blocks ending
+at the last grid points at or before t = 1, 2, 4, ... and the horizon.  Each
+block draws its own jumps from the path's stream (PerturbedPlan.draw_jumps),
+then its normals, so a caller that stops after a block has drawn nothing
+for later times; sample_path joins all blocks of the same stream.  Given
+splits, it also builds the coupled S_T of each split, so that Y_T = X -+ S_T
+holds pathwise.
 
 Determinism contract: a path is a pure function of (seed, path index, phase),
 independent of thread count and scheduling.
@@ -151,20 +153,19 @@ class PerturbedPlan:
                    p_right=rate_r / rate if rate > 0 else 0.0,
                    table_right=tables["right"], table_left=tables["left"])
 
-    def draw_jumps(self, rng: np.random.Generator, horizon: float):
-        """A path's up-front draws in stream order: (epochs, right, u).
+    def draw_jumps(self, rng: np.random.Generator, lo: float, hi: float):
+        """The jumps of the block (lo, hi] in stream order: (epochs, right, u).
 
-        A Poisson count n, n unsorted epochs on [0, horizon), n side uniforms
-        (`right` holds those of the epochs > 0, in sorted order) and a size
-        uniform per epoch > 0 (right jumps' first, in epoch order).
+        A Poisson count n with mean rate * (hi - lo), n sorted epochs
+        hi - (hi - lo) * U in (lo, hi], n side uniforms (`right` marks the
+        right jumps) and n size uniforms for signed_sizes.  A plan without
+        jumps draws nothing.
         """
-        n = rng.poisson(self.rate * horizon) if self.rate > 0 else 0
-        if n == 0:
+        if self.rate <= 0:
             return np.empty(0), np.empty(0, dtype=bool), np.empty(0)
-        epochs = rng.uniform(0.0, horizon, size=n)
-        kept = n - np.count_nonzero(epochs == 0.0)
-        right = rng.uniform(size=n)[n - kept:] < self.p_right
-        return epochs, right, rng.uniform(size=kept)
+        n = rng.poisson(self.rate * (hi - lo))
+        epochs = np.sort(hi - (hi - lo) * rng.random(n))
+        return epochs, rng.random(n) < self.p_right, rng.random(n)
 
     def signed_sizes(self, right: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Signed sizes: right jumps take u[:nr] in order, left jumps the rest."""
@@ -201,49 +202,74 @@ def _merge_with_epochs(points: np.ndarray, epochs: np.ndarray,
     return merged, _cell_jumps(merged, epochs, signed)
 
 
-def path_blocks(plan: PerturbedPlan, points: np.ndarray, ends, rng: np.random.Generator,
+def block_ends(points: np.ndarray) -> np.ndarray:
+    """Indices of the last points at or before t = 1, 2, 4, ..., and the horizon."""
+    ends = points.searchsorted(2.0 ** np.arange(math.ceil(math.log2(points[-1]))),
+                               "right") - 1
+    return np.unique(np.append(ends[ends > 0], points.size - 1))
+
+
+def path_blocks(plan: PerturbedPlan, points: np.ndarray, rng: np.random.Generator,
                 splits=()):
-    """A perturbed path on `points` in blocks (points[a], points[b]], b in `ends`.
+    """A perturbed path on `points` in blocks (points[a], points[b]], b in block_ends.
 
     Yields (merged, values, epochs) per block: its grid points and sorted
-    epochs merged, led by points[a] with the carried value.  Jumps are looked
-    up by rank in the up-front draws and normals drawn per block, so the
-    blocks equal the whole-grid path bit for bit.  With `splits`, one
-    thinning uniform per jump follows the up-front draws, shared by every
-    split, and each block also yields the values of each split's S_T (one
-    row per split, carried like X): the jumps beyond 1 on its side that the
-    split thins, by magnitude.
+    epochs merged, led by points[a] with the carried value.  Each block
+    draws from `rng` its jumps (plan.draw_jumps), the normals of its merged
+    cells and one thinning uniform per jump, in that order, so a caller may
+    stop after any block.  The thinning uniforms are drawn with or without
+    splits, so X does not depend on them.  With `splits`, each block also
+    yields the values of each split's S_T (one row per split, carried like
+    X): the jumps beyond 1 on its side that the split thins, by magnitude,
+    all splits sharing the thinning uniforms.
     """
-    epochs, right, u = plan.draw_jumps(rng, points[-1])
-    thin_u = rng.uniform(size=u.size) if splits else None
-    s_values = np.zeros((len(splits), 1))
-    n_right = np.count_nonzero(right)
-    done = done_right = 0  # jumps, right jumps in earlier blocks
+    s_carry = np.zeros(len(splits))
+    for merged, values, epochs, sizes, thin_u in _blocks(plan, points, block_ends(points), rng):
+        if not splits:
+            yield merged, values, epochs
+            continue
+        s_values = _coupled(splits, merged, epochs, sizes, thin_u, s_carry)
+        s_carry = s_values[:, -1]
+        yield merged, values, epochs, s_values
+
+
+def joined_blocks(plan: PerturbedPlan, points: np.ndarray, rng: np.random.Generator,
+                  splits=()):
+    """All blocks of path_blocks joined: the whole path, as one block.
+
+    Without jumps the block ends do not change the draws, so one block is drawn.
+    """
+    ends = block_ends(points) if plan.rate > 0 else [points.size - 1]
+    blocks = list(_blocks(plan, points, ends, rng))
+    merged, values = (np.concatenate([blocks[0][k]] + [b[k][1:] for b in blocks[1:]])
+                      for k in (0, 1))
+    epochs, sizes, thin_u = (np.concatenate([b[k] for b in blocks]) for k in (2, 3, 4))
+    if not splits:
+        return merged, values, epochs
+    return merged, values, epochs, _coupled(splits, merged, epochs, sizes, thin_u,
+                                            np.zeros(len(splits)))
+
+
+def _blocks(plan: PerturbedPlan, points: np.ndarray, ends, rng: np.random.Generator):
+    """(merged, values, epochs, signed sizes, thinning uniforms) per block."""
     a, carry = 0, 0.0
     for b in ends:
-        first, inside, sizes = done, epochs, u  # inside, sizes: empty when no jumps
-        if epochs.size:
-            inside = np.sort(epochs[(epochs > points[a]) & (epochs <= points[b])])
-            side = right[done:done + inside.size]
-            k_right = np.count_nonzero(side)
-            sizes = plan.signed_sizes(side, np.concatenate(
-                (u[done_right:done_right + k_right],
-                 u[n_right + done - done_right:][:inside.size - k_right])))
-            done, done_right = done + inside.size, done_right + k_right
-        merged, jumps = _merge_with_epochs(points[a:b + 1], inside, sizes)
+        epochs, right, u = plan.draw_jumps(rng, points[a], points[b])
+        sizes = plan.signed_sizes(right, u)
+        merged, jumps = _merge_with_epochs(points[a:b + 1], epochs, sizes)
         dt = np.diff(merged)
         inc = plan.drift * dt
         if plan.var_unit > 0:
             inc = inc + np.sqrt(plan.var_unit * dt) * rng.standard_normal(dt.size)
         values = _running_sum(inc + jumps, carry)
         a, carry = b, values[-1]
-        if not splits:
-            yield merged, values, inside
-            continue
-        thin = [d.thinned(sizes, thin_u[first:done]) for d in splits]
-        s_values = np.array([_running_sum(_cell_jumps(merged, inside[t], np.abs(sizes[t])), c)
-                             for t, c in zip(thin, s_values[:, -1])])
-        yield merged, values, inside, s_values
+        yield merged, values, epochs, sizes, rng.random(epochs.size)
+
+
+def _coupled(splits, merged, epochs, sizes, thin_u, start) -> np.ndarray:
+    """Values on `merged` of each split's S_T, one row per split from start[r]."""
+    return np.array([_running_sum(_cell_jumps(merged, epochs[t], np.abs(sizes[t])), c)
+                     for t, c in zip((d.thinned(sizes, thin_u) for d in splits), start)])
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +287,7 @@ def sample_path(model: LevyModel, grid: TimeGrid, stream,
         return PathSample(grid=grid, values=values, jump_times=np.empty(0))
     if plan is None:
         plan = PerturbedPlan.from_model(model)
-    ((merged, values, epochs),) = path_blocks(plan, grid.points, [grid.points.size - 1], rng)
+    merged, values, epochs = joined_blocks(plan, grid.points, rng)
     out_grid = grid if epochs.size == 0 else TimeGrid(merged, grid.policy)
     return PathSample(grid=out_grid, values=values, jump_times=epochs)
 

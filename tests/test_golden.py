@@ -1,9 +1,11 @@
 """Golden outputs: fixed-seed literals that every engine change must reproduce.
 
-The survivor counts were recorded from the engine that simulates every path
-over the whole monitoring grid.  They pin the per-path stream layout, the
-running sum and the first-crossing scoring (ties survive) bit for bit, so any
-change that alters a single draw or a single rounding shows up here.  Each
+The exact-mode survivor counts were recorded from the engine that simulates
+every path over the whole monitoring grid; the perturbed-mode ones from paths
+that draw their jumps block by block in time.  They pin the per-path stream
+layout, the running sum and the first-crossing scoring (ties survive) bit for
+bit, so any change that alters a single draw or a single rounding shows up
+here.  Each
 case that takes a thread count runs at one and at four threads.  The
 remaining literals pin the other path builders (product bound, discrete
 survival, renewal gaps, Gaussian refinement, Spitzer profiles, the lemma
@@ -66,8 +68,8 @@ def _cases():
             replace(UNIT, stable=None),
             [Boundary("constant"), Boundary("decreasing", 1.0)],
             np.array([2.0, 4.0, 8.0, 16.0]), 40, TimeGrid.survival(16.0), 15,
-            [[10, 7, 5, 5],
-             [10, 7, 5, 4]]),
+            [[11, 8, 5, 4],
+             [10, 8, 5, 4]]),
     }
 
 
@@ -93,13 +95,13 @@ def _perturbed_cases():
             [Boundary("constant"), Boundary("decreasing", 0.6, 2.0),
              Boundary("increasing", 0.9)],
             np.array([0.5, 2.0, 8.0, 40.5]), 300, TimeGrid.geometric(40.5), 16,
-            [[207, 76, 15, 3], [218, 68, 11, 3], [217, 104, 24, 5]]),
+            [[208, 76, 15, 2], [230, 68, 15, 3], [229, 115, 31, 5]]),
         "log-power-integers": (
             tail_only_model(0.8, SlowlyVaryingSpec("log-power", c=0.5, p=0.5)),
             None,
             [Boundary("constant", level=2.0), Boundary("increasing", 0.9)],
             np.array([1.0, 4.0, 16.0, 64.0]), 300, TimeGrid.integers(64.0), 17,
-            [[136, 59, 34, 15], [119, 53, 30, 14]]),
+            [[113, 54, 19, 9], [99, 47, 16, 7]]),
         # the Y_T factor of the product bound: big negative jumps thinned
         "thinned-y-plan": (
             replace(SCALED, stable=None),
@@ -108,13 +110,13 @@ def _perturbed_cases():
             [Boundary("constant", level=0.5), Boundary("constant", level=2.0)],
             np.array([1.0, 4.0, 16.0, 64.0, 256.0]), 60,
             TimeGrid.survival(256.0), 18,
-            [[25, 6, 2, 0, 0], [41, 13, 3, 0, 0]]),
+            [[27, 9, 1, 0, 0], [36, 16, 1, 0, 0]]),
         # a horizon <= 1 is a single block
         "horizon-below-one": (
             replace(SCALED, stable=None), None,
             [Boundary("constant", level=0.5), Boundary("decreasing", 0.5)],
             np.array([0.125, 0.5, 0.75]), 300, TimeGrid.survival(0.75), 19,
-            [[268, 198, 177], [272, 177, 136]]),
+            [[268, 198, 177], [274, 178, 138]]),
         "jump-free": (
             brownian_model(0.5, 0.05), None,
             [Boundary("constant"), Boundary("increasing", 0.5, 0.25)],
@@ -135,9 +137,9 @@ def test_golden_perturbed_survival_counts(name, threads):
 
 @pytest.mark.parametrize("threads", [1, 4])
 @pytest.mark.parametrize("decomp, want", [
-    (None, [5, 2, 3]),
+    (None, [2, 1, 3]),
     # S_T == 0: the Y factor is X itself below 1/2
-    (DecompositionT.empty(), [5, 4, 0]),
+    (DecompositionT.empty(), [2, 4, 0]),
 ])
 def test_golden_product_bound(decomp, want, threads):
     n = 80
@@ -172,7 +174,7 @@ def test_golden_renewal_gaps():
     gaps = renewal_convergence_gaps(m, decomps, TimeGrid.integers(16.0), 1.0,
                                     40, 24)
     assert {T: "%.17g" % g for T, g in gaps.items()} == {
-        1e2: "0.875", 1e4: "0.29999999999999893"}
+        1e2: "0.72499999999999964", 1e4: "0.34999999999999964"}
     assert all(type(g) is float for g in gaps.values())
 
 
@@ -188,7 +190,7 @@ SKEWED = stable_model(0.7, -0.6, 1.5)
 
 @pytest.mark.parametrize("model, seed, want", [
     (SKEWED, 31, [60, 58, 55, 62, 59]),
-    (replace(SKEWED, stable=None), 32, [67, 64, 58, 50, 50]),
+    (replace(SKEWED, stable=None), 32, [62, 62, 66, 64, 55]),
 ])
 def test_golden_spitzer_profile(model, seed, want):
     # 600 paths: two full chunks of 256 and a ragged one of 88, at one

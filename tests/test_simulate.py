@@ -1,4 +1,3 @@
-import itertools
 import math
 from dataclasses import replace
 
@@ -14,9 +13,10 @@ from levypassage.levymodel import (Boundary, brownian_model, drift_model,
                                    symmetric_stable_model, tail_only_model)
 from levypassage.rng import stream
 from levypassage.rvcalc import SlowlyVaryingSpec
-from levypassage.simulate import (ETA, PerturbedPlan, TimeGrid,
-                                  discrete_increments, path_blocks, sample_path,
-                                  sample_subordinator_path)
+from levypassage.passage import survives
+from levypassage.simulate import (ETA, PerturbedPlan, TimeGrid, block_ends,
+                                  discrete_increments, joined_blocks, path_blocks,
+                                  sample_path, sample_subordinator_path)
 from levypassage.stable import StableParams, sample_stable
 
 ELL1 = SlowlyVaryingSpec("constant", c=1.0)
@@ -107,6 +107,24 @@ def test_perturbed_matches_exact_in_law():
     assert ks_2samp(vals, z).statistic < 1.628 * math.sqrt(2.0 / n)
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("beta, seed", [(0.0, 34), (0.5, 35)])
+def test_perturbed_matches_exact_in_law_across_blocks(beta, seed):
+    # X(4) from three time blocks, (0, 1], (1, 2] and (2, 4], each drawing
+    # its own jumps, against exact stable draws: the unit-tail symmetric
+    # model, and a skewed one (constant ell, p_right = 3/4, drift)
+    m = standard_symmetric_model(0.7) if beta == 0.0 else stable_model(0.7, beta)
+    pm = replace(m, stable=None)
+    plan = PerturbedPlan.from_model(pm)
+    n, T = 10 ** 4, 4.0
+    grid = TimeGrid(np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, T]), "uniform")
+    vals = np.array([sample_path(pm, grid, (seed, i, 0), plan=plan).values[-1]
+                     for i in range(n)])
+    z = T ** (1.0 / 0.7) * m.scale * sample_stable(StableParams(0.7, beta), n,
+                                                   stream(seed, 0, 5))
+    assert ks_2samp(vals, z).statistic < 1.628 * math.sqrt(2.0 / n)
+
+
 def test_perturbed_monitors_jump_epochs():
     pm = tail_only_model(0.7, ELL1)
     path = sample_path(pm, TimeGrid(np.array([0.0, 8.0]), "uniform"), (3, 7, 0))
@@ -164,8 +182,7 @@ def test_coupled_decomposition_identity():
     pts = TimeGrid.integers(64.0).points
     for side, sign in ((NEGATIVE, -1.0), (POSITIVE, 1.0)):
         decomps = [build_decomposition(m, T, side) for T in (64.0, 4096.0)]
-        ((merged, x, epochs, s),) = path_blocks(plan, pts, [pts.size - 1],
-                                                stream(13, 2), decomps)
+        merged, x, epochs, s = joined_blocks(plan, pts, stream(13, 2), decomps)
         assert s.shape == (2, merged.size) and np.all(s[:, 0] == 0.0)
         jumps = np.diff(s, axis=1)
         assert np.all(jumps >= 0.0)
@@ -220,42 +237,6 @@ def test_small_jump_cutoff_constant():
     assert ETA == 1e-3
 
 
-def _whole_path(plan, points, rng, splits=()):
-    """Reference perturbed path over the whole grid: all jumps, then normals.
-
-    With splits, one thinning uniform per jump is drawn after the sizes and
-    shared by every split; each split's S_T sums the magnitudes of the jumps
-    it thins.
-    """
-    n = rng.poisson(plan.rate * points[-1]) if plan.rate > 0 else 0
-    epochs = np.sort(rng.uniform(0.0, points[-1], size=n))
-    keep = epochs > 0.0
-    right = rng.uniform(size=n)[keep] < plan.p_right
-    epochs = epochs[keep]
-    signed = np.empty(epochs.size)
-    nr = int(right.sum())
-    if nr:
-        signed[right] = plan.table_right.sample(rng, nr)
-    if epochs.size - nr:
-        signed[~right] = -plan.table_left.sample(rng, epochs.size - nr)
-    thin_u = rng.uniform(size=epochs.size) if splits else None
-    merged = np.union1d(points, epochs)
-    cell = np.searchsorted(merged, epochs)
-    acc = np.zeros(merged.size)
-    np.add.at(acc, cell, signed)
-    dt = np.diff(merged)
-    inc = plan.drift * dt
-    if plan.var_unit > 0:
-        inc = inc + np.sqrt(plan.var_unit * dt) * rng.standard_normal(dt.size)
-    values = np.concatenate([[0.0], np.cumsum(inc + acc[1:])])
-    s_values = np.zeros((len(splits), merged.size))
-    for row, d in zip(s_values, splits):
-        thin = d.thinned(signed, thin_u)
-        np.add.at(row, cell[thin], np.abs(signed[thin]))
-        np.cumsum(row, out=row)
-    return merged, values, epochs, s_values
-
-
 SCALED = stable_model(0.7, 0.0, 1.5)
 
 
@@ -277,62 +258,88 @@ def _block_cases():
     }
 
 
-@pytest.mark.parametrize("ends", ["doubling", "scattered"])
 @pytest.mark.parametrize("name", list(_block_cases()))
-def test_path_blocks_equal_the_whole_path(name, ends):
-    # each path without splits, then with splits of both sides and two T
+def test_path_blocks_equal_the_whole_path(name):
+    # the blocks of a path, joined, are sample_path on the same stream; with
+    # splits of both sides and two T, X and its epochs stay the same, and
+    # the S_T blocks join to joined_blocks' S_T
     plan, grid, model = _block_cases()[name]
     splits = [build_decomposition(model, 16.0, NEGATIVE),
               build_decomposition(model, 16.0, POSITIVE),
               build_decomposition(model, 1e4, POSITIVE)]
     pts = grid.points
-    if ends == "doubling":
-        marks = pts.searchsorted(2.0 ** np.arange(math.ceil(math.log2(pts[-1]))),
-                                 side="right") - 1
-        stops = np.unique(np.append(marks[marks > 0], pts.size - 1))
-    else:
-        pick = np.random.default_rng(len(name)).choice(
-            np.arange(1, pts.size - 1), size=6, replace=False)
-        stops = np.append(np.sort(pick), pts.size - 1)
+    ends = block_ends(pts)
+    assert ends.size > 2 and pts[ends[0]] <= 1.0 < pts[ends[0] + 1]
+    x_model = replace(model, stable=None)
     thinned = 0
-    for i, with_splits in itertools.product(range(8), (False, True)):
-        splits_i = splits if with_splits else []
-        merged, values, epochs, s_values = _whole_path(plan, pts, stream(61, i), splits_i)
-        blocks = list(path_blocks(plan, pts, stops, stream(61, i), splits_i))
-        assert len(blocks) == stops.size
-        assert all(len(b) == 3 + with_splits for b in blocks)
-        assert all(b[0][0] == pts[a] for b, a in zip(blocks, np.append(0, stops)))
+    for i in range(8):
+        path = sample_path(x_model, grid, stream(61, i), plan=plan)
+        blocks = list(path_blocks(plan, pts, stream(61, i)))
+        assert len(blocks) == ends.size
+        for (merged, _, epochs), a, b in zip(blocks, np.append(0, ends), ends):
+            assert merged[0] == pts[a] and merged[-1] == pts[b]
+            assert np.all((epochs > pts[a]) & (epochs <= pts[b]))
         got_pts = np.concatenate([blocks[0][0]] + [b[0][1:] for b in blocks[1:]])
         got_vals = np.concatenate([blocks[0][1]] + [b[1][1:] for b in blocks[1:]])
         got_epochs = np.concatenate([b[2] for b in blocks])
-        assert np.array_equal(got_pts, merged)
-        assert np.array_equal(got_vals, values)
-        assert np.array_equal(got_epochs, epochs)
-        if with_splits:
-            got_s = np.concatenate([blocks[0][3]] + [b[3][:, 1:] for b in blocks[1:]],
-                                   axis=1)
-            assert np.array_equal(got_s, s_values)
-            thinned += np.count_nonzero(s_values[:, -1])
-    assert epochs.size > 0 and thinned > 0
+        assert np.array_equal(got_pts, path.grid.points)
+        assert np.array_equal(got_vals, path.values)
+        assert np.array_equal(got_epochs, path.jump_times)
+        coupled = list(path_blocks(plan, pts, stream(61, i), splits))
+        assert len(coupled) == ends.size
+        for (merged, values, epochs), (c_merged, c_values, c_epochs, s) in zip(blocks, coupled):
+            assert np.array_equal(c_merged, merged) and np.array_equal(c_values, values)
+            assert np.array_equal(c_epochs, epochs) and s.shape == (3, merged.size)
+        got_s = np.concatenate([coupled[0][3]] + [b[3][:, 1:] for b in coupled[1:]], axis=1)
+        *whole, s_values = joined_blocks(plan, pts, stream(61, i), splits)
+        assert np.array_equal(whole[1], path.values) and np.array_equal(got_s, s_values)
+        thinned += np.count_nonzero(s_values[:, -1])
+    assert path.jump_times.size > 0 and thinned > 0
 
 
-def test_crossed_perturbed_paths_stop_drawing_sizes(monkeypatch):
-    # every path crosses a level below 0 at t = 0, in the first block
+@pytest.mark.parametrize("name", ["x-plan-T256", "skewed-diffusive"])
+def test_perturbed_survival_counts_score_the_whole_path(name):
+    # survival_counts stops paths early; scoring each whole sample_path with
+    # passage.survives, a path survives horizon T unless it crossed by T
+    plan, grid, model = _block_cases()[name]
+    x_model = replace(model, stable=None)
+    T = grid.horizon
+    boundaries = [Boundary("constant", level=0.5), Boundary("decreasing", 0.5, 2.0),
+                  Boundary("increasing", 1.3)]
+    T_grid = [t for t in (0.5, 2.0, 8.0, 32.0, 256.0) if t < T] + [T]
+    n_paths, seed = 40, 63
+    want = np.zeros((len(boundaries), len(T_grid)), dtype=int)
+    for i in range(n_paths):
+        path = sample_path(x_model, grid, stream(seed, i), plan=plan)
+        for row, b in zip(want, boundaries):
+            v = survives(path, b)
+            crossed = math.inf if v.survived else path.grid.points[v.first_crossing_index]
+            row += [crossed > t for t in T_grid]
+    got = survival_counts(x_model, boundaries, T_grid, n_paths, grid, seed, plan=plan)
+    assert got.tolist() == want.tolist()
+    assert 0 < want[:, -1].sum() and want[:, 0].sum() < n_paths * len(boundaries)
+
+
+def test_crossed_perturbed_paths_draw_one_block(monkeypatch):
+    # every path crosses a level below 0 at t = 0, in its first block (0, 1]:
+    # it draws that block's jumps once and no sizes beyond them
     model = replace(standard_symmetric_model(0.7), stable=None)
     plan = PerturbedPlan.from_model(model)
     T, n_paths, seed = 2.0 ** 12, 4, 62
-    sized = []
-    sizes = JumpTable.sizes
+    calls, sized = [], []
+    draw_jumps, sizes = PerturbedPlan.draw_jumps, JumpTable.sizes
+
+    def record(self, rng, lo, hi):
+        out = draw_jumps(self, rng, lo, hi)
+        calls.append((lo, hi, out[0].size))
+        return out
+
+    monkeypatch.setattr(PerturbedPlan, "draw_jumps", record)
     monkeypatch.setattr(JumpTable, "sizes",
                         lambda self, u: sized.append(u.size) or sizes(self, u))
     got = survival_counts(model, [Boundary("constant", level=-0.5)],
                           [1.0, T], n_paths, TimeGrid.survival(T), seed, plan=plan)
     assert got.tolist() == [[0, 0]]
-    first_block = total = 0
-    for i in range(n_paths):
-        rng = stream(seed, i)
-        epochs = rng.uniform(0.0, T, size=rng.poisson(plan.rate * T))
-        first_block += np.count_nonzero((epochs > 0.0) & (epochs <= 1.0))
-        total += epochs.size
-    assert sum(sized) == first_block
-    assert 0 < first_block < total / 1000
+    assert [(lo, hi) for lo, hi, _ in calls] == [(0.0, 1.0)] * n_paths
+    drawn = sum(n for _, _, n in calls)
+    assert sum(sized) == drawn and 0 < drawn < 3 * plan.rate * n_paths

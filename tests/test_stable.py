@@ -126,6 +126,16 @@ def test_streams_are_reproducible_and_distinct():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: stream(-1, 3), lambda: stream(2 ** 64 + 5, 3), lambda: stream(5, -3),
+    lambda: stream(5, 3, 2 ** 64), lambda: Cursor().place(-1, 0)])
+def test_out_of_range_stream_keys_raise(make):
+    """A seed, path index or phase outside [0, 2**64) would alias another
+    stream if it were wrapped, so it is refused."""
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        make()
+
+
 @pytest.mark.parametrize("offset", [0, 1, 3, 4, 161, 16464])
 def test_cursor_places_like_a_skipped_stream(offset):
     """A reused cursor placed at raw draw `offset` yields the uniforms and
