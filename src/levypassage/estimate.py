@@ -12,8 +12,9 @@ largest horizon.  The exact paths of a chunk are drawn together, row by row
 on one reused stream cursor.  A perturbed-mode path stops in the same way:
 it is drawn in time blocks ending at t = 1, 2, 4, ..., each block drawing
 its own jumps and normals from the path's stream, so a path that stops
-early draws nothing for later times.  Workers own disjoint path-index ranges with a fixed chunk
-size and run in forked processes when run.threads asks for more than one.
+early draws nothing for later times.  Workers own disjoint path-index
+ranges with a fixed chunk size and run in forked processes when
+run.threads asks for more than one.
 The only state they hand back is integer survivor counts combined by
 addition, so results are identical for any worker count.
 """
@@ -205,8 +206,8 @@ def survival_counts(model: LevyModel, boundaries: list[Boundary], T_grid,
     path is scored at the first monitored point where its value exceeds the
     boundary (ties survive); a path, drawn in blocks that continue the
     whole path's stream, stops once every boundary has such a point, since
-    later points cannot change its contribution.  Perturbed-mode paths use `plan`,
-    by default the plan of the model itself.
+    later points cannot change its contribution.  Perturbed-mode paths use
+    `plan`, by default the plan of the model itself.
     """
     if n_paths <= 0:
         raise ValueError("n_paths must be positive")
