@@ -258,18 +258,29 @@ def _block_cases():
     }
 
 
+@pytest.mark.parametrize("ends", ["doubling", "scattered"])
 @pytest.mark.parametrize("name", list(_block_cases()))
-def test_path_blocks_equal_the_whole_path(name):
+def test_path_blocks_equal_the_whole_path(name, ends):
     # the blocks of a path, joined, are sample_path on the same stream; with
     # splits of both sides and two T, X and its epochs stay the same, and
-    # the S_T blocks join to joined_blocks' S_T
+    # the S_T blocks join to joined_blocks' S_T.  "doubling" keeps the grid,
+    # so blocks end at t = 1, 2, 4, ...; "scattered" drops those times and
+    # adds scattered points, so each block ends at the last point before one
     plan, grid, model = _block_cases()[name]
     splits = [build_decomposition(model, 16.0, NEGATIVE),
               build_decomposition(model, 16.0, POSITIVE),
               build_decomposition(model, 1e4, POSITIVE)]
     pts = grid.points
+    doubling = 2.0 ** np.arange(math.ceil(math.log2(pts[-1])))
+    scattered = ends == "scattered"
+    if scattered:
+        rng = np.random.default_rng(len(name))
+        extra = np.concatenate([rng.uniform(0.0, 1.0, 2), rng.uniform(0.0, pts[-1], 6)])
+        pts = np.union1d(pts[~np.isin(pts, doubling)], extra)
+        grid = TimeGrid(pts, grid.policy)
     ends = block_ends(pts)
     assert ends.size > 2 and pts[ends[0]] <= 1.0 < pts[ends[0] + 1]
+    assert not (scattered and np.any(np.isin(pts[ends[:-1]], doubling)))
     x_model = replace(model, stable=None)
     thinned = 0
     for i in range(8):
