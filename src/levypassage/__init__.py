@@ -11,11 +11,10 @@ from .estimate import (ExponentFit, SurvivalEstimate,
                        survival_counts, survival_probability)
 from .fluctuation import (LadderSample, PositivityProfile, kappa,
                           ladder_process, renewal_estimate, spitzer_profile)
-from .levymodel import (Boundary, LevyModel, brownian_model,
-                        characteristic_exponent, drift_model, effective_rho,
-                        levy_unit_tail_scale, stable_model,
-                        standard_symmetric_model, symmetric_stable_model,
-                        tail_only_model, validate_model)
+from .levymodel import (Boundary, LevyModel, characteristic_exponent,
+                        effective_rho, levy_unit_tail_scale, stable_model,
+                        standard_symmetric_model, tail_only_model,
+                        validate_model)
 from .passage import (SurvivalVerdict, boundary_value, brownian_integral_test,
                       survives)
 from .rvcalc import (RegVaryingTail, SlowlyVaryingSpec, eval_slowly_varying,
@@ -30,14 +29,14 @@ __all__ = [
     "LadderSample", "LevyModel", "PathSample", "PositivityProfile",
     "RegVaryingTail", "SlowlyVaryingSpec", "StableParams", "SurvivalEstimate",
     "SurvivalVerdict", "TimeGrid", "boundary_value", "brownian_integral_test",
-    "brownian_model", "build_decomposition", "characteristic_exponent",
-    "delta", "discrete_survival_experiment", "drift_model", "effective_rho",
+    "build_decomposition", "characteristic_exponent",
+    "delta", "discrete_survival_experiment", "effective_rho",
     "eval_slowly_varying", "fit_exponent", "kappa", "ladder_process",
     "laplace_bound", "lemma_n0N_experiment", "levy_unit_tail_scale",
     "norming_function", "positivity_parameter", "product_bound_check",
     "renewal_estimate", "sample_path", "sample_stable",
     "sample_subordinator_path", "spitzer_profile", "stable_model",
     "standard_symmetric_model", "survival_counts", "survival_probability",
-    "survives", "symmetric_stable_model", "t0_threshold", "tail_mass",
+    "survives", "t0_threshold", "tail_mass",
     "tail_only_model", "validate_model",
 ]

@@ -323,9 +323,9 @@ def _row(cfg: ExperimentConfig, **kw) -> dict:
     return base
 
 
-def _estimate_row(cfg, boundary_kind, est: SurvivalEstimate, kind=None, gamma=None):
+def _estimate_row(cfg, boundary_kind, est: SurvivalEstimate, kind=None):
     return _row(cfg, kind=kind or cfg.kind, boundary_kind=boundary_kind,
-                gamma=cfg.gamma if gamma is None else gamma, T=est.T,
+                gamma=cfg.gamma, T=est.T,
                 n_paths=est.n_paths, survivors=est.survivors, p_hat=est.p_hat,
                 ln_p=math.log(est.p_hat) if est.p_hat > 0 else -math.inf,
                 ci_low=est.log_ci[0], ci_high=est.log_ci[1])

@@ -75,11 +75,10 @@ class JumpTable:
     _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
     def __init__(self, density: Callable[[np.ndarray], np.ndarray], x_lo: float,
-                 alpha: float, x_hi: float = TABLE_HI, knots: int = TABLE_KNOTS,
-                 breakpoints: tuple[float, ...] = ()):
-        pts = np.geomspace(x_lo, x_hi, knots)
+                 alpha: float, breakpoints: tuple[float, ...] = ()):
+        pts = np.geomspace(x_lo, TABLE_HI, TABLE_KNOTS)
         for bp in breakpoints:
-            if x_lo < bp < x_hi:
+            if x_lo < bp < TABLE_HI:
                 pts = np.union1d(pts, [bp])
         # Gauss-Legendre in u = ln x per segment
         lo, hi = np.log(pts[:-1]), np.log(pts[1:])
@@ -87,7 +86,7 @@ class JumpTable:
         u = mid[:, None] + half[:, None] * self._GL_NODES[None, :]
         x = np.exp(u)
         seg = half * np.sum(self._GL_WEIGHTS[None, :] * density(x) * x, axis=1)
-        rest = power_tail_remainder(lambda v: density(np.asarray([v]))[0], x_hi)
+        rest = power_tail_remainder(lambda v: density(np.asarray([v]))[0], TABLE_HI)
         mass = np.concatenate([np.cumsum(seg[::-1])[::-1] + rest, [rest]])
         self.alpha = alpha
         self.total_mass = float(mass[0])
@@ -194,9 +193,9 @@ class DecompositionT:
         return self.tail.density(x)
 
     @classmethod
-    def empty(cls, side: str = NEGATIVE, T: float = 100.0) -> "DecompositionT":
-        """Degenerate split with S_T identically zero (tests and edge cases)."""
-        return cls(T=T, delta=delta(T), side=side, tail=None,
+    def empty(cls, side: str = NEGATIVE) -> "DecompositionT":
+        """Degenerate split at T = 100 with S_T identically zero."""
+        return cls(T=100.0, delta=delta(100.0), side=side, tail=None,
                    total_mass=0.0, table=None)
 
 

@@ -68,13 +68,13 @@ class SurvivalEstimate:
                    log_ci=wilson_log_ci(survivors, n_paths), seed=seed)
 
 
-def wilson_log_ci(survivors: int, n: int, z: float = WILSON_Z) -> tuple[float, float]:
-    """Wilson interval for the count, mapped to the ln p scale.
+def wilson_log_ci(survivors: int, n: int) -> tuple[float, float]:
+    """Wilson 95% interval for the count, mapped to the ln p scale.
 
     Stays valid at small survivor counts where the Wald interval collapses;
     the lower end is -inf exactly when survivors = 0.
     """
-    p = survivors / n
+    p, z = survivors / n, WILSON_Z
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = z * math.sqrt(p * (1.0 - p) / n + z * z / (4 * n * n)) / denom
@@ -89,7 +89,6 @@ class ExponentFit:
     stderr: float
     r2: float
     grid: tuple[float, ...]
-    intercept: float = 0.0
 
 
 class FitUnavailable(ValueError):
@@ -127,7 +126,7 @@ def fit_exponent(estimates) -> ExponentFit:
     ss_tot = float((w * (y - ybar) ** 2).sum())
     r2 = 1.0 - float((w * resid ** 2).sum()) / ss_tot if ss_tot > 0 else 1.0
     return ExponentFit(rho_hat=-slope, stderr=math.sqrt(sw / d), r2=r2,
-                       grid=tuple(e.T for e in usable), intercept=intercept)
+                       grid=tuple(e.T for e in usable))
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +180,14 @@ def _nested_counts(dead: np.ndarray, n_paths: int) -> np.ndarray:
     return n_paths - np.cumsum(dead[:, :-1], axis=1)
 
 
+def _horizons(T_grid) -> np.ndarray:
+    """T_grid as floats, checked to be a non-empty increasing 1-D grid."""
+    Tg = np.asarray(T_grid, dtype=float)
+    if Tg.ndim != 1 or Tg.size == 0 or np.any(np.diff(Tg) <= 0):
+        raise ValueError("T_grid must be non-empty and increasing")
+    return Tg
+
+
 def _score_rows(dead, pending, rows, vals, pts, limits, Tg) -> None:
     """Score path rows vals (at points pts) against boundaries limits[b].
 
@@ -211,9 +218,7 @@ def survival_counts(model: LevyModel, boundaries: list[Boundary], T_grid,
     """
     if n_paths <= 0:
         raise ValueError("n_paths must be positive")
-    Tg = np.asarray(T_grid, dtype=float)
-    if Tg.ndim != 1 or np.any(np.diff(Tg) <= 0):
-        raise ValueError("T_grid must be increasing")
+    Tg = _horizons(T_grid)
     if Tg[-1] > grid.horizon:
         raise ValueError("monitoring grid must cover the largest horizon")
     exact = model.stable is not None
@@ -253,7 +258,7 @@ def survival_probability(model: LevyModel, boundary: Boundary, T_grid,
                          n_paths: int, grid: TimeGrid | None = None,
                          seed: int = 0, threads: int = 1) -> list[SurvivalEstimate]:
     """Survival estimates over the horizon grid, one reused path set."""
-    Tg = np.asarray(T_grid, dtype=float)
+    Tg = _horizons(T_grid)
     if grid is None:
         grid = TimeGrid.survival(float(Tg[-1]))
     counts = survival_counts(model, [boundary], Tg, n_paths, grid, seed, threads)
@@ -292,10 +297,10 @@ def product_bound_check(model: LevyModel, T: float, gamma: float, n_paths: int,
         RHS = P(Y_T(t) <= 1/2, t <= T) * P(-S_T(t) <= 1/2 - t**gamma, t <= T)
     and asserts LHS >= RHS - 3 combined standard errors.
     """
+    if not model.has_jumps or model.alpha >= 1.0:
+        raise ValueError("product bound experiments require jumps with alpha < 1")
     if decomp is None:
         decomp = build_decomposition(model, T, NEGATIVE)  # needs the left tail
-        if model.alpha >= 1.0:
-            raise ValueError("product bound experiments require alpha < 1")
     if grid is None:
         grid = TimeGrid.survival(T)
     Tg = np.array([T])
@@ -317,7 +322,7 @@ def product_bound_check(model: LevyModel, T: float, gamma: float, n_paths: int,
                               plan_y)[0, 0])
 
     s_boundary = Boundary("increasing", gamma, -0.5)  # S(t) >= t**gamma - 1/2
-    s_grid = TimeGrid(np.array([0.0, T]), "uniform")
+    s_grid = TimeGrid(np.array([0.0, T]))
 
     def s_worker(lo, hi):
         count = np.zeros(1, dtype=np.int64)
@@ -418,10 +423,10 @@ def discrete_survival_experiment(model: LevyModel, T_grid, x: float,
     split thins its jumps with one shared uniform per jump; horizon T scores
     the first floor(T) cells, so the X counts are nested in T.
     """
+    if not model.has_jumps or model.alpha >= 1.0:
+        raise ValueError("discrete survival experiments require jumps with alpha < 1")
     Ts = [float(T) for T in T_grid]
     decomps = [build_decomposition(model, T, POSITIVE) for T in Ts]  # needs the right tail
-    if model.alpha >= 1.0:
-        raise ValueError("discrete survival experiments require alpha < 1")
     plan = PerturbedPlan.from_model(model)
     steps = np.floor(Ts).astype(int)  # cells per horizon
 

@@ -133,7 +133,6 @@ def characteristic_exponent(model: LevyModel, u: float,
 class ValidationReport:
     violations: list[str] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
-    diagnostics: dict[str, float] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -175,16 +174,13 @@ def validate_model(model: LevyModel, theorem_mode: bool = False) -> ValidationRe
             rep.violations.append("left and right tail indices disagree")
     for name, t in (("left", model.tail_left), ("right", model.tail_right)):
         if t is not None:
-            val = levy_integrability(t)
-            rep.diagnostics[f"levy_integrability_{name}"] = val
-            if not math.isfinite(val):
+            if not math.isfinite(levy_integrability(t)):
                 rep.violations.append(f"{name} tail fails int (1 ^ x^2) d(nu) < inf")
     if model.rho is not None:
         if not (0.0 < model.rho < 1.0) and theorem_mode:
             rep.violations.append("theorem verification requires rho in (0, 1)")
         if model.stable is not None:
             closed = positivity_parameter(model.stable)
-            rep.diagnostics["rho_closed_form"] = closed
             if abs(closed - model.rho) > RHO_CONSISTENCY_TOL:
                 rep.warnings.append(
                     f"supplied rho {model.rho:.6g} disagrees with closed form {closed:.6g}; "
@@ -241,10 +237,6 @@ def stable_model(alpha: float, beta: float = 0.0, scale: float = 1.0,
                      stable=params, rho=rho)
 
 
-def symmetric_stable_model(alpha: float, scale: float = 1.0) -> LevyModel:
-    return stable_model(alpha, 0.0, scale)
-
-
 def levy_unit_tail_scale(alpha: float) -> float:
     """CF scale whose matched symmetric tails have constant ell = 1.
 
@@ -258,14 +250,6 @@ def levy_unit_tail_scale(alpha: float) -> float:
 def standard_symmetric_model(alpha: float) -> LevyModel:
     """Symmetric strictly stable model with unit Lévy tail density."""
     return stable_model(alpha, 0.0, levy_unit_tail_scale(alpha))
-
-
-def brownian_model(sigma2: float = 1.0, b: float = 0.0) -> LevyModel:
-    return LevyModel(b=b, sigma2=sigma2)
-
-
-def drift_model(b: float) -> LevyModel:
-    return LevyModel(b=b)
 
 
 def tail_only_model(alpha: float, ell: SlowlyVaryingSpec,

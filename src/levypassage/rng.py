@@ -82,11 +82,9 @@ class Cursor:
 
 
 def as_generator(source) -> np.random.Generator:
-    """Accept a Generator, an int seed, or a (seed, path_index[, phase]) tuple."""
+    """Accept a Generator or a (seed, path_index[, phase]) tuple."""
     if isinstance(source, np.random.Generator):
         return source
-    if isinstance(source, (int, np.integer)):
-        return stream(int(source), 0)
     if isinstance(source, tuple) and len(source) in (2, 3):
         return stream(*(int(v) for v in source))
     raise TypeError(f"cannot build an RNG stream from {source!r}")

@@ -85,11 +85,11 @@ class RegVaryingTail:
         return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
-def truncation_point(tail: RegVaryingTail, x: float, drop: float = TAIL_DROP) -> float:
-    """Upper cutoff where the tail density falls below `drop` of its value at x."""
-    target = tail.density(x) * drop
+def truncation_point(tail: RegVaryingTail, x: float) -> float:
+    """Upper cutoff where the tail density falls below TAIL_DROP of its value at x."""
+    target = tail.density(x) * TAIL_DROP
     # pure power-law guess, then expand for slowly varying corrections
-    hi = x * drop ** (-1.0 / (tail.alpha + 1.0))
+    hi = x * TAIL_DROP ** (-1.0 / (tail.alpha + 1.0))
     while tail.density(hi) > target:
         hi *= 10.0
     return hi
@@ -146,17 +146,16 @@ def tail_mass(tail: RegVaryingTail, x: float) -> float:
     return mass_beyond(tail.density, x, truncation_point(tail, x))
 
 
-def potter_lambda0(spec: SlowlyVaryingSpec, epsilon: float,
-                   lam_hi: float = 0.1, lam_lo: float = 1e-8,
-                   per_decade: int = 16) -> float | None:
+def potter_lambda0(spec: SlowlyVaryingSpec, epsilon: float) -> float | None:
     """Largest grid point lam0 with ell(lam) >= lam**epsilon for all lam < lam0.
 
-    Scans a geometric grid from lam_hi down to lam_lo.  Returns None if the
-    bound fails even at the bottom of the grid.
+    Scans a geometric grid of 16 points per decade from 0.1 down to 1e-8.
+    Returns None if the bound fails even at the bottom of the grid.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    n = int(math.ceil(per_decade * math.log10(lam_hi / lam_lo))) + 1
+    lam_hi, lam_lo = 0.1, 1e-8
+    n = int(math.ceil(16 * math.log10(lam_hi / lam_lo))) + 1
     grid = np.geomspace(lam_lo, lam_hi, n)
     ok = eval_slowly_varying(spec, grid) >= grid ** epsilon
     if not ok[0]:
@@ -165,21 +164,21 @@ def potter_lambda0(spec: SlowlyVaryingSpec, epsilon: float,
     return float(grid[bad[0]]) if bad.size else float(lam_hi)
 
 
-def slow_variation_threshold(spec: SlowlyVaryingSpec, lam: float,
-                             tol: float = 0.01, x_hi: float = 1.0,
-                             x_lo: float = 1e-280, per_decade: int = 2) -> float | None:
-    """Largest grid x0 with |ell(lam*x)/ell(x) - 1| < tol for all grid x < x0.
+def slow_variation_threshold(spec: SlowlyVaryingSpec, lam: float) -> float | None:
+    """Largest grid x0 with |ell(lam*x)/ell(x) - 1| < 0.01 for all grid x < x0.
 
-    Log-power ratios converge like p*ln(lam)/ln(1/x), so for a 1% tolerance
-    x0 sits around exp(-100*p*ln lam): astronomically small, hence the very
-    deep default grid floor.
+    The grid has 2 points per decade from 1 down to 1e-280.  Log-power
+    ratios converge like p*ln(lam)/ln(1/x), so for a 1% tolerance x0 sits
+    around exp(-100*p*ln lam): astronomically small, hence the very deep
+    grid floor.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    n = int(math.ceil(per_decade * math.log10(x_hi / x_lo))) + 1
+    x_hi, x_lo = 1.0, 1e-280
+    n = int(math.ceil(2 * math.log10(x_hi / x_lo))) + 1
     grid = np.geomspace(x_lo, x_hi, n)
     ratio = eval_slowly_varying(spec, lam * grid) / eval_slowly_varying(spec, grid)
-    ok = np.abs(ratio - 1.0) < tol
+    ok = np.abs(ratio - 1.0) < 0.01
     if not ok[0]:
         return None
     bad = np.nonzero(~ok)[0]

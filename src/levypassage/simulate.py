@@ -12,9 +12,9 @@ One block source, path_blocks, builds perturbed paths in time blocks ending
 at the last grid points at or before t = 1, 2, 4, ... and the horizon.  Each
 block draws its own jumps from the path's stream (PerturbedPlan.draw_jumps),
 then its normals, so a caller that stops after a block has drawn nothing
-for later times; sample_path joins all blocks of the same stream.  Given
-splits, it also builds the coupled S_T of each split, so that Y_T = X -+ S_T
-holds pathwise.
+for later times.  joined_blocks joins all blocks of the same stream, for
+sample_path, and given splits also builds the coupled S_T of each split,
+so that Y_T = X -+ S_T holds pathwise.
 
 Determinism contract: a path is a pure function of (seed, path index, phase),
 independent of thread count and scheduling.
@@ -37,15 +37,10 @@ ETA = 1e-3  # small-jump cutoff for the perturbed mode
 FIRST_BLOCK = 128  # cells in a path's first block of rows; later ones double
 ROW_CAP = 4096  # doubles per working array of a group of rows
 
-UNIFORM = "uniform"
-GEOMETRIC = "geometric"
-INTEGERS = "integers"
-
 
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
     points: np.ndarray
-    policy: str
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -65,7 +60,7 @@ class TimeGrid:
     @classmethod
     def uniform(cls, T: float, dt: float) -> "TimeGrid":
         n = max(1, round(T / dt))
-        return cls(np.linspace(0.0, T, n + 1), UNIFORM)
+        return cls(np.linspace(0.0, T, n + 1))
 
     @classmethod
     def geometric(cls, T: float, t_min: float = 2.0 ** -10,
@@ -73,14 +68,14 @@ class TimeGrid:
         n = max(1, math.ceil(math.log2(T / t_min) * per_octave))
         pts = 2.0 ** np.linspace(math.log2(t_min), math.log2(T), n + 1)
         pts[-1] = T
-        return cls(np.concatenate([[0.0], pts]), GEOMETRIC)
+        return cls(np.concatenate([[0.0], pts]))
 
     @classmethod
     def integers(cls, T: float) -> "TimeGrid":
         pts = np.arange(0.0, math.floor(T) + 1.0)
         if pts[-1] != T:
             pts = np.append(pts, T)
-        return cls(pts, INTEGERS)
+        return cls(pts)
 
     @classmethod
     def survival(cls, T: float, t_min: float = 2.0 ** -10,
@@ -98,7 +93,7 @@ class TimeGrid:
         pts = np.union1d(fine, np.arange(1.0, math.floor(T) + 1.0))
         if pts[-1] != T:
             pts = np.append(pts, T)
-        return cls(np.concatenate([[0.0], pts]), GEOMETRIC)
+        return cls(np.concatenate([[0.0], pts]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,28 +204,17 @@ def block_ends(points: np.ndarray) -> np.ndarray:
     return np.unique(np.append(ends[ends > 0], points.size - 1))
 
 
-def path_blocks(plan: PerturbedPlan, points: np.ndarray, rng: np.random.Generator,
-                splits=()):
+def path_blocks(plan: PerturbedPlan, points: np.ndarray, rng: np.random.Generator):
     """A perturbed path on `points` in blocks (points[a], points[b]], b in block_ends.
 
     Yields (merged, values, epochs) per block: its grid points and sorted
     epochs merged, led by points[a] with the carried value.  Each block
     draws from `rng` its jumps (plan.draw_jumps), the normals of its merged
     cells and one thinning uniform per jump, in that order, so a caller may
-    stop after any block.  The thinning uniforms are drawn with or without
-    splits, so X does not depend on them.  With `splits`, each block also
-    yields the values of each split's S_T (one row per split, carried like
-    X): the jumps beyond 1 on its side that the split thins, by magnitude,
-    all splits sharing the thinning uniforms.
+    stop after any block.
     """
-    s_carry = np.zeros(len(splits))
-    for merged, values, epochs, sizes, thin_u in _blocks(plan, points, block_ends(points), rng):
-        if not splits:
-            yield merged, values, epochs
-            continue
-        s_values = _coupled(splits, merged, epochs, sizes, thin_u, s_carry)
-        s_carry = s_values[:, -1]
-        yield merged, values, epochs, s_values
+    for merged, values, epochs, _, _ in _blocks(plan, points, block_ends(points), rng):
+        yield merged, values, epochs
 
 
 def joined_blocks(plan: PerturbedPlan, points: np.ndarray, rng: np.random.Generator,
@@ -238,6 +222,10 @@ def joined_blocks(plan: PerturbedPlan, points: np.ndarray, rng: np.random.Genera
     """All blocks of path_blocks joined: the whole path, as one block.
 
     Without jumps the block ends do not change the draws, so one block is drawn.
+    With `splits`, also returns the values of each split's S_T, one row per
+    split: the jumps beyond 1 on its side that the split thins, by
+    magnitude, all splits sharing the thinning uniforms.  The thinning
+    uniforms are drawn with or without splits, so X does not depend on them.
     """
     ends = block_ends(points) if plan.rate > 0 else [points.size - 1]
     blocks = list(_blocks(plan, points, ends, rng))
@@ -246,8 +234,7 @@ def joined_blocks(plan: PerturbedPlan, points: np.ndarray, rng: np.random.Genera
     epochs, sizes, thin_u = (np.concatenate([b[k] for b in blocks]) for k in (2, 3, 4))
     if not splits:
         return merged, values, epochs
-    return merged, values, epochs, _coupled(splits, merged, epochs, sizes, thin_u,
-                                            np.zeros(len(splits)))
+    return merged, values, epochs, _coupled(splits, merged, epochs, sizes, thin_u)
 
 
 def _blocks(plan: PerturbedPlan, points: np.ndarray, ends, rng: np.random.Generator):
@@ -266,10 +253,10 @@ def _blocks(plan: PerturbedPlan, points: np.ndarray, ends, rng: np.random.Genera
         yield merged, values, epochs, sizes, rng.random(epochs.size)
 
 
-def _coupled(splits, merged, epochs, sizes, thin_u, start) -> np.ndarray:
-    """Values on `merged` of each split's S_T, one row per split from start[r]."""
-    return np.array([_running_sum(_cell_jumps(merged, epochs[t], np.abs(sizes[t])), c)
-                     for t, c in zip((d.thinned(sizes, thin_u) for d in splits), start)])
+def _coupled(splits, merged, epochs, sizes, thin_u) -> np.ndarray:
+    """Values on `merged` of each split's S_T, one row per split from 0."""
+    return np.array([_running_sum(_cell_jumps(merged, epochs[t], np.abs(sizes[t])))
+                     for t in (d.thinned(sizes, thin_u) for d in splits)])
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +275,7 @@ def sample_path(model: LevyModel, grid: TimeGrid, stream,
     if plan is None:
         plan = PerturbedPlan.from_model(model)
     merged, values, epochs = joined_blocks(plan, grid.points, rng)
-    out_grid = grid if epochs.size == 0 else TimeGrid(merged, grid.policy)
+    out_grid = grid if epochs.size == 0 else TimeGrid(merged)
     return PathSample(grid=out_grid, values=values, jump_times=epochs)
 
 
@@ -350,7 +337,7 @@ def sample_subordinator_path(decomp: DecompositionT, grid: TimeGrid,
     epochs = epochs[epochs > 0.0]
     sizes = decomp.table.sample(rng, epochs.size)
     merged, jumps = _merge_with_epochs(grid.points, epochs, sizes)
-    return PathSample(grid=TimeGrid(merged, grid.policy),
+    return PathSample(grid=TimeGrid(merged),
                       values=_running_sum(jumps), jump_times=epochs)
 
 

@@ -15,7 +15,7 @@ from levypassage.estimate import (SurvivalEstimate,
                                   lemma_n0N_experiment, product_bound_check,
                                   survival_counts, survival_probability,
                                   wilson_log_ci)
-from levypassage.levymodel import (Boundary, brownian_model, stable_model,
+from levypassage.levymodel import (Boundary, LevyModel, stable_model,
                                    standard_symmetric_model)
 from levypassage.rng import stream
 from levypassage.rvcalc import SlowlyVaryingSpec
@@ -102,7 +102,7 @@ def test_survival_at_time_zero_is_one():
 
 def test_brownian_constant_boundary_oracle():
     # P(max W <= 1 on [0,1]) = 2 Phi(1) - 1, grid bias ~ +0.009 at dt = 1e-3
-    m = brownian_model(1.0)
+    m = LevyModel(sigma2=1.0)
     n = 20_000
     ests = survival_probability(m, Boundary("constant"), [1.0], n_paths=n,
                                 grid=TimeGrid.uniform(1.0, 1e-3), seed=2)
@@ -253,6 +253,11 @@ def test_survival_guard_rails():
     with pytest.raises(ValueError):
         survival_counts(m, [Boundary("constant")], [8.0], 10,
                         TimeGrid.survival(4.0), seed=0)
+    with pytest.raises(ValueError):
+        survival_counts(m, [Boundary("constant")], [], 10,
+                        TimeGrid.survival(4.0), seed=0)
+    with pytest.raises(ValueError):
+        survival_probability(m, Boundary("constant"), [], n_paths=10, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +273,10 @@ def test_product_bound_degenerate_subordinator():
                               grid=TimeGrid.geometric(0.45, t_min=2 ** -10))
     assert rep.p_s == 1.0
     assert rep.satisfied
+    # alpha >= 1 is refused also when the split is passed in
+    with pytest.raises(ValueError, match="alpha < 1"):
+        product_bound_check(stable_model(1.3), 0.45, 1.0, 800, seed=5,
+                            decomp=DecompositionT.empty(NEGATIVE))
 
 
 def test_product_bound_symmetric_stable():

@@ -8,7 +8,7 @@ from levypassage.fluctuation import (LadderSample, PositivityProfile, kappa,
                                      ladder_process, renewal_convergence_gaps,
                                      renewal_estimate, small_time_positivity,
                                      spitzer_profile)
-from levypassage.levymodel import (brownian_model, drift_model, stable_model,
+from levypassage.levymodel import (LevyModel, stable_model,
                                    standard_symmetric_model, tail_only_model)
 from levypassage.rvcalc import SlowlyVaryingSpec
 from levypassage.simulate import TimeGrid, sample_path
@@ -60,8 +60,8 @@ def test_profile_validation():
 
 
 def test_ladder_records_drift_path():
-    grid = TimeGrid(np.linspace(0.0, 2.0, 5), "uniform")
-    path = sample_path(drift_model(1.0), grid, (0, 0, 0))
+    grid = TimeGrid(np.linspace(0.0, 2.0, 5))
+    path = sample_path(LevyModel(b=1.0), grid, (0, 0, 0))
     lad = ladder_process(path)
     assert np.array_equal(lad.epochs, grid.points)
     assert np.allclose(lad.heights, path.values)
@@ -69,7 +69,7 @@ def test_ladder_records_drift_path():
 
 def test_ladder_records_decreasing_path():
     from levypassage.simulate import PathSample
-    grid = TimeGrid(np.linspace(0.0, 3.0, 4), "uniform")
+    grid = TimeGrid(np.linspace(0.0, 3.0, 4))
     path = PathSample(grid=grid, values=np.array([0.0, -1.0, -2.0, -3.0]),
                       jump_times=np.empty(0))
     lad = ladder_process(path)
@@ -77,7 +77,7 @@ def test_ladder_records_decreasing_path():
 
 
 def test_ladder_refinement_growth_brownian():
-    m = brownian_model(1.0)
+    m = LevyModel(sigma2=1.0)
     n = 400
     counts = {}
     for dt in (1e-2, 1e-3):
@@ -98,7 +98,7 @@ def test_renewal_estimate_basics():
 
 
 def test_renewal_monotone_in_x():
-    m = brownian_model(1.0)
+    m = LevyModel(sigma2=1.0)
     grid = TimeGrid.uniform(16.0, 0.05)
     samples = [ladder_process(sample_path(m, grid, (72, i, 0))) for i in range(500)]
     vals = [renewal_estimate(samples, x) for x in (0.5, 1.0, 2.0, 4.0)]
@@ -107,7 +107,7 @@ def test_renewal_monotone_in_x():
 
 def test_renewal_brownian_linearity():
     # V(2x)/V(x) ~ 2 for Brownian motion (renewal function linear)
-    m = brownian_model(1.0)
+    m = LevyModel(sigma2=1.0)
     grid = TimeGrid.uniform(128.0, 0.02)
     samples = [ladder_process(sample_path(m, grid, (73, i, 0)))
                for i in range(100_000)]
@@ -140,7 +140,7 @@ def test_spitzer_long_t_grid_matches_whole_paths():
     t = np.geomspace(0.01, 100.0, 300)
     n = 40
     prof = spitzer_profile(m, t, n, 78, phase=1)
-    grid = TimeGrid(np.concatenate([[0.0], t]), "geometric")
+    grid = TimeGrid(np.concatenate([[0.0], t]))
     want = sum(sample_path(m, grid, (78, i, 1)).values[1:] >= 0.0 for i in range(n))
     assert np.array_equal((prof.p * n).round().astype(int), want)
 

@@ -24,7 +24,7 @@ from levypassage.estimate import (gaussian_refinement_counts,
                                   lemma_n0N_experiment, product_bound_check,
                                   survival_counts)
 from levypassage.fluctuation import renewal_convergence_gaps, spitzer_profile
-from levypassage.levymodel import (Boundary, brownian_model, stable_model,
+from levypassage.levymodel import (Boundary, LevyModel, stable_model,
                                    standard_symmetric_model, tail_only_model)
 from levypassage.rvcalc import SlowlyVaryingSpec
 from levypassage.simulate import PerturbedPlan, TimeGrid
@@ -118,7 +118,7 @@ def _perturbed_cases():
             np.array([0.125, 0.5, 0.75]), 300, TimeGrid.survival(0.75), 19,
             [[268, 198, 177], [274, 178, 138]]),
         "jump-free": (
-            brownian_model(0.5, 0.05), None,
+            LevyModel(b=0.05, sigma2=0.5), None,
             [Boundary("constant"), Boundary("increasing", 0.5, 0.25)],
             np.array([0.5, 2.0, 8.0, 32.0]), 300, TimeGrid.survival(32.0), 20,
             [[290, 228, 137, 59], [280, 253, 215, 171]]),

@@ -3,21 +3,19 @@ import math
 import mpmath
 import pytest
 
-from levypassage.levymodel import (Boundary, LevyModel, brownian_model,
-                                   characteristic_exponent, drift_model,
+from levypassage.levymodel import (Boundary, LevyModel, characteristic_exponent,
                                    effective_rho, levy_unit_tail_scale,
                                    stable_model, standard_symmetric_model,
-                                   symmetric_stable_model, tail_only_model,
-                                   validate_model)
+                                   tail_only_model, validate_model)
 from levypassage.rvcalc import RegVaryingTail, SlowlyVaryingSpec
 
 
 def test_pure_drift_exponent():
-    assert characteristic_exponent(drift_model(1.0), 1.0) == pytest.approx(1j)
+    assert characteristic_exponent(LevyModel(b=1.0), 1.0) == pytest.approx(1j)
 
 
 def test_gaussian_exponent():
-    psi = characteristic_exponent(brownian_model(sigma2=2.0), 3.0)
+    psi = characteristic_exponent(LevyModel(sigma2=2.0), 3.0)
     assert psi == pytest.approx(-9.0 + 0.0j)
 
 
@@ -72,7 +70,7 @@ def test_validate_sigma2_negative():
     with pytest.raises(ValueError):
         LevyModel(sigma2=-1.0)
     # validate_model itself never raises; build via object bypass
-    m = brownian_model(1.0)
+    m = LevyModel(sigma2=1.0)
     object.__setattr__(m, "sigma2", -1.0)
     rep = validate_model(m)
     assert any("sigma2" in v for v in rep.violations)
@@ -93,10 +91,10 @@ def test_validate_rho_disagreement_warns():
 
 
 def test_theorem_mode_rejects_alpha_above_one():
-    m = symmetric_stable_model(1.3)
+    m = stable_model(1.3)
     rep = validate_model(m, theorem_mode=True)
     assert any("alpha < 1" in v for v in rep.violations)
-    assert validate_model(symmetric_stable_model(0.7), theorem_mode=True).ok
+    assert validate_model(stable_model(0.7), theorem_mode=True).ok
 
 
 def test_empty_model_flagged():

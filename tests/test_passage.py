@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from levypassage.levymodel import Boundary, drift_model, symmetric_stable_model
+from levypassage.levymodel import Boundary, LevyModel, stable_model
 from levypassage.passage import (IntegralTest, SurvivalVerdict, boundary_value,
                                  brownian_integral_test,
                                  subordinator_stays_above, survives)
@@ -11,7 +11,7 @@ from levypassage.simulate import PathSample, TimeGrid, sample_path
 
 
 def path_from(points, values):
-    grid = TimeGrid(np.asarray(points, float), "uniform")
+    grid = TimeGrid(np.asarray(points, float))
     return PathSample(grid=grid, values=np.asarray(values, float),
                       jump_times=np.empty(0))
 
@@ -38,13 +38,13 @@ def test_zero_path_vs_constant():
 
 
 def test_drift_path_vs_increasing():
-    grid = TimeGrid(np.linspace(0.0, 2.0, 21), "uniform")
-    p = sample_path(drift_model(1.0), grid, (0, 0, 0))
+    grid = TimeGrid(np.linspace(0.0, 2.0, 21))
+    p = sample_path(LevyModel(b=1.0), grid, (0, 0, 0))
     assert survives(p, Boundary("increasing", 2.0, 1.0)).survived  # t <= 1 + t^2
 
 
 def test_dominance_orderings():
-    m = symmetric_stable_model(0.7)
+    m = stable_model(0.7)
     grid = TimeGrid.survival(16.0)
     cons = Boundary("constant")
     dec = Boundary("decreasing", 1.0)
@@ -57,7 +57,7 @@ def test_dominance_orderings():
 
 
 def test_nesting_in_horizon():
-    m = symmetric_stable_model(0.7)
+    m = stable_model(0.7)
     grid = TimeGrid.survival(32.0)
     b = Boundary("constant")
     for i in range(300):

@@ -8,9 +8,8 @@ from scipy.stats import ks_2samp
 from levypassage.decompose import (NEGATIVE, POSITIVE, DecompositionT,
                                    JumpTable, build_decomposition)
 from levypassage.estimate import survival_counts
-from levypassage.levymodel import (Boundary, brownian_model, drift_model,
-                                   stable_model, standard_symmetric_model,
-                                   symmetric_stable_model, tail_only_model)
+from levypassage.levymodel import (Boundary, LevyModel, stable_model,
+                                   standard_symmetric_model, tail_only_model)
 from levypassage.rng import stream
 from levypassage.rvcalc import SlowlyVaryingSpec
 from levypassage.passage import survives
@@ -24,9 +23,9 @@ ELL1 = SlowlyVaryingSpec("constant", c=1.0)
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        TimeGrid(np.array([0.0, 1.0, 1.0, 2.0]), "uniform")  # duplicate
+        TimeGrid(np.array([0.0, 1.0, 1.0, 2.0]))  # duplicate
     with pytest.raises(ValueError):
-        TimeGrid(np.array([1.0, 2.0]), "uniform")  # missing 0
+        TimeGrid(np.array([1.0, 2.0]))  # missing 0
     g = TimeGrid.uniform(2.0, 0.5)
     assert g.points[-1] == 2.0 and g.points[0] == 0.0
     assert TimeGrid.integers(7.5).points[-1] == 7.5
@@ -40,15 +39,15 @@ def test_survival_grid_contains_integers():
 
 
 def test_pure_drift_path():
-    path = sample_path(drift_model(1.0), TimeGrid(np.array([0.0, 1.0, 2.0]), "uniform"),
+    path = sample_path(LevyModel(b=1.0), TimeGrid(np.array([0.0, 1.0, 2.0])),
                        (0, 0, 0))
     assert np.allclose(path.values, [0.0, 1.0, 2.0], atol=1e-12)
 
 
 def test_brownian_increment_mean():
     n = 10 ** 5
-    grid = TimeGrid(np.array([0.0, 1.0]), "uniform")
-    m = brownian_model(1.0)
+    grid = TimeGrid(np.array([0.0, 1.0]))
+    m = LevyModel(sigma2=1.0)
     vals = np.array([sample_path(m, grid, (123, i, 0)).values[1] for i in range(n)])
     assert abs(vals.mean()) < 3.0 / math.sqrt(n)
     assert vals.std() == pytest.approx(1.0, abs=0.02)
@@ -56,9 +55,9 @@ def test_brownian_increment_mean():
 
 def test_exact_self_similarity_on_grid():
     # values[1]/4**(1/alpha) for grid {0,4} matches Z(1) in law
-    m = symmetric_stable_model(0.7)
+    m = stable_model(0.7)
     n = 10 ** 5
-    grid = TimeGrid(np.array([0.0, 4.0]), "uniform")
+    grid = TimeGrid(np.array([0.0, 4.0]))
     vals = np.array([sample_path(m, grid, (5, i, 0)).values[1] for i in range(n)])
     z = sample_stable(StableParams(0.7, 0.0), n, stream(5, n + 1, 1))
     stat = ks_2samp(vals / 4.0 ** (1 / 0.7), z).statistic
@@ -66,8 +65,8 @@ def test_exact_self_similarity_on_grid():
 
 
 def test_exact_increments_uncorrelated():
-    m = symmetric_stable_model(0.7)
-    grid = TimeGrid(np.array([0.0, 1.0, 2.0]), "uniform")
+    m = stable_model(0.7)
+    grid = TimeGrid(np.array([0.0, 1.0, 2.0]))
     n = 10 ** 5
     inc = np.empty((n, 2))
     for i in range(n):
@@ -100,7 +99,7 @@ def test_perturbed_matches_exact_in_law():
     pm = tail_only_model(0.7, ELL1)
     plan = PerturbedPlan.from_model(pm)
     n = 4 * 10 ** 4
-    grid = TimeGrid(np.array([0.0, 1.0]), "uniform")
+    grid = TimeGrid(np.array([0.0, 1.0]))
     vals = np.array([sample_path(pm, grid, (31, i, 0), plan=plan).values[-1]
                      for i in range(n)])
     z = m.scale * sample_stable(StableParams(0.7, 0.0), n, stream(31, 0, 5))
@@ -117,7 +116,7 @@ def test_perturbed_matches_exact_in_law_across_blocks(beta, seed):
     pm = replace(m, stable=None)
     plan = PerturbedPlan.from_model(pm)
     n, T = 10 ** 4, 4.0
-    grid = TimeGrid(np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, T]), "uniform")
+    grid = TimeGrid(np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, T]))
     vals = np.array([sample_path(pm, grid, (seed, i, 0), plan=plan).values[-1]
                      for i in range(n)])
     z = T ** (1.0 / 0.7) * m.scale * sample_stable(StableParams(0.7, beta), n,
@@ -127,14 +126,14 @@ def test_perturbed_matches_exact_in_law_across_blocks(beta, seed):
 
 def test_perturbed_monitors_jump_epochs():
     pm = tail_only_model(0.7, ELL1)
-    path = sample_path(pm, TimeGrid(np.array([0.0, 8.0]), "uniform"), (3, 7, 0))
+    path = sample_path(pm, TimeGrid(np.array([0.0, 8.0])), (3, 7, 0))
     assert path.jump_times.size > 0
     assert np.all(np.isin(path.jump_times, path.grid.points))
 
 
 def test_subordinator_zero_mass_path():
     d = DecompositionT.empty(NEGATIVE)
-    grid = TimeGrid(np.array([0.0, 5.0, 10.0]), "uniform")
+    grid = TimeGrid(np.array([0.0, 5.0, 10.0]))
     path = sample_subordinator_path(d, grid, (0, 0, 0))
     assert np.all(path.values == 0.0)
 
@@ -142,7 +141,7 @@ def test_subordinator_zero_mass_path():
 def test_subordinator_jump_count_poisson_mean():
     m = tail_only_model(0.5, ELL1)
     d = build_decomposition(m, 100.0, NEGATIVE)  # total mass 1
-    grid = TimeGrid(np.array([0.0, 10.0]), "uniform")
+    grid = TimeGrid(np.array([0.0, 10.0]))
     n = 10 ** 4
     counts = np.array([sample_subordinator_path(d, grid, (8, i, 0)).jump_times.size
                        for i in range(n)])
@@ -164,7 +163,7 @@ def test_subordinator_path_laplace_example():
     from levypassage.decompose import laplace_bound
     m = tail_only_model(0.5, ELL1)
     d = build_decomposition(m, 100.0, NEGATIVE)  # delta = 1/2
-    grid = TimeGrid(np.array([0.0, 1.0]), "uniform")
+    grid = TimeGrid(np.array([0.0, 1.0]))
     n = 20_000
     vals = np.array([sample_subordinator_path(d, grid, (19, i, 0)).values[-1]
                      for i in range(n)])
@@ -227,7 +226,7 @@ def test_discrete_increments_match_path_law():
     for i in range(n):
         inc, _ = discrete_increments(plan, steps, stream(51, i))
         a[i] = inc.sum()
-    grid = TimeGrid(np.array([0.0, float(steps)]), "uniform")
+    grid = TimeGrid(np.array([0.0, float(steps)]))
     b = np.array([sample_path(pm, grid, (52, i, 0), plan=plan).values[-1]
                   for i in range(n)])
     assert ks_2samp(a, b).statistic < 1.628 * math.sqrt(2.0 / n)
@@ -262,8 +261,8 @@ def _block_cases():
 @pytest.mark.parametrize("name", list(_block_cases()))
 def test_path_blocks_equal_the_whole_path(name, ends):
     # the blocks of a path, joined, are sample_path on the same stream; with
-    # splits of both sides and two T, X and its epochs stay the same, and
-    # the S_T blocks join to joined_blocks' S_T.  "doubling" keeps the grid,
+    # splits of both sides and two T, joined_blocks keeps X, the merged
+    # points and the epochs, and thins some jumps.  "doubling" keeps the grid,
     # so blocks end at t = 1, 2, 4, ...; "scattered" drops those times and
     # adds scattered points, so each block ends at the last point before one
     plan, grid, model = _block_cases()[name]
@@ -277,7 +276,7 @@ def test_path_blocks_equal_the_whole_path(name, ends):
         rng = np.random.default_rng(len(name))
         extra = np.concatenate([rng.uniform(0.0, 1.0, 2), rng.uniform(0.0, pts[-1], 6)])
         pts = np.union1d(pts[~np.isin(pts, doubling)], extra)
-        grid = TimeGrid(pts, grid.policy)
+        grid = TimeGrid(pts)
     ends = block_ends(pts)
     assert ends.size > 2 and pts[ends[0]] <= 1.0 < pts[ends[0] + 1]
     assert not (scattered and np.any(np.isin(pts[ends[:-1]], doubling)))
@@ -296,14 +295,11 @@ def test_path_blocks_equal_the_whole_path(name, ends):
         assert np.array_equal(got_pts, path.grid.points)
         assert np.array_equal(got_vals, path.values)
         assert np.array_equal(got_epochs, path.jump_times)
-        coupled = list(path_blocks(plan, pts, stream(61, i), splits))
-        assert len(coupled) == ends.size
-        for (merged, values, epochs), (c_merged, c_values, c_epochs, s) in zip(blocks, coupled):
-            assert np.array_equal(c_merged, merged) and np.array_equal(c_values, values)
-            assert np.array_equal(c_epochs, epochs) and s.shape == (3, merged.size)
-        got_s = np.concatenate([coupled[0][3]] + [b[3][:, 1:] for b in coupled[1:]], axis=1)
-        *whole, s_values = joined_blocks(plan, pts, stream(61, i), splits)
-        assert np.array_equal(whole[1], path.values) and np.array_equal(got_s, s_values)
+        whole = joined_blocks(plan, pts, stream(61, i))
+        *coupled, s_values = joined_blocks(plan, pts, stream(61, i), splits)
+        assert s_values.shape == (3, path.values.size)
+        for a, b in zip(whole, coupled):
+            assert np.array_equal(a, b)
         thinned += np.count_nonzero(s_values[:, -1])
     assert path.jump_times.size > 0 and thinned > 0
 

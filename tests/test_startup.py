@@ -79,3 +79,11 @@ def test_exact_runs_never_load_scipy(keys):
 ], ids=["product-bound", "discrete-survival", "perturbed-survival"])
 def test_integrating_runs_load_scipy_in_setup(keys):
     assert run_fresh(keys)["scipy.integrate at engine start"] is True
+
+
+def test_public_names_resolve():
+    """Every name in levypassage.__all__ imports, so a deleted function left
+    in the list fails here and not at a user's `from levypassage import *`."""
+    import levypassage
+    missing = [name for name in levypassage.__all__ if not hasattr(levypassage, name)]
+    assert missing == []
