@@ -225,7 +225,6 @@ def build_decomposition(model: LevyModel, T: float, side: str) -> DecompositionT
 
 class LaplaceBound(NamedTuple):
     value: float
-    lam: float
     in_regime: bool
 
 
@@ -238,8 +237,8 @@ def laplace_bound(decomp: DecompositionT, lam: float) -> LaplaceBound:
     if lam <= 0:
         raise ValueError("lam must be positive")
     if decomp.tail is None:
-        return LaplaceBound(1.0, lam, lam <= LAPLACE_REGIME_MAX)
+        return LaplaceBound(1.0, lam <= LAPLACE_REGIME_MAX)
     a = decomp.tail.alpha
     ell_val = eval_slowly_varying(decomp.tail.ell, lam * decomp.delta ** (1.0 / a))
     value = math.exp(-decomp.delta * lam ** a * ell_val / (4.0 * a))
-    return LaplaceBound(value, lam, lam <= LAPLACE_REGIME_MAX)
+    return LaplaceBound(value, lam <= LAPLACE_REGIME_MAX)

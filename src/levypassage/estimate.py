@@ -10,9 +10,11 @@ boundary has been crossed; the draws and the running sum are those of the
 whole-grid path, so the counts are the same as when every path runs to the
 largest horizon.  The exact paths of a chunk are drawn together, row by row
 on one reused stream cursor.  A perturbed-mode path stops in the same way:
-it is drawn in time blocks ending at t = 1, 2, 4, ..., each block drawing
-its own jumps and normals from the path's stream, so a path that stops
-early draws nothing for later times.  Workers own disjoint path-index
+it is drawn in time blocks ending at t = 1, 2, 4, ..., 1024, then every
+1024, each block drawing its own jumps and normals from the path's stream,
+so a path that stops early draws nothing for later times.  The subordinator
+S_T is a perturbed plan too: its paths come from the same blocks and its
+marginals from discrete_increments.  Workers own disjoint path-index
 ranges with a fixed chunk size and run in forked processes when
 run.threads asks for more than one.
 The only state they hand back is integer survivor counts combined by
@@ -281,9 +283,6 @@ class ProductBoundReport:
     margin: float
     se_margin: float
     satisfied: bool
-    n_paths: int
-    T: float
-    gamma: float
 
 
 def product_bound_check(model: LevyModel, T: float, gamma: float, n_paths: int,
@@ -305,21 +304,17 @@ def product_bound_check(model: LevyModel, T: float, gamma: float, n_paths: int,
         grid = TimeGrid.survival(T)
     Tg = np.array([T])
 
-    # X runs in perturbed mode when it has jumps so that all factors monitor
-    # at comparable (epoch-level) density; mixing exact-mode integer
+    # X and Y_T both run in perturbed mode so that all factors monitor at
+    # comparable (epoch-level) density; mixing exact-mode integer
     # monitoring with epoch monitoring would skew the comparison.
-    x_model = replace(model, stable=None) if model.has_jumps else model
+    x_model = replace(model, stable=None)
     k_lhs = survival_counts(x_model, [Boundary("decreasing", gamma, 1.0)], Tg,
                             n_paths, grid, seed, threads, PHASE_PATHS)[0, 0]
 
-    # Y_T is X itself when S_T has no jumps, else X without the thinned jumps
-    y_model, plan_y = model, None
-    if decomp.total_mass > 0:
-        y_model = replace(model, stable=None)
-        plan_y = PerturbedPlan.from_model(model, decomp)
-    k_y = int(survival_counts(y_model, [Boundary("constant", level=0.5)], Tg,
+    # Y_T is X without the thinned jumps: X itself when the split is empty
+    k_y = int(survival_counts(x_model, [Boundary("constant", level=0.5)], Tg,
                               n_paths, grid, seed, threads, PHASE_SECONDARY,
-                              plan_y)[0, 0])
+                              PerturbedPlan.from_model(model, decomp))[0, 0])
 
     s_boundary = Boundary("increasing", gamma, -0.5)  # S(t) >= t**gamma - 1/2
     s_grid = TimeGrid(np.array([0.0, T]))
@@ -341,15 +336,13 @@ def product_bound_check(model: LevyModel, T: float, gamma: float, n_paths: int,
     return ProductBoundReport(p_lhs=p_lhs, se_lhs=se_lhs, p_y=p_y, se_y=se_y,
                               p_s=p_s, se_s=se_s, margin=margin,
                               se_margin=se_margin,
-                              satisfied=margin >= -3.0 * se_margin,
-                              n_paths=n_paths, T=T, gamma=gamma)
+                              satisfied=margin >= -3.0 * se_margin)
 
 
 @dataclass(frozen=True)
 class LemmaN0NResult:
     N: int
     N1: int
-    epsilon: float
     delta: float
     n_paths: int
     survivors: int
@@ -381,7 +374,7 @@ def lemma_n0N_experiment(alpha: float, gamma: float, ell, N: int,
     d = delta(float(N))
     N1 = int(math.floor(math.log(math.log(N)) ** (4.0 / (1.0 - ga - eps))))
     if N1 > N:
-        return LemmaN0NResult(N=N, N1=N1, epsilon=eps, delta=d, n_paths=n_paths,
+        return LemmaN0NResult(N=N, N1=N1, delta=d, n_paths=n_paths,
                               survivors=n_paths, p_hat=1.0, vacuous=True)
     N1 = max(N1, 1)
     scale = (d * ell.c) ** (1.0 / alpha) * subordinator_unit_scale(alpha)
@@ -399,7 +392,7 @@ def lemma_n0N_experiment(alpha: float, gamma: float, ell, N: int,
         return np.array([np.count_nonzero(alive)])
 
     k = int(_run_chunks(worker, n_paths, threads)[0])
-    return LemmaN0NResult(N=N, N1=N1, epsilon=eps, delta=d, n_paths=n_paths,
+    return LemmaN0NResult(N=N, N1=N1, delta=d, n_paths=n_paths,
                           survivors=k, p_hat=k / n_paths, vacuous=False)
 
 
@@ -454,24 +447,18 @@ def discrete_survival_experiment(model: LevyModel, T_grid, x: float,
 
 @dataclass(frozen=True)
 class LaplaceCheck:
-    lam: float
     empirical: float
-    se: float
     bound: LaplaceBound
     satisfied: bool
 
 
 def _subordinator_marginal(decomp: DecompositionT, t: float, n_draws: int,
                            seed: int) -> np.ndarray:
-    """n_draws of S_T(t): compound Poisson sums, one vectorized stream."""
-    rng = stream(seed, 0)
-    counts = rng.poisson(decomp.total_mass * t, size=n_draws)
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(n_draws)
-    sizes = decomp.table.sample(rng, total)
-    idx = np.repeat(np.arange(n_draws), counts)
-    return np.bincount(idx, weights=sizes, minlength=n_draws)
+    """n_draws of S_T(t): the unit cells of S_T's plan with its rate times t,
+    since a pure-jump S(t) has the law of one unit cell at rate t * total_mass."""
+    plan = PerturbedPlan.subordinator(decomp)
+    return discrete_increments(replace(plan, rate=plan.rate * t), n_draws,
+                               stream(seed, 0))[0]
 
 
 def subordinator_laplace_check(decomp: DecompositionT, lam: float,
@@ -482,7 +469,7 @@ def subordinator_laplace_check(decomp: DecompositionT, lam: float,
     emp = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n_draws))
     b = laplace_bound(decomp, lam)
-    return LaplaceCheck(lam=lam, empirical=emp, se=se, bound=b,
+    return LaplaceCheck(empirical=emp, bound=b,
                         satisfied=emp <= b.value + 3.0 * se)
 
 

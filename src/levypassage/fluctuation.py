@@ -33,7 +33,6 @@ class PositivityProfile:
     rho: float | None = None
     t: np.ndarray | None = None
     p: np.ndarray | None = None
-    se: np.ndarray | None = None
 
     def __post_init__(self):
         if (self.rho is None) == (self.t is None):
@@ -46,10 +45,8 @@ class PositivityProfile:
         return cls(rho=rho)
 
     @classmethod
-    def tabulated(cls, t, p, se=None) -> "PositivityProfile":
-        t, p = np.asarray(t, float), np.asarray(p, float)
-        se = None if se is None else np.asarray(se, float)
-        return cls(rho=None, t=t, p=p, se=se)
+    def tabulated(cls, t, p) -> "PositivityProfile":
+        return cls(rho=None, t=np.asarray(t, float), p=np.asarray(p, float))
 
     def prob(self, t: np.ndarray) -> np.ndarray:
         """P(X(t) >= 0), interpolated in ln t and clamped at the table ends."""
@@ -114,7 +111,7 @@ def renewal_estimate(samples, x: float) -> float:
 
 def spitzer_profile(model: LevyModel, t_grid, n_paths: int, seed: int,
                     phase: int = PHASE_PATHS, threads: int = 1) -> PositivityProfile:
-    """Tabulated MC estimates of P(X(t) >= 0) with binomial standard errors."""
+    """Tabulated MC estimates of P(X(t) >= 0)."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or np.any(t_grid <= 0) or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be positive and increasing")
@@ -137,9 +134,7 @@ def spitzer_profile(model: LevyModel, t_grid, n_paths: int, seed: int,
                 counts += path.values[np.searchsorted(path.grid.points, t_grid)] >= 0.0
         return counts
 
-    p = _run_chunks(worker, n_paths, threads) / n_paths
-    se = np.sqrt(p * (1.0 - p) / n_paths)
-    return PositivityProfile.tabulated(t_grid, p, se)
+    return PositivityProfile.tabulated(t_grid, _run_chunks(worker, n_paths, threads) / n_paths)
 
 
 def small_time_positivity(model: LevyModel, t_values=(1e-3, 1e-2),

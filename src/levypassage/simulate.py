@@ -9,12 +9,14 @@ the jump epochs, which removes the dominant crossing-detection error for
 jump-driven paths.
 
 One block source, path_blocks, builds perturbed paths in time blocks ending
-at the last grid points at or before t = 1, 2, 4, ... and the horizon.  Each
-block draws its own jumps from the path's stream (PerturbedPlan.draw_jumps),
-then its normals, so a caller that stops after a block has drawn nothing
-for later times.  joined_blocks joins all blocks of the same stream, for
-sample_path, and given splits also builds the coupled S_T of each split,
-so that Y_T = X -+ S_T holds pathwise.
+at the last grid points at or before t = 1, 2, 4, ..., 1024, then every
+BLOCK_CAP time units, and the horizon.  Each block draws its own jumps from
+the path's stream (PerturbedPlan.draw_jumps), then its normals, so a caller
+that stops after a block has drawn nothing for later times.  joined_blocks
+joins all blocks of the same stream, for sample_path, and given splits also
+builds the coupled S_T of each split, so that Y_T = X -+ S_T holds pathwise.
+A lone S_T is the plan PerturbedPlan.subordinator: its paths come from the
+same blocks, its marginals from the unit cells of discrete_increments.
 
 Determinism contract: a path is a pure function of (seed, path index, phase),
 independent of thread count and scheduling.
@@ -36,6 +38,7 @@ from .stable import StableParams, cms_transform, sample_stable
 ETA = 1e-3  # small-jump cutoff for the perturbed mode
 FIRST_BLOCK = 128  # cells in a path's first block of rows; later ones double
 ROW_CAP = 4096  # doubles per working array of a group of rows
+BLOCK_CAP = 1024.0  # longest perturbed time block, so a block's jumps stay bounded
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,6 +151,12 @@ class PerturbedPlan:
                    p_right=rate_r / rate if rate > 0 else 0.0,
                    table_right=tables["right"], table_left=tables["left"])
 
+    @classmethod
+    def subordinator(cls, decomp: DecompositionT) -> "PerturbedPlan":
+        """Plan of S_T alone: no drift, no Gaussian part, the split's jumps as right jumps."""
+        return cls(drift=0.0, var_unit=0.0, rate=decomp.total_mass, p_right=1.0,
+                   table_right=decomp.table, table_left=None)
+
     def draw_jumps(self, rng: np.random.Generator, lo: float, hi: float):
         """The jumps of the block (lo, hi] in stream order: (epochs, right, u).
 
@@ -188,19 +197,12 @@ def _running_sum(inc: np.ndarray, start: float = 0.0) -> np.ndarray:
     return np.cumsum(out, out=out)
 
 
-def _merge_with_epochs(points: np.ndarray, epochs: np.ndarray,
-                       signed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Monitored points including epochs, plus the jump sum of each cell."""
-    if epochs.size == 0:
-        return points, np.zeros(points.size - 1)
-    merged = np.union1d(points, epochs)
-    return merged, _cell_jumps(merged, epochs, signed)
-
-
 def block_ends(points: np.ndarray) -> np.ndarray:
-    """Indices of the last points at or before t = 1, 2, 4, ..., and the horizon."""
-    ends = points.searchsorted(2.0 ** np.arange(math.ceil(math.log2(points[-1]))),
-                               "right") - 1
+    """Indices of the last points at or before t = 1, 2, 4, ... below
+    BLOCK_CAP, every multiple of BLOCK_CAP, and the horizon."""
+    times = np.append(2.0 ** np.arange(math.log2(BLOCK_CAP)),
+                      np.arange(BLOCK_CAP, points[-1], BLOCK_CAP))
+    ends = points.searchsorted(times, "right") - 1
     return np.unique(np.append(ends[ends > 0], points.size - 1))
 
 
@@ -243,12 +245,12 @@ def _blocks(plan: PerturbedPlan, points: np.ndarray, ends, rng: np.random.Genera
     for b in ends:
         epochs, right, u = plan.draw_jumps(rng, points[a], points[b])
         sizes = plan.signed_sizes(right, u)
-        merged, jumps = _merge_with_epochs(points[a:b + 1], epochs, sizes)
+        merged = np.union1d(points[a:b + 1], epochs) if epochs.size else points[a:b + 1]
         dt = np.diff(merged)
         inc = plan.drift * dt
         if plan.var_unit > 0:
             inc = inc + np.sqrt(plan.var_unit * dt) * rng.standard_normal(dt.size)
-        values = _running_sum(inc + jumps, carry)
+        values = _running_sum(inc + _cell_jumps(merged, epochs, sizes), carry)
         a, carry = b, values[-1]
         yield merged, values, epochs, sizes, rng.random(epochs.size)
 
@@ -272,8 +274,18 @@ def sample_path(model: LevyModel, grid: TimeGrid, stream,
         values = _running_sum(dt ** (1.0 / model.stable.alpha)
                               * sample_stable(model.stable, dt.size, rng))
         return PathSample(grid=grid, values=values, jump_times=np.empty(0))
-    if plan is None:
-        plan = PerturbedPlan.from_model(model)
+    return _perturbed_path(plan or PerturbedPlan.from_model(model), grid, rng)
+
+
+def sample_subordinator_path(decomp: DecompositionT, grid: TimeGrid,
+                             stream) -> PathSample:
+    """Path of S_T, monitored at grid points and jump epochs: the block
+    source on PerturbedPlan.subordinator(decomp)."""
+    return _perturbed_path(PerturbedPlan.subordinator(decomp), grid, as_generator(stream))
+
+
+def _perturbed_path(plan: PerturbedPlan, grid: TimeGrid,
+                    rng: np.random.Generator) -> PathSample:
     merged, values, epochs = joined_blocks(plan, grid.points, rng)
     out_grid = grid if epochs.size == 0 else TimeGrid(merged)
     return PathSample(grid=out_grid, values=values, jump_times=epochs)
@@ -324,31 +336,15 @@ def exact_rows(params: StableParams, dt_pow: np.ndarray, seed: int,
         start, size = stop, 2 * size
 
 
-def sample_subordinator_path(decomp: DecompositionT, grid: TimeGrid,
-                             stream) -> PathSample:
-    """Compound-Poisson path of S_T, monitored at grid points and jump epochs."""
-    rng = as_generator(stream)
-    T = grid.horizon
-    n = rng.poisson(decomp.total_mass * T) if decomp.total_mass > 0 else 0
-    if n == 0:
-        return PathSample(grid=grid, values=np.zeros(grid.points.size),
-                          jump_times=np.empty(0))
-    epochs = np.sort(rng.uniform(0.0, T, size=n))
-    epochs = epochs[epochs > 0.0]
-    sizes = decomp.table.sample(rng, epochs.size)
-    merged, jumps = _merge_with_epochs(grid.points, epochs, sizes)
-    return PathSample(grid=TimeGrid(merged),
-                      values=_running_sum(jumps), jump_times=epochs)
-
-
 def discrete_increments(plan: PerturbedPlan, n_steps: int,
                         rng: np.random.Generator,
                         decomp: DecompositionT | None = None
                         ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Unit-time increments of X on an integer grid (no epoch placement).
+    """Unit-time increments of the plan's process on an integer grid.
 
     Law-identical to sample_path restricted to integers, but draws per-cell
-    jump sums directly.  With `decomp`, also returns the thinned subordinator
+    jump sums directly, with no epochs; a plan without a Gaussian part draws
+    no normals.  With `decomp`, also returns the thinned subordinator
     increments so callers can form Y_T = X -+ S_T pathwise; a sequence of
     splits gives one row per split, all decided by one uniform per jump.
     """
@@ -357,8 +353,10 @@ def discrete_increments(plan: PerturbedPlan, n_steps: int,
     cell = np.repeat(np.arange(n_steps), counts)
     right = rng.uniform(size=total) < plan.p_right
     sizes = plan.signed_sizes(right, rng.uniform(size=total))
-    jump_sums = np.bincount(cell, weights=sizes, minlength=n_steps)
-    inc = plan.drift + np.sqrt(plan.var_unit) * rng.standard_normal(n_steps) + jump_sums
+    inc = np.full(n_steps, plan.drift)
+    if plan.var_unit > 0:
+        inc = inc + np.sqrt(plan.var_unit) * rng.standard_normal(n_steps)
+    inc = inc + np.bincount(cell, weights=sizes, minlength=n_steps)
     if decomp is None:
         return inc, None
     splits = [decomp] if isinstance(decomp, DecompositionT) else decomp

@@ -18,8 +18,8 @@ from levypassage.estimate import (SurvivalEstimate,
 from levypassage.levymodel import (Boundary, LevyModel, stable_model,
                                    standard_symmetric_model)
 from levypassage.rng import stream
-from levypassage.rvcalc import SlowlyVaryingSpec
-from levypassage.simulate import TimeGrid
+from levypassage.rvcalc import SlowlyVaryingSpec, tail_mass
+from levypassage.simulate import ETA, PerturbedPlan, TimeGrid
 from levypassage.stable import StableParams, positivity_parameter, sample_stable
 
 ELL1 = SlowlyVaryingSpec("constant", c=1.0)
@@ -291,6 +291,28 @@ def test_product_bound_alpha_half_gamma_15():
     m = standard_symmetric_model(0.5)
     rep = product_bound_check(m, 1024.0, 1.5, 600, seed=7)
     assert rep.satisfied
+
+
+def test_unthinned_plans_have_the_model_jump_rate(monkeypatch):
+    # every plan built with from_model and no split is a plan of X itself,
+    # so its jump rate is the model's mass beyond ETA; S_T has a plan of its
+    # own (PerturbedPlan.subordinator) and must not come through from_model
+    built = []
+    from_model = PerturbedPlan.from_model.__func__
+
+    def record(cls, model, remove=None):
+        plan = from_model(cls, model, remove)
+        built.append((remove, plan.rate))
+        return plan
+
+    monkeypatch.setattr(PerturbedPlan, "from_model", classmethod(record))
+    m = stable_model(0.7, 0.0, 1.5)
+    want = sum(tail_mass(t, ETA) for t in (m.tail_right, m.tail_left))
+    product_bound_check(m, 64.0, 1.0, 20, seed=3)
+    discrete_survival_experiment(m, (16.0, 32.0), 1.0, seed=3, n_paths=20)
+    plain = [rate for remove, rate in built if remove is None]
+    assert len(plain) >= 2 and len(built) > len(plain)
+    assert plain == pytest.approx([want] * len(plain), rel=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from scipy.stats import ks_2samp
 
 from levypassage.decompose import (NEGATIVE, POSITIVE, DecompositionT,
                                    JumpTable, build_decomposition)
-from levypassage.estimate import survival_counts
+from levypassage.estimate import _subordinator_marginal, survival_counts
 from levypassage.levymodel import (Boundary, LevyModel, stable_model,
                                    standard_symmetric_model, tail_only_model)
 from levypassage.rng import stream
@@ -143,9 +143,14 @@ def test_subordinator_jump_count_poisson_mean():
     d = build_decomposition(m, 100.0, NEGATIVE)  # total mass 1
     grid = TimeGrid(np.array([0.0, 10.0]))
     n = 10 ** 4
-    counts = np.array([sample_subordinator_path(d, grid, (8, i, 0)).jump_times.size
-                       for i in range(n)])
+    paths = [sample_subordinator_path(d, grid, (8, i, 0)) for i in range(n)]
+    counts = np.array([p.jump_times.size for p in paths])
     assert abs(counts.mean() - 10.0) < 3.0 * math.sqrt(10.0 / n)
+    # the block source's S_T at the horizon and the marginal drawn as unit
+    # cells of discrete_increments agree in law: two-sample KS at the 1 % level
+    marginal = _subordinator_marginal(d, grid.horizon, n, 9)
+    ends = np.array([p.values[-1] for p in paths])
+    assert ks_2samp(ends, marginal).statistic < 1.628 * math.sqrt(2.0 / n)
 
 
 def test_subordinator_paths_nondecreasing():
@@ -350,3 +355,7 @@ def test_crossed_perturbed_paths_draw_one_block(monkeypatch):
     assert [(lo, hi) for lo, hi, _ in calls] == [(0.0, 1.0)] * n_paths
     drawn = sum(n for _, _, n in calls)
     assert sum(sized) == drawn and 0 < drawn < 3 * plan.rate * n_paths
+    # blocks end at t = 1, 2, 4, ..., 1024, then every 1024 time units
+    pts = TimeGrid.survival(2.0 ** 14).points
+    assert pts[block_ends(pts)].tolist() == ([2.0 ** k for k in range(11)]
+                                             + [1024.0 * k for k in range(2, 17)])
