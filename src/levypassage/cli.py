@@ -118,7 +118,6 @@ SCHEMA = (
     ("model.ell_c", "ell_c", NUMBER, 1.0),
     ("model.ell_p", "ell_p", NUMBER, 0.0),
     ("model.mode", "mode", TEXT, "exact"),
-    ("model.rho", "rho", NUMBER, None),
     ("boundary.kind", "boundary_kinds", NAMES, ("constant",)),
     ("boundary.gamma", "gamma", NUMBER, 1.0),
     ("boundary.level", "level", NUMBER, 1.0),
@@ -218,7 +217,6 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
          or (cfg.alpha > 1.0 and cfg.beta == 0.0),
          "matched stable tails need alpha < 1, or alpha > 1 with beta = 0"),
         ("model.beta", -1.0 <= cfg.beta <= 1.0, "beta must lie in [-1, 1]"),
-        ("model.rho", cfg.rho is None or 0.0 <= cfg.rho <= 1.0, "rho must lie in [0, 1]"),
         ("model.scale", 0.0 < cfg.scale < math.inf, "scale must be finite and > 0"),
         ("model.sigma2", 0.0 <= cfg.sigma2 < math.inf,
          "sigma2 must be finite and >= 0"),
@@ -296,12 +294,12 @@ def _has_custom_ell(cfg: ExperimentConfig) -> bool:
 
 def build_model(cfg: ExperimentConfig) -> LevyModel:
     if cfg.alpha is None:
-        return LevyModel(b=cfg.drift, sigma2=cfg.sigma2, rho=cfg.rho)
+        return LevyModel(b=cfg.drift, sigma2=cfg.sigma2)
     if _has_custom_ell(cfg) and cfg.mode == "perturbed":
         ell = SlowlyVaryingSpec(cfg.ell_family, c=cfg.ell_c, p=cfg.ell_p)
-        m = tail_only_model(cfg.alpha, ell, sides="both", rho=cfg.rho)
+        m = tail_only_model(cfg.alpha, ell, sides="both")
         return replace(m, b=cfg.drift, sigma2=cfg.sigma2)
-    m = stable_model(cfg.alpha, cfg.beta, cfg.scale, rho=cfg.rho)
+    m = stable_model(cfg.alpha, cfg.beta, cfg.scale)
     if cfg.mode == "perturbed":
         m = replace(m, stable=None, b=m.b + cfg.drift, sigma2=cfg.sigma2)
     return m
@@ -421,7 +419,7 @@ def run_integral_test(cfg: ExperimentConfig) -> list[dict]:
     b = Boundary(cfg.boundary_kinds[0], cfg.gamma, cfg.level)
     res = brownian_integral_test(b)
     return [_row(cfg, boundary_kind=res.classification, gamma=cfg.gamma,
-                 p_hat=res.value if res.value is not None else "")]
+                 p_hat=res.value)]
 
 
 def run_discrete_survival(cfg: ExperimentConfig) -> list[dict]:

@@ -48,16 +48,6 @@ def delta(T: float) -> float:
     return min(1.0 / math.log(math.log(T)), 0.5)
 
 
-def t0_threshold(T: float, alpha: float, gamma: float, epsilon: float) -> int:
-    """floor((ln T)**(3 / (1 - alpha*gamma - epsilon))) for the integer-grid split."""
-    ag = alpha * gamma
-    if not (ag - epsilon > 0 and ag + epsilon < 1):
-        raise ValueError("need 0 < alpha*gamma - epsilon and alpha*gamma + epsilon < 1")
-    if T < 1:
-        raise ValueError("t0_threshold requires T >= 1")
-    return int(math.floor(math.log(T) ** (3.0 / (1.0 - ag - epsilon))))
-
-
 class JumpTable:
     """Inverse-CDF sampler for a density on [x_lo, inf), piecewise linear in logs.
 

@@ -256,18 +256,6 @@ def survival_counts(model: LevyModel, boundaries: list[Boundary], T_grid,
     return _nested_counts(_run_chunks(worker, n_paths, threads), n_paths)
 
 
-def survival_probability(model: LevyModel, boundary: Boundary, T_grid,
-                         n_paths: int, grid: TimeGrid | None = None,
-                         seed: int = 0, threads: int = 1) -> list[SurvivalEstimate]:
-    """Survival estimates over the horizon grid, one reused path set."""
-    Tg = _horizons(T_grid)
-    if grid is None:
-        grid = TimeGrid.survival(float(Tg[-1]))
-    counts = survival_counts(model, [boundary], Tg, n_paths, grid, seed, threads)
-    return [SurvivalEstimate.from_counts(float(T), int(k), n_paths, seed)
-            for T, k in zip(Tg, counts[0])]
-
-
 # ---------------------------------------------------------------------------
 # decomposition-level experiments
 # ---------------------------------------------------------------------------

@@ -137,18 +137,6 @@ def spitzer_profile(model: LevyModel, t_grid, n_paths: int, seed: int,
     return PositivityProfile.tabulated(t_grid, _run_chunks(worker, n_paths, threads) / n_paths)
 
 
-def small_time_positivity(model: LevyModel, t_values=(1e-3, 1e-2),
-                          n_paths: int = 20_000,
-                          seed: int = 0) -> dict[float, tuple[float, bool]]:
-    """Diagnostic for limsup_{t->0+} P(X(t) >= 0) < 1; reported, not asserted.
-
-    Maps each t to (P(X(t) >= 0), whether it is at most 1 - 1e-3).
-    """
-    prof = spitzer_profile(model, np.asarray(t_values, float), n_paths, seed)
-    return {float(t): (float(p), bool(p <= 1.0 - 1e-3))
-            for t, p in zip(prof.t, prof.p)}
-
-
 def renewal_convergence_gaps(model: LevyModel, decomp_by_T: dict[float, DecompositionT],
                              grid: TimeGrid, x: float, n_paths: int,
                              seed: int) -> dict[float, float]:

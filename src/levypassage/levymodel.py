@@ -1,25 +1,22 @@
-"""Lévy triplet data model, characteristic exponent, and validation.
+"""Lévy triplet data model and characteristic exponent.
 
 A model is (b, sigma2, nu) with nu given by up to two regularly varying
-tails, plus optional exact strictly-stable increment parameters and an
-optional supplied positivity parameter rho.  Two simulation modes hang off
-this: exact stable increments when `stable` is set, otherwise Gaussian +
-drift + compound-Poisson big jumps with a variance-matched small-jump
-correction (see simulate).
+tails, plus optional exact strictly-stable increment parameters.  Two
+simulation modes hang off this: exact stable increments when `stable` is
+set, otherwise Gaussian + drift + compound-Poisson big jumps with a
+variance-matched small-jump correction (see simulate).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .rvcalc import (CONSTANT, QUAD_EPSABS, QUAD_EPSREL, RegVaryingTail,
-                     SlowlyVaryingSpec, quad, quadpack, tail_mass)
-from .stable import StableParams, positivity_parameter
-
-RHO_CONSISTENCY_TOL = 1e-6
+                     SlowlyVaryingSpec, quadpack, tail_mass)
+from .stable import StableParams
 
 
 @dataclass(frozen=True)
@@ -29,7 +26,6 @@ class LevyModel:
     tail_left: RegVaryingTail | None = None
     tail_right: RegVaryingTail | None = None
     stable: StableParams | None = None
-    rho: float | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.sigma2) and self.sigma2 >= 0):
@@ -126,80 +122,6 @@ def characteristic_exponent(model: LevyModel, u: float,
 
 
 # ---------------------------------------------------------------------------
-# validation
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ValidationReport:
-    violations: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def levy_integrability(tail: RegVaryingTail) -> float:
-    """int (1 ^ x**2) d(nu) for one tail: x**2 near 0 plus the mass past 1."""
-    return quad(lambda x: x * x * tail.density(x), 0.0, 1.0) + tail_mass(tail, 1.0)
-
-
-def effective_rho(model: LevyModel) -> float | None:
-    """Positivity parameter with supplied-value precedence over closed forms."""
-    if model.rho is not None:
-        return model.rho
-    if model.stable is not None:
-        return positivity_parameter(model.stable)
-    if model.has_jumps:
-        # tail-balance proxy: compare tail masses far out where ell has settled
-        x_ref = 1e6
-        mp = tail_mass(model.tail_right, x_ref) if model.tail_right else 0.0
-        mm = tail_mass(model.tail_left, x_ref) if model.tail_left else 0.0
-        beta = (mp - mm) / (mp + mm)
-        return positivity_parameter(StableParams(model.alpha, beta))
-    if model.sigma2 > 0 and model.b == 0:
-        return 0.5
-    return None
-
-
-def validate_model(model: LevyModel, theorem_mode: bool = False) -> ValidationReport:
-    """Structured invariant check; collects violations instead of raising."""
-    rep = ValidationReport()
-    if model.sigma2 < 0:
-        rep.violations.append("sigma2 negative")
-    if model.stable is None and not model.has_jumps and model.sigma2 == 0 and model.b == 0:
-        rep.violations.append("model has no component (no stable, tails, Gaussian or drift)")
-    if model.tail_left is not None and model.tail_right is not None:
-        if model.tail_left.alpha != model.tail_right.alpha:
-            rep.violations.append("left and right tail indices disagree")
-    for name, t in (("left", model.tail_left), ("right", model.tail_right)):
-        if t is not None:
-            if not math.isfinite(levy_integrability(t)):
-                rep.violations.append(f"{name} tail fails int (1 ^ x^2) d(nu) < inf")
-    if model.rho is not None:
-        if not (0.0 < model.rho < 1.0) and theorem_mode:
-            rep.violations.append("theorem verification requires rho in (0, 1)")
-        if model.stable is not None:
-            closed = positivity_parameter(model.stable)
-            if abs(closed - model.rho) > RHO_CONSISTENCY_TOL:
-                rep.warnings.append(
-                    f"supplied rho {model.rho:.6g} disagrees with closed form {closed:.6g}; "
-                    "supplied value takes precedence")
-    if theorem_mode:
-        try:
-            a = model.alpha
-        except AttributeError:
-            a = None
-            rep.violations.append("theorem verification requires a heavy-tailed component")
-        if a is not None and a >= 1.0:
-            rep.violations.append("theorem verification requires alpha < 1")
-        r = effective_rho(model)
-        if r is not None and not (0.0 < r < 1.0):
-            rep.violations.append("theorem verification requires rho in (0, 1)")
-    return rep
-
-
-# ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
 
@@ -216,8 +138,7 @@ def stable_tail_constant(alpha: float, scale: float = 1.0) -> float:
     return scale ** alpha * alpha / (math.gamma(1.0 - alpha) * math.cos(math.pi * alpha / 2.0))
 
 
-def stable_model(alpha: float, beta: float = 0.0, scale: float = 1.0,
-                 rho: float | None = None) -> LevyModel:
+def stable_model(alpha: float, beta: float = 0.0, scale: float = 1.0) -> LevyModel:
     """Strictly stable model carrying both exact params and matched tails.
 
     The drift b is chosen so the Lévy–Khintchine form with the matched tails
@@ -234,7 +155,7 @@ def stable_model(alpha: float, beta: float = 0.0, scale: float = 1.0,
         raise ValueError("skewed tail-matched models are only built for alpha < 1")
     b = (cp - cm) / (1.0 - alpha) if alpha < 1.0 else 0.0
     return LevyModel(b=b, sigma2=0.0, tail_left=left, tail_right=right,
-                     stable=params, rho=rho)
+                     stable=params)
 
 
 def levy_unit_tail_scale(alpha: float) -> float:
@@ -253,8 +174,8 @@ def standard_symmetric_model(alpha: float) -> LevyModel:
 
 
 def tail_only_model(alpha: float, ell: SlowlyVaryingSpec,
-                    sides: str = "both", rho: float | None = None) -> LevyModel:
+                    sides: str = "both") -> LevyModel:
     """Pure-jump model from bare tail specs (no exact-increment mode)."""
     left = RegVaryingTail(alpha, ell, "left") if sides in ("both", "left") else None
     right = RegVaryingTail(alpha, ell, "right") if sides in ("both", "right") else None
-    return LevyModel(tail_left=left, tail_right=right, rho=rho)
+    return LevyModel(tail_left=left, tail_right=right)

@@ -74,9 +74,8 @@ def subordinator_stays_above(path: PathSample, b: Boundary) -> bool:
 
 @dataclass(frozen=True)
 class IntegralTest:
-    classification: str           # "convergent" | "divergent" | "unknown"
-    value: float | None           # full integral when classified
-    partial: float | None = None  # quadrature over the tabulated range only
+    classification: str  # "convergent" | "divergent"
+    value: float         # the full integral, inf when divergent
 
 
 def _abs_power_integral(level: float, sign: float, gamma: float) -> float:
@@ -108,33 +107,16 @@ def _abs_power_integral(level: float, sign: float, gamma: float) -> float:
     return piece(1.0, t_star, 1.0) + piece(t_star, math.inf, -1.0)
 
 
-def brownian_integral_test(boundary: Boundary | None = None, *,
-                           tabulated: tuple[np.ndarray, np.ndarray] | None = None,
-                           envelope_gamma: float | None = None) -> IntegralTest:
+def brownian_integral_test(boundary: Boundary) -> IntegralTest:
     """Evaluate int_1^inf |f(t)| t**(-3/2) dt and classify it.
 
     For the three boundary kinds the integral is in closed form: power
-    boundaries converge iff gamma < 1/2.  A tabulated f on [1, t_max] is
-    integrated by the trapezoid rule; without a power-law envelope for the
-    tail the test refuses to classify and returns the partial value only.
+    boundaries converge iff gamma < 1/2.
     """
-    if (boundary is None) == (tabulated is None):
-        raise ValueError("pass exactly one of boundary or tabulated")
-    if boundary is not None:
-        if boundary.kind == "constant":
-            return IntegralTest("convergent", 2.0 * abs(boundary.level))
-        if boundary.gamma >= 0.5:
-            return IntegralTest("divergent", math.inf)
-        sign = 1.0 if boundary.kind == "increasing" else -1.0
-        return IntegralTest("convergent",
-                            _abs_power_integral(boundary.level, sign, boundary.gamma))
-    t, f = (np.asarray(a, dtype=float) for a in tabulated)
-    if t.ndim != 1 or t.shape != f.shape or t[0] < 1.0 or np.any(np.diff(t) <= 0):
-        raise ValueError("tabulated boundary needs increasing t >= 1")
-    partial = float(np.trapezoid(np.abs(f) * t ** -1.5, t))
-    if envelope_gamma is None:
-        return IntegralTest("unknown", None, partial)
-    if envelope_gamma >= 0.5:
-        return IntegralTest("divergent", math.inf, partial)
-    tail = abs(f[-1]) / ((0.5 - envelope_gamma) * math.sqrt(t[-1]))
-    return IntegralTest("convergent", partial + tail, partial)
+    if boundary.kind == "constant":
+        return IntegralTest("convergent", 2.0 * abs(boundary.level))
+    if boundary.gamma >= 0.5:
+        return IntegralTest("divergent", math.inf)
+    sign = 1.0 if boundary.kind == "increasing" else -1.0
+    return IntegralTest("convergent",
+                        _abs_power_integral(boundary.level, sign, boundary.gamma))

@@ -145,41 +145,3 @@ def tail_mass(tail: RegVaryingTail, x: float) -> float:
         return tail.ell.c * x ** (-tail.alpha) / tail.alpha
     return mass_beyond(tail.density, x, truncation_point(tail, x))
 
-
-def potter_lambda0(spec: SlowlyVaryingSpec, epsilon: float) -> float | None:
-    """Largest grid point lam0 with ell(lam) >= lam**epsilon for all lam < lam0.
-
-    Scans a geometric grid of 16 points per decade from 0.1 down to 1e-8.
-    Returns None if the bound fails even at the bottom of the grid.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    lam_hi, lam_lo = 0.1, 1e-8
-    n = int(math.ceil(16 * math.log10(lam_hi / lam_lo))) + 1
-    grid = np.geomspace(lam_lo, lam_hi, n)
-    ok = eval_slowly_varying(spec, grid) >= grid ** epsilon
-    if not ok[0]:
-        return None
-    bad = np.nonzero(~ok)[0]
-    return float(grid[bad[0]]) if bad.size else float(lam_hi)
-
-
-def slow_variation_threshold(spec: SlowlyVaryingSpec, lam: float) -> float | None:
-    """Largest grid x0 with |ell(lam*x)/ell(x) - 1| < 0.01 for all grid x < x0.
-
-    The grid has 2 points per decade from 1 down to 1e-280.  Log-power
-    ratios converge like p*ln(lam)/ln(1/x), so for a 1% tolerance x0 sits
-    around exp(-100*p*ln lam): astronomically small, hence the very deep
-    grid floor.
-    """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    x_hi, x_lo = 1.0, 1e-280
-    n = int(math.ceil(2 * math.log10(x_hi / x_lo))) + 1
-    grid = np.geomspace(x_lo, x_hi, n)
-    ratio = eval_slowly_varying(spec, lam * grid) / eval_slowly_varying(spec, grid)
-    ok = np.abs(ratio - 1.0) < 0.01
-    if not ok[0]:
-        return None
-    bad = np.nonzero(~ok)[0]
-    return float(grid[bad[0]]) if bad.size else float(x_hi)

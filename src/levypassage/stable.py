@@ -79,20 +79,6 @@ def positivity_parameter(params: StableParams) -> float:
     return 0.5 + math.atan(b * math.tan(math.pi * a / 2.0)) / (math.pi * a)
 
 
-def norming_function(model, t):
-    """Norming c(t) = scale * t**(1/alpha) that makes X(t)/c(t) converge.
-
-    Accepts anything exposing `alpha` and `scale` attributes (StableParams or
-    a Lévy model).  A perturbation of the stable law leaves c unchanged up to
-    slow variation, so the same formula is used for perturbed models.
-    """
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
-        raise ValueError("norming_function requires finite t > 0")
-    out = model.scale * arr ** (1.0 / model.alpha)
-    return float(out) if np.isscalar(t) or arr.ndim == 0 else out
-
-
 def subordinator_unit_scale(alpha: float) -> float:
     """Scale making the one-sided stable Laplace exponent exactly lambda**alpha.
 

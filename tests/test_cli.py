@@ -51,9 +51,10 @@ def test_config_requires_seed():
 
 
 def test_config_unknown_key():
-    raw = parse_config_text(BASE + "run.bogus = 1\n")
-    with pytest.raises(ConfigError, match="unknown"):
-        build_config(raw)
+    for line in ("run.bogus = 1", "model.rho = 0.3"):
+        raw = parse_config_text(BASE + line + "\n")
+        with pytest.raises(ConfigError, match="unknown configuration key"):
+            build_config(raw)
 
 
 def test_seed_range_edges_build():
@@ -361,8 +362,8 @@ def test_seed_override_changes_id(tmp_path):
     ("model.scale = 0", "model.scale"),
     ("boundary.kind = decreasing\nboundary.gamma = nan", "boundary.gamma"),
     ("boundary.kind = decreasing\nboundary.gamma = -1", "boundary.gamma"),
-    ("model.rho = 2", "model.rho"),
-    ("model.rho = nan", "model.rho"),
+    # rho is the closed form of (alpha, beta), so it is not a key
+    ("model.rho = 0.3", "model.rho"),
     # the path streams keep a seed's low 64 bits: -1 would draw the paths
     # of 2**64 - 1 under another experiment id
     ("run.seed = -1", "run.seed"),
@@ -483,7 +484,6 @@ FUZZ_VALUES = {
     "model.ell_c": ["1", "2"],
     "model.ell_p": ["0", "0.5"],
     "model.mode": ["exact", "perturbed"],
-    "model.rho": ["0.3"],
     "boundary.kind": ["constant", "decreasing",
                       "constant,decreasing,increasing"],
     "boundary.gamma": ["0.5", "1.3"],

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from levypassage.decompose import (GUIDE_BUCKETS_PER_KNOT, NEGATIVE, POSITIVE,
                                    DecompositionT, InvalidDecompositionError,
                                    JumpTable, build_decomposition, delta,
-                                   laplace_bound, t0_threshold)
+                                   laplace_bound)
 from levypassage.estimate import (subordinator_exceedance,
                                   subordinator_laplace_check)
 from levypassage.levymodel import tail_only_model
@@ -40,19 +40,6 @@ def test_delta_domain():
 @settings(max_examples=100, deadline=None)
 def test_delta_nonincreasing(T, factor):
     assert delta(T * factor) <= delta(T) + 1e-15
-
-
-def test_t0_threshold_examples():
-    assert t0_threshold(math.exp(2.0), 0.5, 1.0, 0.25) == 4096
-    assert t0_threshold(math.e, 0.5, 1.0, 0.25) == 1
-    assert t0_threshold(math.exp(3.0), 0.5, 0.5, 0.15) == 243
-
-
-def test_t0_threshold_domain():
-    with pytest.raises(ValueError):
-        t0_threshold(10.0, 0.5, 1.0, 0.6)   # alpha*gamma - eps < 0
-    with pytest.raises(ValueError):
-        t0_threshold(10.0, 0.7, 1.3, 0.1)   # alpha*gamma + eps > 1
 
 
 def test_total_mass_constant_ell():

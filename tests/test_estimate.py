@@ -13,13 +13,14 @@ from levypassage.decompose import DecompositionT, NEGATIVE, build_decomposition
 from levypassage.estimate import (SurvivalEstimate,
                                   discrete_survival_experiment, fit_exponent,
                                   lemma_n0N_experiment, product_bound_check,
-                                  survival_counts, survival_probability,
-                                  wilson_log_ci)
+                                  survival_counts, wilson_log_ci)
 from levypassage.levymodel import (Boundary, LevyModel, stable_model,
                                    standard_symmetric_model)
+from levypassage.passage import boundary_value, first_crossings
 from levypassage.rng import stream
 from levypassage.rvcalc import SlowlyVaryingSpec, tail_mass
-from levypassage.simulate import ETA, PerturbedPlan, TimeGrid
+from levypassage.simulate import (ETA, PerturbedPlan, TimeGrid, path_blocks,
+                                  sample_path)
 from levypassage.stable import StableParams, positivity_parameter, sample_stable
 
 ELL1 = SlowlyVaryingSpec("constant", c=1.0)
@@ -94,21 +95,21 @@ def test_wilson_brackets_point_estimate(k, n):
 
 def test_survival_at_time_zero_is_one():
     m = standard_symmetric_model(0.7)
-    ests = survival_probability(m, Boundary("constant"), [0.0, 1.0, 4.0],
-                                n_paths=500, grid=TimeGrid.survival(4.0), seed=1)
-    assert ests[0].p_hat == 1.0
-    assert ests[0].T == 0.0
+    counts = survival_counts(m, [Boundary("constant")], [0.0, 1.0, 4.0], 500,
+                             TimeGrid.survival(4.0), seed=1)
+    assert SurvivalEstimate.from_counts(0.0, int(counts[0, 0]), 500, 1).p_hat == 1.0
 
 
 def test_brownian_constant_boundary_oracle():
     # P(max W <= 1 on [0,1]) = 2 Phi(1) - 1, grid bias ~ +0.009 at dt = 1e-3
     m = LevyModel(sigma2=1.0)
     n = 20_000
-    ests = survival_probability(m, Boundary("constant"), [1.0], n_paths=n,
-                                grid=TimeGrid.uniform(1.0, 1e-3), seed=2)
+    counts = survival_counts(m, [Boundary("constant")], [1.0], n,
+                             TimeGrid.uniform(1.0, 1e-3), seed=2)
+    p_hat = SurvivalEstimate.from_counts(1.0, int(counts[0, 0]), n, 2).p_hat
     oracle = math.erf(1.0 / math.sqrt(2.0))
     se = math.sqrt(oracle * (1 - oracle) / n)
-    assert 0.0 <= ests[0].p_hat - oracle <= 3.0 * se + 0.012
+    assert 0.0 <= p_hat - oracle <= 3.0 * se + 0.012
 
 
 def test_exact_nesting_and_boundary_ordering():
@@ -123,17 +124,73 @@ def test_exact_nesting_and_boundary_ordering():
     assert np.all(counts[0] <= counts[1]) and np.all(counts[1] <= counts[2])
 
 
-def test_skewed_constant_boundary_exponent():
-    # beta = -0.5 breaks the rho = 1/2 symmetry every other check sits on
-    m = stable_model(0.7, -0.5)
-    rho = positivity_parameter(m.stable)
-    assert rho == pytest.approx(0.1471, abs=1e-4)
-    T_grid, n = np.geomspace(16.0, 16384.0, 8), 4000
+@pytest.mark.parametrize("beta, rho, n, T_grid", [
+    (-0.5, 0.1471, 4000, np.geomspace(16.0, 16384.0, 8)),
+    (0.5, 0.8529, 20_000, 2.0 ** np.arange(4, 11)),
+], ids=["beta-0.5", "beta0.5"])
+def test_skewed_constant_boundary_exponent(beta, rho, n, T_grid):
+    # beta = +-0.5 breaks the rho = 1/2 symmetry every other check sits on
+    m = stable_model(0.7, beta)
+    closed = positivity_parameter(m.stable)
+    assert closed == pytest.approx(rho, abs=1e-4)
     counts = survival_counts(m, [Boundary("constant")], T_grid, n,
-                             TimeGrid.survival(16384.0), seed=4242)
+                             TimeGrid.survival(float(T_grid[-1])), seed=4242)
     fit = fit_exponent([SurvivalEstimate.from_counts(float(T), int(k), n, 4242)
                         for T, k in zip(T_grid, counts[0])])
-    assert abs(fit.rho_hat - rho) < 4.0 * fit.stderr
+    assert abs(fit.rho_hat - closed) < 4.0 * fit.stderr
+
+
+def two_sample_z(k1, n1, k2, n2):
+    """Pooled two-sample binomial z of survivor counts k1/n1 against k2/n2."""
+    k1, k2 = np.asarray(k1, float), np.asarray(k2, float)
+    p = (k1 + k2) / (n1 + n2)
+    return (k1 / n1 - k2 / n2) / np.sqrt(p * (1.0 - p) * (1.0 / n1 + 1.0 / n2))
+
+
+def grid_deaths(limits, pts, path_values):
+    """Time of each path's first grid point above limits, inf if none."""
+    k = first_crossings(path_values, limits)
+    return np.where(k >= 0, pts[k], np.inf)
+
+
+@pytest.mark.slow
+def test_perturbed_grid_survival_matches_exact():
+    # Survival over many blocks, the two modes on one monitored set:
+    # perturbed paths of the acceptance model scored at the grid points only
+    # (exact mode's set) against exact-mode counts.  Tolerance |z| <= 4 per
+    # horizon, fixed before the first run.
+    m = standard_symmetric_model(0.7)
+    plan = PerturbedPlan.from_model(replace(m, stable=None))
+    b, T_grid = Boundary("constant"), np.array([4.0, 16.0, 64.0, 256.0])
+    grid = TimeGrid.survival(T_grid[-1])
+    n_pert, n_exact = 4000, 20_000
+    died = np.full(n_pert, np.inf)
+    for i in range(n_pert):
+        for mpts, vals, _ in path_blocks(plan, grid.points, stream(77, i)):
+            on_grid = np.isin(mpts, grid.points)
+            pts = mpts[on_grid]
+            died[i] = grid_deaths(boundary_value(b, pts), pts, vals[on_grid])
+            if died[i] < np.inf:
+                break
+    pert = (died[:, None] > T_grid).sum(axis=0)
+    exact = survival_counts(m, [b], T_grid, n_exact, grid, seed=78)[0]
+    z = two_sample_z(pert, n_pert, exact, n_exact)
+    assert np.all(np.abs(z) <= 4.0), (pert, exact, z)
+
+
+def test_reflection_in_law():
+    # X at beta = 0.5 and -X at beta = -0.5 have one law, so one survival
+    # below 1 - t**0.5.  Tolerance |z| <= 4 per horizon, fixed before the
+    # first run.
+    b, T_grid, n = Boundary("decreasing", 0.5), np.array([1.0, 4.0, 16.0, 64.0]), 10_000
+    grid = TimeGrid.survival(T_grid[-1])
+    direct = survival_counts(stable_model(0.7, 0.5), [b], T_grid, n, grid, seed=91)[0]
+    neg = stable_model(0.7, -0.5)
+    values = -np.array([sample_path(neg, grid, (92, i, 0)).values for i in range(n)])
+    died = grid_deaths(boundary_value(b, grid.points), grid.points, values)
+    reflected = (died[:, None] > T_grid).sum(axis=0)
+    z = two_sample_z(direct, n, reflected, n)
+    assert np.all(np.abs(z) <= 4.0), (direct, reflected, z)
 
 
 def test_determinism_across_thread_counts():
@@ -246,7 +303,8 @@ def test_chunks_stay_in_process_without_fork_or_affinity(monkeypatch):
 def test_survival_guard_rails():
     m = standard_symmetric_model(0.7)
     with pytest.raises(ValueError):
-        survival_probability(m, Boundary("constant"), [1.0, 2.0], n_paths=0, seed=0)
+        survival_counts(m, [Boundary("constant")], [1.0, 2.0], 0,
+                        TimeGrid.survival(2.0), seed=0)
     with pytest.raises(ValueError):
         survival_counts(m, [Boundary("constant")], [4.0, 2.0], 10,
                         TimeGrid.survival(4.0), seed=0)
@@ -256,8 +314,6 @@ def test_survival_guard_rails():
     with pytest.raises(ValueError):
         survival_counts(m, [Boundary("constant")], [], 10,
                         TimeGrid.survival(4.0), seed=0)
-    with pytest.raises(ValueError):
-        survival_probability(m, Boundary("constant"), [], n_paths=10, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,7 @@ import pytest
 from levypassage.decompose import NEGATIVE, build_decomposition
 from levypassage.fluctuation import (LadderSample, PositivityProfile, kappa,
                                      ladder_process, renewal_convergence_gaps,
-                                     renewal_estimate, small_time_positivity,
-                                     spitzer_profile)
+                                     renewal_estimate, spitzer_profile)
 from levypassage.levymodel import (LevyModel, stable_model,
                                    standard_symmetric_model, tail_only_model)
 from levypassage.rvcalc import SlowlyVaryingSpec
@@ -160,10 +159,3 @@ def test_spitzer_converges_to_positivity_parameter():
     se = math.sqrt(rho * (1 - rho) / n)
     assert abs(prof.p[-1] - rho) < 3.0 * se
 
-
-def test_small_time_positivity_diagnostic():
-    m = standard_symmetric_model(0.7)
-    out = small_time_positivity(m, (1e-3, 1e-2), n_paths=5000, seed=78)
-    for t, (p, below) in out.items():
-        assert 0.0 <= p <= 1.0
-        assert below == (p <= 1.0 - 1e-3)

@@ -264,7 +264,6 @@ model.ell_c = 2
 model.ell_p = 0.5
 model.sigma2 = 0.25
 model.drift = -0.1
-model.rho = 0.4
 boundary.kind = increasing
 boundary.level = 0.5
 run.t_min = 2
@@ -277,12 +276,12 @@ kappa.a_values = 0.5,3
 spitzer.t_values = 1,2.5
 run.seed = 3
 run.threads = 2
-""", "2b9bf5a85c9e", [
+""", "8bdde7cb80d4", [
         "experiment.kind = survival", "model.alpha = 0.80000000000000004",
         "model.beta = 0", "model.scale = 1", "model.sigma2 = 0.25",
         "model.drift = -0.10000000000000001", "model.ell_family = log-power",
         "model.ell_c = 2", "model.ell_p = 0.5", "model.mode = perturbed",
-        "model.rho = 0.40000000000000002", "boundary.kind = increasing",
+        "boundary.kind = increasing",
         "boundary.gamma = 1", "boundary.level = 0.5", "run.t_min = 2",
         "run.t_max = 64", "run.t_points = 3", "run.n_paths = 1000",
         "run.seed = 3", "run.grid_policy = geometric", "run.grid_dt = 0.001",

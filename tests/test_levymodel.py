@@ -4,10 +4,9 @@ import mpmath
 import pytest
 
 from levypassage.levymodel import (Boundary, LevyModel, characteristic_exponent,
-                                   effective_rho, levy_unit_tail_scale,
-                                   stable_model, standard_symmetric_model,
-                                   tail_only_model, validate_model)
-from levypassage.rvcalc import RegVaryingTail, SlowlyVaryingSpec
+                                   levy_unit_tail_scale, stable_model,
+                                   standard_symmetric_model, tail_only_model)
+from levypassage.rvcalc import SlowlyVaryingSpec
 
 
 def test_pure_drift_exponent():
@@ -17,6 +16,8 @@ def test_pure_drift_exponent():
 def test_gaussian_exponent():
     psi = characteristic_exponent(LevyModel(sigma2=2.0), 3.0)
     assert psi == pytest.approx(-9.0 + 0.0j)
+    with pytest.raises(ValueError):
+        LevyModel(sigma2=-1.0)
 
 
 def test_symmetric_tails_closed_form():
@@ -64,49 +65,6 @@ def test_unit_tail_scale_gives_ell_one():
     assert m.tail_left.ell.c == pytest.approx(1.0, rel=1e-14)
     assert m.tail_right.ell.c == pytest.approx(1.0, rel=1e-14)
     assert m.scale == pytest.approx(levy_unit_tail_scale(0.7))
-
-
-def test_validate_sigma2_negative():
-    with pytest.raises(ValueError):
-        LevyModel(sigma2=-1.0)
-    # validate_model itself never raises; build via object bypass
-    m = LevyModel(sigma2=1.0)
-    object.__setattr__(m, "sigma2", -1.0)
-    rep = validate_model(m)
-    assert any("sigma2" in v for v in rep.violations)
-
-
-def test_validate_symmetric_rho_consistent():
-    m = stable_model(0.7, 0.0, rho=0.5)
-    rep = validate_model(m)
-    assert rep.ok and not rep.warnings
-
-
-def test_validate_rho_disagreement_warns():
-    m = stable_model(0.7, 0.5, rho=0.5)  # closed form is ~0.853
-    rep = validate_model(m)
-    assert rep.ok
-    assert any("precedence" in w for w in rep.warnings)
-    assert effective_rho(m) == 0.5  # supplied value wins
-
-
-def test_theorem_mode_rejects_alpha_above_one():
-    m = stable_model(1.3)
-    rep = validate_model(m, theorem_mode=True)
-    assert any("alpha < 1" in v for v in rep.violations)
-    assert validate_model(stable_model(0.7), theorem_mode=True).ok
-
-
-def test_empty_model_flagged():
-    rep = validate_model(LevyModel())
-    assert not rep.ok
-
-
-def test_tail_balance_rho_proxy():
-    left = RegVaryingTail(0.7, SlowlyVaryingSpec("constant", c=1.0), "left")
-    right = RegVaryingTail(0.7, SlowlyVaryingSpec("constant", c=1.0), "right")
-    m = LevyModel(tail_left=left, tail_right=right)
-    assert effective_rho(m) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_boundary_validation():

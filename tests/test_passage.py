@@ -111,23 +111,3 @@ def test_integral_moving_boundaries_closed_form():
     assert brownian_integral_test(Boundary("decreasing", 0.6, 1.0)).classification \
         == "divergent"
 
-
-def test_integral_tabulated():
-    t = np.geomspace(1.0, 1e8, 20001)
-    f = t ** 0.25
-    res = brownian_integral_test(tabulated=(t, f), envelope_gamma=0.25)
-    assert res.classification == "convergent"
-    assert res.value == pytest.approx(4.0, rel=1e-3)
-    res = brownian_integral_test(tabulated=(t, f))
-    assert res.classification == "unknown" and res.value is None
-    assert res.partial == pytest.approx(4.0 - 4.0 * (1e8) ** -0.25, rel=1e-3)
-    res = brownian_integral_test(tabulated=(t, np.sqrt(t)), envelope_gamma=0.5)
-    assert res.classification == "divergent"
-
-
-def test_integral_argument_validation():
-    with pytest.raises(ValueError):
-        brownian_integral_test()
-    with pytest.raises(ValueError):
-        brownian_integral_test(Boundary("constant"), tabulated=(np.array([1.0, 2.0]),
-                                                                np.array([1.0, 1.0])))

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levypassage.rvcalc import (RegVaryingTail, SlowlyVaryingSpec,
-                                eval_slowly_varying, potter_lambda0,
-                                slow_variation_threshold, tail_mass)
+                                eval_slowly_varying, tail_mass)
 
 CONST1 = SlowlyVaryingSpec("constant", c=1.0)
 
@@ -83,38 +82,6 @@ def test_levy_integrability_of_density():
         inner, _ = quad(lambda x: x * x * tail.density(x), 0, 1)
         assert math.isfinite(inner) and inner > 0
         assert math.isfinite(tail_mass(tail, 1.0))
-
-
-@pytest.mark.parametrize("p,eps", [(-1.0, 0.2), (-1.0, 0.5), (-2.0, 0.4)])
-def test_potter_lower_bound_negative_powers(p, eps):
-    # ell(lam) >= lam**eps must kick in above some lam0 and hold down to 1e-8
-    spec = SlowlyVaryingSpec("log-power", p=p)
-    lam0 = potter_lambda0(spec, eps)
-    assert lam0 is not None and lam0 > 1e-8
-    # strictly inside (0, lam0); at lam0 itself equality is crossed
-    grid = np.geomspace(1e-8, lam0 / 2.0, 50)
-    assert np.all(eval_slowly_varying(spec, grid) >= grid ** eps)
-
-
-def test_potter_crossover_below_grid_reports_none():
-    # for p=-1, eps=0.05 the bound only holds below ~1e-39; the 1e-8 grid
-    # cannot witness it and the checker must say so rather than guess
-    assert potter_lambda0(SlowlyVaryingSpec("log-power", p=-1.0), 0.05) is None
-
-
-def test_potter_trivial_for_positive_powers():
-    spec = SlowlyVaryingSpec("log-power", p=2.0)
-    assert potter_lambda0(spec, 0.1) == pytest.approx(0.1)
-
-
-@pytest.mark.parametrize("lam", [0.5, 2.0])
-def test_slow_variation_threshold_reported(lam):
-    spec = SlowlyVaryingSpec("log-power", p=1.5)
-    x0 = slow_variation_threshold(spec, lam)
-    assert x0 is not None
-    assert x0 < 1e-30  # the 1% band is only reached extremely deep
-    ratio = eval_slowly_varying(spec, lam * x0 / 2) / eval_slowly_varying(spec, x0 / 2)
-    assert abs(ratio - 1.0) < 0.01
 
 
 @given(st.floats(0.05, 1.95), st.floats(-3.0, 3.0),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from levypassage.rng import Cursor, as_generator, stream
-from levypassage.stable import (StableParams, cms_transform, norming_function,
+from levypassage.stable import (StableParams, cms_transform,
                                 positivity_parameter, sample_stable,
                                 subordinator_unit_scale)
 
@@ -81,16 +81,6 @@ def test_positivity_reflection_identity(alpha, beta):
     assert p1 + p2 == pytest.approx(1.0, abs=1e-15)
 
 
-def test_norming_function():
-    class M:
-        alpha, scale = 0.5, 1.0
-    assert norming_function(M, 4.0) == pytest.approx(16.0, rel=1e-15)
-    M.alpha, M.scale = 1.0, 2.0
-    assert norming_function(M, 3.0) == pytest.approx(6.0, rel=1e-15)
-    with pytest.raises(ValueError):
-        norming_function(M, 0.0)
-
-
 @pytest.mark.parametrize("c", [2.0, 8.0])
 def test_self_similarity_ks(c):
     # Z(ct)/c**(1/alpha) should match Z(t) in law
@@ -100,21 +90,6 @@ def test_self_similarity_ks(c):
     z2 = 1.0 ** (1 / 0.7) * sample_stable(params, n, stream(5, 1))
     stat = ks_2samp(z1 / c ** (1 / 0.7), z2).statistic
     assert stat < ks_threshold(n)
-
-
-def test_norming_check_at_large_t():
-    # X(t)/c(t) vs Z(1) for exact stable increments, t = 1024
-    params = StableParams(0.7, 0.0)
-    n = 10 ** 5
-    t = 1024.0
-    xt = t ** (1 / 0.7) * sample_stable(params, n, stream(9, 0))
-    z = sample_stable(params, n, stream(9, 1))
-
-    class M:
-        alpha, scale = 0.7, 1.0
-
-    stat = ks_2samp(xt / norming_function(M, t), z).statistic
-    assert stat < 0.02
 
 
 def test_streams_are_reproducible_and_distinct():
