@@ -17,7 +17,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import field, make_dataclass, replace
+from dataclasses import make_dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -150,11 +150,10 @@ class _ConfigMethods:
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-# One field per SCHEMA row, plus the raw key/value text it was parsed from.
+# One field per SCHEMA row.
 ExperimentConfig = make_dataclass(
     "ExperimentConfig",
-    [(attr, Any, default) for _, attr, _, default in SCHEMA]
-    + [("raw", dict, field(default_factory=dict))],
+    [(attr, Any, default) for _, attr, _, default in SCHEMA],
     bases=(_ConfigMethods,))
 
 
@@ -162,7 +161,7 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
     violations: list[tuple[str, str]] = []
     if raw.get("experiment.kind", "") not in DRIVERS:
         violations.append(("experiment.kind", f"must be one of {', '.join(DRIVERS)}"))
-    cfg = ExperimentConfig(raw=dict(raw))
+    cfg = ExperimentConfig()
     for key, attr, p, _ in SCHEMA:
         if key in raw:
             try:
@@ -355,7 +354,7 @@ def run_survival_like(cfg: ExperimentConfig) -> list[dict]:
                              cfg.seed, cfg.threads)
     rows = []
     for bi, b in enumerate(boundaries):
-        ests = [SurvivalEstimate.from_counts(float(T), int(k), cfg.n_paths, cfg.seed)
+        ests = [SurvivalEstimate.from_counts(float(T), int(k), cfg.n_paths)
                 for T, k in zip(T_grid, counts[bi])]
         rows += [_estimate_row(cfg, b.kind, e) for e in ests]
         if cfg.kind == "exponent":
@@ -367,8 +366,7 @@ def run_lemma(cfg: ExperimentConfig) -> list[dict]:
     ell = SlowlyVaryingSpec(cfg.ell_family, c=cfg.ell_c, p=cfg.ell_p)
     res = lemma_n0N_experiment(cfg.alpha, cfg.gamma, ell, cfg.lemma_n,
                                cfg.n_paths, cfg.seed, cfg.threads)
-    est = SurvivalEstimate.from_counts(float(res.N), res.survivors,
-                                       res.n_paths, cfg.seed)
+    est = SurvivalEstimate.from_counts(float(res.N), res.survivors, res.n_paths)
     row = _estimate_row(cfg, "lemma-range-%d-%d" % (res.N1, res.N), est)
     row["kind"] = cfg.kind + ("-vacuous" if res.vacuous else "")
     return [row]

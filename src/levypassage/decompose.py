@@ -22,8 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .levymodel import LevyModel
-from .rvcalc import (RegVaryingTail, eval_slowly_varying, mass_beyond,
-                     power_tail_remainder, truncation_point)
+from .rvcalc import RegVaryingTail, eval_slowly_varying, power_tail_remainder
 
 NEGATIVE = "negative"   # thin big negative jumps (decreasing-boundary side)
 POSITIVE = "positive"   # thin big positive jumps (increasing-boundary side)
@@ -138,14 +137,16 @@ class DecompositionT:
     T: float
     delta: float
     side: str
-    tail: RegVaryingTail | None
-    total_mass: float
-    table: JumpTable | None
+    tail: RegVaryingTail
+    table: JumpTable | None  # inverse-CDF sampler of nu_S, set by build_decomposition
+
+    @property
+    def total_mass(self) -> float:
+        """Total mass of nu_S, the jump rate of S_T."""
+        return self.table.total_mass
 
     def thinning_probability(self, x):
         """delta * ell(delta**(1/alpha)/x) / ell(1/x) at magnitude x > 1."""
-        if self.tail is None:
-            return np.zeros_like(np.asarray(x, float))
         a = self.tail.alpha
         num = eval_slowly_varying(self.tail.ell, self.delta ** (1.0 / a) / np.asarray(x, float))
         den = eval_slowly_varying(self.tail.ell, 1.0 / np.asarray(x, float))
@@ -167,26 +168,15 @@ class DecompositionT:
         """Subordinator jump density at magnitude x (zero for x <= 1)."""
         arr = np.asarray(x, dtype=float)
         out = np.where(arr > 1.0,
-                       self.thinning_probability(arr) * self._tail_density(arr), 0.0)
+                       self.thinning_probability(arr) * self.tail.density(arr), 0.0)
         return float(out) if arr.ndim == 0 else out
 
     def nu_rest(self, x):
         """Remainder density at magnitude x on the decomposed side."""
         arr = np.asarray(x, dtype=float)
         keep = np.where(arr > 1.0, 1.0 - self.thinning_probability(arr), 1.0)
-        out = keep * self._tail_density(arr)
+        out = keep * self.tail.density(arr)
         return float(out) if arr.ndim == 0 else out
-
-    def _tail_density(self, x):
-        if self.tail is None:
-            return np.zeros_like(np.asarray(x, float))
-        return self.tail.density(x)
-
-    @classmethod
-    def empty(cls, side: str = NEGATIVE) -> "DecompositionT":
-        """Degenerate split at T = 100 with S_T identically zero."""
-        return cls(T=100.0, delta=delta(100.0), side=side, tail=None,
-                   total_mass=0.0, table=None)
 
 
 def build_decomposition(model: LevyModel, T: float, side: str) -> DecompositionT:
@@ -199,8 +189,7 @@ def build_decomposition(model: LevyModel, T: float, side: str) -> DecompositionT
     if tail is None:
         raise ValueError(f"model lacks the {'left' if side == NEGATIVE else 'right'} "
                          f"tail needed for the {side} side")
-    d = DecompositionT(T=T, delta=delta(T), side=side, tail=tail,
-                       total_mass=0.0, table=None)
+    d = DecompositionT(T=T, delta=delta(T), side=side, tail=tail, table=None)
     grid = np.union1d(np.geomspace(1.0, VALIDATION_GRID_HI, VALIDATION_GRID_POINTS), [1.0])
     probs = d.thinning_probability(grid)
     bad = np.nonzero(probs > 1.0 + 1e-12)[0]
@@ -208,9 +197,7 @@ def build_decomposition(model: LevyModel, T: float, side: str) -> DecompositionT
         x_bad = grid[bad[0]]
         raise InvalidDecompositionError(
             f"nu_rest < 0 at x = {x_bad:.6g}: thinning probability {probs[bad[0]]:.6g} > 1")
-    total = mass_beyond(d.nu_S, 1.0, truncation_point(tail, 1.0))
-    return replace(d, total_mass=total,
-                   table=JumpTable(d.nu_S, x_lo=1.0, alpha=tail.alpha))
+    return replace(d, table=JumpTable(d.nu_S, x_lo=1.0, alpha=tail.alpha))
 
 
 class LaplaceBound(NamedTuple):
@@ -226,8 +213,6 @@ def laplace_bound(decomp: DecompositionT, lam: float) -> LaplaceBound:
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    if decomp.tail is None:
-        return LaplaceBound(1.0, lam <= LAPLACE_REGIME_MAX)
     a = decomp.tail.alpha
     ell_val = eval_slowly_varying(decomp.tail.ell, lam * decomp.delta ** (1.0 / a))
     value = math.exp(-decomp.delta * lam ** a * ell_val / (4.0 * a))

@@ -56,18 +56,16 @@ class SurvivalEstimate:
     survivors: int
     p_hat: float
     log_ci: tuple[float, float]
-    seed: int
 
     @classmethod
-    def from_counts(cls, T: float, survivors: int, n_paths: int,
-                    seed: int) -> "SurvivalEstimate":
+    def from_counts(cls, T: float, survivors: int, n_paths: int) -> "SurvivalEstimate":
         if n_paths <= 0:
             raise ValueError("n_paths must be positive")
         if not (0 <= survivors <= n_paths):
             raise ValueError("survivors must lie in [0, n_paths]")
         return cls(T=T, n_paths=n_paths, survivors=survivors,
                    p_hat=survivors / n_paths,
-                   log_ci=wilson_log_ci(survivors, n_paths), seed=seed)
+                   log_ci=wilson_log_ci(survivors, n_paths))
 
 
 def wilson_log_ci(survivors: int, n: int) -> tuple[float, float]:
@@ -89,8 +87,6 @@ def wilson_log_ci(survivors: int, n: int) -> tuple[float, float]:
 class ExponentFit:
     rho_hat: float
     stderr: float
-    r2: float
-    grid: tuple[float, ...]
 
 
 class FitUnavailable(ValueError):
@@ -122,13 +118,7 @@ def fit_exponent(estimates) -> ExponentFit:
     sxx, sxy = (w * x * x).sum(), (w * x * y).sum()
     d = sw * sxx - sx * sx
     slope = (sw * sxy - sx * sy) / d
-    intercept = (sxx * sy - sx * sxy) / d
-    resid = y - (intercept + slope * x)
-    ybar = sy / sw
-    ss_tot = float((w * (y - ybar) ** 2).sum())
-    r2 = 1.0 - float((w * resid ** 2).sum()) / ss_tot if ss_tot > 0 else 1.0
-    return ExponentFit(rho_hat=-slope, stderr=math.sqrt(sw / d), r2=r2,
-                       grid=tuple(e.T for e in usable))
+    return ExponentFit(rho_hat=-slope, stderr=math.sqrt(sw / d))
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +264,7 @@ class ProductBoundReport:
 
 
 def product_bound_check(model: LevyModel, T: float, gamma: float, n_paths: int,
-                        seed: int, threads: int = 1,
-                        decomp: DecompositionT | None = None,
-                        grid: TimeGrid | None = None) -> ProductBoundReport:
+                        seed: int, threads: int = 1) -> ProductBoundReport:
     """Lower product bound for the decreasing-boundary survival probability.
 
     Estimates, with three independent path sets,
@@ -286,10 +274,8 @@ def product_bound_check(model: LevyModel, T: float, gamma: float, n_paths: int,
     """
     if not model.has_jumps or model.alpha >= 1.0:
         raise ValueError("product bound experiments require jumps with alpha < 1")
-    if decomp is None:
-        decomp = build_decomposition(model, T, NEGATIVE)  # needs the left tail
-    if grid is None:
-        grid = TimeGrid.survival(T)
+    decomp = build_decomposition(model, T, NEGATIVE)  # needs the left tail
+    grid = TimeGrid.survival(T)
     Tg = np.array([T])
 
     # X and Y_T both run in perturbed mode so that all factors monitor at
@@ -299,7 +285,7 @@ def product_bound_check(model: LevyModel, T: float, gamma: float, n_paths: int,
     k_lhs = survival_counts(x_model, [Boundary("decreasing", gamma, 1.0)], Tg,
                             n_paths, grid, seed, threads, PHASE_PATHS)[0, 0]
 
-    # Y_T is X without the thinned jumps: X itself when the split is empty
+    # Y_T is X without the thinned jumps
     k_y = int(survival_counts(x_model, [Boundary("constant", level=0.5)], Tg,
                               n_paths, grid, seed, threads, PHASE_SECONDARY,
                               PerturbedPlan.from_model(model, decomp))[0, 0])
@@ -331,7 +317,6 @@ def product_bound_check(model: LevyModel, T: float, gamma: float, n_paths: int,
 class LemmaN0NResult:
     N: int
     N1: int
-    delta: float
     n_paths: int
     survivors: int
     p_hat: float
@@ -362,7 +347,7 @@ def lemma_n0N_experiment(alpha: float, gamma: float, ell, N: int,
     d = delta(float(N))
     N1 = int(math.floor(math.log(math.log(N)) ** (4.0 / (1.0 - ga - eps))))
     if N1 > N:
-        return LemmaN0NResult(N=N, N1=N1, delta=d, n_paths=n_paths,
+        return LemmaN0NResult(N=N, N1=N1, n_paths=n_paths,
                               survivors=n_paths, p_hat=1.0, vacuous=True)
     N1 = max(N1, 1)
     scale = (d * ell.c) ** (1.0 / alpha) * subordinator_unit_scale(alpha)
@@ -380,7 +365,7 @@ def lemma_n0N_experiment(alpha: float, gamma: float, ell, N: int,
         return np.array([np.count_nonzero(alive)])
 
     k = int(_run_chunks(worker, n_paths, threads)[0])
-    return LemmaN0NResult(N=N, N1=N1, delta=d, n_paths=n_paths,
+    return LemmaN0NResult(N=N, N1=N1, n_paths=n_paths,
                           survivors=k, p_hat=k / n_paths, vacuous=False)
 
 
@@ -424,8 +409,8 @@ def discrete_survival_experiment(model: LevyModel, T_grid, x: float,
 
     k_y, k_x, violations = _run_chunks(worker, n_paths, threads)
     return [DiscreteSurvivalResult(
-        estimate_y=SurvivalEstimate.from_counts(T, int(ky), n_paths, seed),
-        estimate_x=SurvivalEstimate.from_counts(T, int(kx), n_paths, seed),
+        estimate_y=SurvivalEstimate.from_counts(T, int(ky), n_paths),
+        estimate_x=SurvivalEstimate.from_counts(T, int(kx), n_paths),
         ordering_ok=bool(v == 0)) for T, ky, kx, v in zip(Ts, k_y, k_x, violations)]
 
 
@@ -482,7 +467,7 @@ def gaussian_refinement_counts(sigma2: float, drift: float, level: float,
     comparison rather than a noisy one.  Returns shape (2, len(T_grid)):
     row 0 the strided (coarse) counts, row 1 the fine counts.
     """
-    Tg = np.asarray(T_grid, dtype=float)
+    Tg = _horizons(T_grid)
     T = float(Tg[-1])
     grid = TimeGrid.uniform(T, dt_fine)
     pts = grid.points

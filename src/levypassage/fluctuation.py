@@ -110,7 +110,7 @@ def renewal_estimate(samples, x: float) -> float:
 
 
 def spitzer_profile(model: LevyModel, t_grid, n_paths: int, seed: int,
-                    phase: int = PHASE_PATHS, threads: int = 1) -> PositivityProfile:
+                    threads: int = 1) -> PositivityProfile:
     """Tabulated MC estimates of P(X(t) >= 0)."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or np.any(t_grid <= 0) or np.any(np.diff(t_grid) <= 0):
@@ -125,12 +125,12 @@ def spitzer_profile(model: LevyModel, t_grid, n_paths: int, seed: int,
         counts = np.zeros(t_grid.size, dtype=np.int64)
         if model.stable is not None:
             for start, _, vals in exact_rows(model.stable, dt_pow, seed, np.arange(lo, hi),
-                                             phase, np.ones(hi - lo, dtype=bool)):
+                                             PHASE_PATHS, np.ones(hi - lo, dtype=bool)):
                 counts[start:start + vals.shape[1] - 1] += np.count_nonzero(
                     vals[:, 1:] >= 0.0, axis=0)
         else:
             for i in range(lo, hi):
-                path = sample_path(model, grid, stream(seed, i, phase), plan=plan)
+                path = sample_path(model, grid, stream(seed, i), plan=plan)
                 counts += path.values[np.searchsorted(path.grid.points, t_grid)] >= 0.0
         return counts
 

@@ -43,10 +43,6 @@ class LevyModel:
         return t.alpha
 
     @property
-    def scale(self) -> float:
-        return self.stable.scale if self.stable is not None else 1.0
-
-    @property
     def has_jumps(self) -> bool:
         return self.tail_left is not None or self.tail_right is not None
 

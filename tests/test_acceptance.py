@@ -67,7 +67,7 @@ def shared_fits():
                              N_PATHS, grid, seed=SEED, threads=4)
     fits = {}
     for name, row in zip(BOUNDARIES, counts):
-        ests = [SurvivalEstimate.from_counts(float(T), int(k), N_PATHS, SEED)
+        ests = [SurvivalEstimate.from_counts(float(T), int(k), N_PATHS)
                 for T, k in zip(T_grid, row)]
         fits[name] = (fit_exponent(ests), row)
     return fits
@@ -156,7 +156,7 @@ def test_criterion_07_lemma_n0N():
 
 def _synthetic(T, p, n=10 ** 8):
     return SurvivalEstimate(T=T, n_paths=n, survivors=int(round(p * n)),
-                            p_hat=p, log_ci=(math.log(p), math.log(p)), seed=0)
+                            p_hat=p, log_ci=(math.log(p), math.log(p)))
 
 
 def test_criterion_08_exponent_fit_exactness():

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levypassage.decompose import (GUIDE_BUCKETS_PER_KNOT, NEGATIVE, POSITIVE,
-                                   DecompositionT, InvalidDecompositionError,
-                                   JumpTable, build_decomposition, delta,
-                                   laplace_bound)
+                                   InvalidDecompositionError, JumpTable,
+                                   build_decomposition, delta, laplace_bound)
 from levypassage.estimate import (subordinator_exceedance,
                                   subordinator_laplace_check)
 from levypassage.levymodel import tail_only_model
@@ -214,9 +213,3 @@ def test_subordinator_tail_bound_decays():
         p, se = subordinator_exceedance(d, t, threshold, 40_000, 13)
         probs.append(p)
     assert probs[0] > probs[1] > probs[2]
-
-
-def test_empty_decomposition():
-    d = DecompositionT.empty(NEGATIVE)
-    assert d.total_mass == 0.0
-    assert d.nu_S(2.0) == 0.0

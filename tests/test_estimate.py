@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levypassage import estimate, simulate
-from levypassage.decompose import DecompositionT, NEGATIVE, build_decomposition
+from levypassage.decompose import build_decomposition
 from levypassage.estimate import (SurvivalEstimate,
                                   discrete_survival_experiment, fit_exponent,
+                                  gaussian_refinement_counts,
                                   lemma_n0N_experiment, product_bound_check,
                                   survival_counts, wilson_log_ci)
 from levypassage.levymodel import (Boundary, LevyModel, stable_model,
@@ -28,7 +29,7 @@ ELL1 = SlowlyVaryingSpec("constant", c=1.0)
 
 def synthetic(T, p, n=10 ** 8):
     return SurvivalEstimate(T=T, n_paths=n, survivors=int(round(p * n)),
-                            p_hat=p, log_ci=(math.log(p), math.log(p)), seed=0)
+                            p_hat=p, log_ci=(math.log(p), math.log(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +40,6 @@ def test_fit_exact_half():
     ests = [synthetic(T, T ** -0.5) for T in (10.0, 100.0, 1000.0, 10000.0)]
     fit = fit_exponent(ests)
     assert abs(fit.rho_hat - 0.5) < 1e-12
-    assert fit.r2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fit_exact_with_prefactor():
@@ -66,11 +66,11 @@ def test_fit_needs_four_points():
 def test_fit_drops_zero_survivors_with_warning():
     ests = [synthetic(T, T ** -0.5) for T in (10.0, 100.0, 1000.0, 10000.0)]
     dead = SurvivalEstimate(T=1e5, n_paths=100, survivors=0, p_hat=0.0,
-                            log_ci=(-math.inf, -2.0), seed=0)
+                            log_ci=(-math.inf, -2.0))
     with pytest.warns(UserWarning, match="dropping"):
         fit = fit_exponent(ests + [dead])
     assert abs(fit.rho_hat - 0.5) < 1e-12
-    assert len(fit.grid) == 4
+    assert fit == fit_exponent(ests)  # the dead point is left out entirely
 
 
 def test_wilson_interval():
@@ -97,7 +97,7 @@ def test_survival_at_time_zero_is_one():
     m = standard_symmetric_model(0.7)
     counts = survival_counts(m, [Boundary("constant")], [0.0, 1.0, 4.0], 500,
                              TimeGrid.survival(4.0), seed=1)
-    assert SurvivalEstimate.from_counts(0.0, int(counts[0, 0]), 500, 1).p_hat == 1.0
+    assert SurvivalEstimate.from_counts(0.0, int(counts[0, 0]), 500).p_hat == 1.0
 
 
 def test_brownian_constant_boundary_oracle():
@@ -106,7 +106,7 @@ def test_brownian_constant_boundary_oracle():
     n = 20_000
     counts = survival_counts(m, [Boundary("constant")], [1.0], n,
                              TimeGrid.uniform(1.0, 1e-3), seed=2)
-    p_hat = SurvivalEstimate.from_counts(1.0, int(counts[0, 0]), n, 2).p_hat
+    p_hat = SurvivalEstimate.from_counts(1.0, int(counts[0, 0]), n).p_hat
     oracle = math.erf(1.0 / math.sqrt(2.0))
     se = math.sqrt(oracle * (1 - oracle) / n)
     assert 0.0 <= p_hat - oracle <= 3.0 * se + 0.012
@@ -135,7 +135,7 @@ def test_skewed_constant_boundary_exponent(beta, rho, n, T_grid):
     assert closed == pytest.approx(rho, abs=1e-4)
     counts = survival_counts(m, [Boundary("constant")], T_grid, n,
                              TimeGrid.survival(float(T_grid[-1])), seed=4242)
-    fit = fit_exponent([SurvivalEstimate.from_counts(float(T), int(k), n, 4242)
+    fit = fit_exponent([SurvivalEstimate.from_counts(float(T), int(k), n)
                         for T, k in zip(T_grid, counts[0])])
     assert abs(fit.rho_hat - closed) < 4.0 * fit.stderr
 
@@ -178,15 +178,18 @@ def test_perturbed_grid_survival_matches_exact():
     assert np.all(np.abs(z) <= 4.0), (pert, exact, z)
 
 
-def test_reflection_in_law():
+@pytest.mark.parametrize("kind, seed, reflected_seed", [
+    ("decreasing", 91, 92), ("increasing", 93, 94)])
+def test_reflection_in_law(kind, seed, reflected_seed):
     # X at beta = 0.5 and -X at beta = -0.5 have one law, so one survival
-    # below 1 - t**0.5.  Tolerance |z| <= 4 per horizon, fixed before the
+    # below 1 -/+ t**0.5.  Tolerance |z| <= 4 per horizon, fixed before the
     # first run.
-    b, T_grid, n = Boundary("decreasing", 0.5), np.array([1.0, 4.0, 16.0, 64.0]), 10_000
+    b, T_grid, n = Boundary(kind, 0.5), np.array([1.0, 4.0, 16.0, 64.0]), 10_000
     grid = TimeGrid.survival(T_grid[-1])
-    direct = survival_counts(stable_model(0.7, 0.5), [b], T_grid, n, grid, seed=91)[0]
+    direct = survival_counts(stable_model(0.7, 0.5), [b], T_grid, n, grid, seed=seed)[0]
     neg = stable_model(0.7, -0.5)
-    values = -np.array([sample_path(neg, grid, (92, i, 0)).values for i in range(n)])
+    values = -np.array([sample_path(neg, grid, (reflected_seed, i, 0)).values
+                        for i in range(n)])
     died = grid_deaths(boundary_value(b, grid.points), grid.points, values)
     reflected = (died[:, None] > T_grid).sum(axis=0)
     z = two_sample_z(direct, n, reflected, n)
@@ -314,25 +317,18 @@ def test_survival_guard_rails():
     with pytest.raises(ValueError):
         survival_counts(m, [Boundary("constant")], [], 10,
                         TimeGrid.survival(4.0), seed=0)
+    with pytest.raises(ValueError, match="increasing"):
+        gaussian_refinement_counts(1.0, 0.0, 1.0, [2.0, 1.0], dt_fine=0.01,
+                                   stride=2, n_paths=10, seed=0)
 
 
 # ---------------------------------------------------------------------------
 # product bound
 # ---------------------------------------------------------------------------
 
-def test_product_bound_degenerate_subordinator():
-    # S_T == 0 and T**gamma <= 1/2: second factor is exactly 1 and the
-    # comparison degenerates to P(X <= 1 - t) vs P(X <= 1/2)
-    m = standard_symmetric_model(0.7)
-    rep = product_bound_check(m, 0.45, 1.0, 800, seed=5,
-                              decomp=DecompositionT.empty(NEGATIVE),
-                              grid=TimeGrid.geometric(0.45, t_min=2 ** -10))
-    assert rep.p_s == 1.0
-    assert rep.satisfied
-    # alpha >= 1 is refused also when the split is passed in
+def test_product_bound_requires_alpha_below_one():
     with pytest.raises(ValueError, match="alpha < 1"):
-        product_bound_check(stable_model(1.3), 0.45, 1.0, 800, seed=5,
-                            decomp=DecompositionT.empty(NEGATIVE))
+        product_bound_check(stable_model(1.3), 64.0, 1.0, 800, seed=5)
 
 
 def test_product_bound_symmetric_stable():

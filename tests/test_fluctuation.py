@@ -138,9 +138,9 @@ def test_spitzer_long_t_grid_matches_whole_paths():
     m = stable_model(0.7, -0.6, 1.5)
     t = np.geomspace(0.01, 100.0, 300)
     n = 40
-    prof = spitzer_profile(m, t, n, 78, phase=1)
+    prof = spitzer_profile(m, t, n, 78)
     grid = TimeGrid(np.concatenate([[0.0], t]))
-    want = sum(sample_path(m, grid, (78, i, 1)).values[1:] >= 0.0 for i in range(n))
+    want = sum(sample_path(m, grid, (78, i, 0)).values[1:] >= 0.0 for i in range(n))
     assert np.array_equal((prof.p * n).round().astype(int), want)
 
 

@@ -9,17 +9,18 @@ here.  Each
 case that takes a thread count runs at one and at four threads.  The
 remaining literals pin the other path builders (product bound, discrete
 survival, renewal gaps, Gaussian refinement, Spitzer profiles, the lemma
-worker) and the canonical config lines with the experiment id derived from
-them.
+worker), the canonical config lines with the experiment id derived from
+them, and the bytes the CLI writes for the benchmark workloads.
 """
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from levypassage.cli import DRIVERS, build_config, parse_config_text
-from levypassage.decompose import NEGATIVE, DecompositionT, build_decomposition
+from levypassage.cli import DRIVERS, build_config, main, parse_config_text
+from levypassage.decompose import NEGATIVE, build_decomposition
 from levypassage.estimate import (gaussian_refinement_counts,
                                   lemma_n0N_experiment, product_bound_check,
                                   survival_counts)
@@ -136,16 +137,11 @@ def test_golden_perturbed_survival_counts(name, threads):
 
 
 @pytest.mark.parametrize("threads", [1, 4])
-@pytest.mark.parametrize("decomp, want", [
-    (None, [2, 1, 4]),
-    # S_T == 0: the Y factor is X itself below 1/2, in perturbed mode
-    (DecompositionT.empty(), [2, 6, 0]),
-])
-def test_golden_product_bound(decomp, want, threads):
+def test_golden_product_bound(threads):
     n = 80
     rep = product_bound_check(stable_model(0.7, 0.0, 1.5), 64.0, 1.0, n,
-                              seed=41, threads=threads, decomp=decomp)
-    assert [round(p * n) for p in (rep.p_lhs, rep.p_y, rep.p_s)] == want
+                              seed=41, threads=threads)
+    assert [round(p * n) for p in (rep.p_lhs, rep.p_y, rep.p_s)] == [2, 1, 4]
 
 
 @pytest.mark.parametrize("threads", [1, 4])
@@ -299,3 +295,94 @@ def test_golden_config_lines_and_id(name):
     assert cfg.experiment_id == want_id
     assert cfg.canonical_lines() == want_lines
     assert cfg.canonical_lines(include_threads=False) == want_lines[:-1]
+
+
+# The benchmark workloads at smoke size and the Sparre-Andersen oracle run,
+# written out, with the sha256 of each output file: (config, results.csv,
+# plotdata.tsv or None where the kind writes none).
+CLI_RUNS = {
+    "exact-exponent": ("""
+experiment.kind = exponent
+model.alpha = 0.69999999999999996
+model.scale = 6.9383134906008292
+boundary.kind = constant,decreasing,increasing
+boundary.gamma = 1.3
+run.grid_policy = survival
+run.t_min = 16
+run.t_max = 1024
+run.t_points = 5
+run.n_paths = 300
+run.seed = 7
+run.threads = 1
+""",
+        "780bb8aac11c4a8bd8c9833d80db128caeb44a08d017422fc905403ad4cb471b",
+        "c019f4e4ae071fec4f68172b56543f819b1bbb62073bfdd2f946fd15041687fb"),
+    "perturbed-product-bound": ("""
+experiment.kind = product-bound
+model.alpha = 0.69999999999999996
+model.scale = 1.5
+boundary.gamma = 1
+run.t_max = 64
+run.n_paths = 30
+run.seed = 7
+run.threads = 1
+""",
+        "ff4ffbb5c59106e1c822fd9b285704046d24c4bb115ba471324190fc8a04eca3",
+        None),
+    "discrete-survival": ("""
+experiment.kind = discrete-survival
+model.alpha = 0.69999999999999996
+model.scale = 6.9383134906008292
+boundary.level = 1
+run.t_min = 16
+run.t_max = 64
+run.t_points = 4
+run.n_paths = 40
+run.seed = 7
+run.threads = 1
+""",
+        "037bf675e64af7e78527e91faeca8e16acd102e5a51dfa5b7ece8888a16bdfcc",
+        "56e655e5adf15385c7390c4077df3e1f200aff376584dd2e2c99938f8796cc67"),
+    "positivity-profile": ("""
+experiment.kind = spitzer
+model.alpha = 0.69999999999999996
+model.beta = 0.5
+model.mode = exact
+spitzer.t_values = 0.5,1,2,4,8
+run.n_paths = 2000
+run.seed = 7
+run.threads = 1
+""",
+        "0f46ba0df00ca17889af0a593baf5979b30cc0192efb76abc4de4737bb4508d9",
+        "b6c36bfcabf2ce9e9a225fb2d162fa2b620f4effd9716e28ec7a8b350e559374"),
+    "sparre-andersen-oracle": ("""
+experiment.kind = exponent
+model.alpha = 0.69999999999999996
+model.scale = 6.9383134906008292
+boundary.kind = constant
+boundary.level = 0
+run.grid_policy = integers
+run.t_min = 1
+run.t_max = 64
+run.t_points = 7
+run.n_paths = 500
+run.seed = 7
+run.threads = 1
+""",
+        "95574718bfed02f33b236c618840c43599cb00f14fa39f03e51f94d60150a5ca",
+        "8094c211cb71b4f93679ed484bc6aa2d3dfa7cd0b50e12fe40b45ac51b7b92c5"),
+}
+
+
+@pytest.mark.parametrize("name", list(CLI_RUNS))
+def test_golden_cli_output_bytes(name, tmp_path):
+    text, want_csv, want_tsv = CLI_RUNS[name]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    csv = (out / "results.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == want_csv, csv.decode()
+    tsv = out / "plotdata.tsv"
+    got_tsv = hashlib.sha256(tsv.read_bytes()).hexdigest() if tsv.exists() else None
+    assert got_tsv == want_tsv, csv.decode()

@@ -64,7 +64,7 @@ def test_unit_tail_scale_gives_ell_one():
     m = standard_symmetric_model(0.7)
     assert m.tail_left.ell.c == pytest.approx(1.0, rel=1e-14)
     assert m.tail_right.ell.c == pytest.approx(1.0, rel=1e-14)
-    assert m.scale == pytest.approx(levy_unit_tail_scale(0.7))
+    assert m.stable.scale == pytest.approx(levy_unit_tail_scale(0.7))
 
 
 def test_boundary_validation():

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from levypassage.decompose import (NEGATIVE, POSITIVE, DecompositionT,
-                                   JumpTable, build_decomposition)
+from levypassage.decompose import (NEGATIVE, POSITIVE, JumpTable,
+                                   build_decomposition)
 from levypassage.estimate import _subordinator_marginal, survival_counts
 from levypassage.levymodel import (Boundary, LevyModel, stable_model,
                                    standard_symmetric_model, tail_only_model)
@@ -102,7 +102,7 @@ def test_perturbed_matches_exact_in_law():
     grid = TimeGrid(np.array([0.0, 1.0]))
     vals = np.array([sample_path(pm, grid, (31, i, 0), plan=plan).values[-1]
                      for i in range(n)])
-    z = m.scale * sample_stable(StableParams(0.7, 0.0), n, stream(31, 0, 5))
+    z = m.stable.scale * sample_stable(StableParams(0.7, 0.0), n, stream(31, 0, 5))
     assert ks_2samp(vals, z).statistic < 1.628 * math.sqrt(2.0 / n)
 
 
@@ -119,8 +119,8 @@ def test_perturbed_matches_exact_in_law_across_blocks(beta, seed):
     grid = TimeGrid(np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, T]))
     vals = np.array([sample_path(pm, grid, (seed, i, 0), plan=plan).values[-1]
                      for i in range(n)])
-    z = T ** (1.0 / 0.7) * m.scale * sample_stable(StableParams(0.7, beta), n,
-                                                   stream(seed, 0, 5))
+    z = T ** (1.0 / 0.7) * m.stable.scale * sample_stable(StableParams(0.7, beta), n,
+                                                          stream(seed, 0, 5))
     assert ks_2samp(vals, z).statistic < 1.628 * math.sqrt(2.0 / n)
 
 
@@ -129,13 +129,6 @@ def test_perturbed_monitors_jump_epochs():
     path = sample_path(pm, TimeGrid(np.array([0.0, 8.0])), (3, 7, 0))
     assert path.jump_times.size > 0
     assert np.all(np.isin(path.jump_times, path.grid.points))
-
-
-def test_subordinator_zero_mass_path():
-    d = DecompositionT.empty(NEGATIVE)
-    grid = TimeGrid(np.array([0.0, 5.0, 10.0]))
-    path = sample_subordinator_path(d, grid, (0, 0, 0))
-    assert np.all(path.values == 0.0)
 
 
 def test_subordinator_jump_count_poisson_mean():
