@@ -4,7 +4,11 @@ In the survival engine every path is simulated once and scored against every
 horizon and every boundary, so survivor counts are exactly nested in T and
 exactly ordered across pointwise-ordered boundaries.  Discrete survival
 draws each path once too, over the integer cells of its largest horizon,
-so its counts are nested in T as well.  In exact mode
+so its counts are nested in T as well.  The survival engine, discrete
+survival and the Gaussian refinement count through one first-passage
+counter, _survivors: each engine yields path rows and their limits, and the
+counter keeps the rows still pending, the death histogram by horizon
+bucket and the nested counts.  In exact mode
 the survival engine draws a path in doubling blocks and stops once every
 boundary has been crossed; the draws and the running sum are those of the
 whole-grid path, so the counts are the same as when every path runs to the
@@ -35,8 +39,7 @@ import numpy as np
 from .decompose import (NEGATIVE, POSITIVE, DecompositionT, LaplaceBound,
                         build_decomposition, delta, laplace_bound)
 from .levymodel import Boundary, LevyModel
-from .passage import (boundary_value, first_crossing, first_crossings,
-                      subordinator_stays_above)
+from .passage import boundary_value, first_crossings, subordinator_stays_above
 from .rng import PHASE_PATHS, PHASE_SECONDARY, PHASE_TERTIARY, stream
 from .simulate import (PerturbedPlan, TimeGrid, _running_sum,
                        discrete_increments, exact_rows, path_blocks,
@@ -135,6 +138,8 @@ def _run_chunks(worker, n_paths: int, threads: int) -> np.ndarray:
     them holds would stay held in the child), the chunks run in the calling
     process.  Parts come back in chunk order.
     """
+    if n_paths <= 0:
+        raise ValueError("n_paths must be positive")
     ranges = [(lo, min(lo + CHUNK, n_paths)) for lo in range(0, n_paths, CHUNK)]
     procs = 1
     if (threads > 1 and len(ranges) > 1 and threading.active_count() == 1
@@ -163,15 +168,6 @@ def _call_worker(lo: int, hi: int) -> np.ndarray:
     return _worker(lo, hi)
 
 
-def _nested_counts(dead: np.ndarray, n_paths: int) -> np.ndarray:
-    """Survivor counts per horizon from a death histogram.
-
-    dead[r, j] counts the paths of row r whose first crossing lies in
-    (T[j-1], T[j]]; the last column counts the rest.
-    """
-    return n_paths - np.cumsum(dead[:, :-1], axis=1)
-
-
 def _horizons(T_grid) -> np.ndarray:
     """T_grid as floats, checked to be a non-empty increasing 1-D grid."""
     Tg = np.asarray(T_grid, dtype=float)
@@ -180,18 +176,31 @@ def _horizons(T_grid) -> np.ndarray:
     return Tg
 
 
-def _score_rows(dead, pending, rows, vals, pts, limits, Tg) -> None:
-    """Score path rows vals (at points pts) against boundaries limits[b].
+def _survivors(rows_of, n_limits: int, Tg: np.ndarray, n_paths: int,
+               threads: int) -> np.ndarray:
+    """Survivor counts per limit and horizon, shape (n_limits, len(Tg)).
 
-    A row still pending boundary b that crosses it adds a death in the
-    horizon bucket of its first crossing and stops pending b.
+    rows_of(lo, hi, pending) yields (rows, vals, pts, limits) for the paths
+    lo..hi-1 of a chunk: the values of chunk rows `rows` at the points pts
+    and the limits there, both broadcast to (rows, n_limits, points).  A
+    row still pending limit b that crosses it (ties survive) dies in the
+    horizon bucket of its first crossing and stops pending b; the generator
+    may read `pending` to stop drawing cleared rows.  Deaths after the
+    largest horizon fill a last bucket that no count reads.
     """
-    k = first_crossings(vals[:, None, :], limits)
-    r, b = np.nonzero(pending[rows] & (k >= 0))
-    bucket = Tg.searchsorted(pts[k[r, b]], side="left")
-    dead += np.bincount(b * dead.shape[1] + bucket,
-                        minlength=dead.size).reshape(dead.shape)
-    pending[rows[r], b] = False
+    def worker(lo: int, hi: int) -> np.ndarray:
+        dead = np.zeros((n_limits, Tg.size + 1), dtype=np.int64)
+        pending = np.ones((hi - lo, n_limits), dtype=bool)
+        for rows, vals, pts, limits in rows_of(lo, hi, pending):
+            k = first_crossings(vals, limits)
+            r, b = np.nonzero(pending[rows] & (k >= 0))
+            bucket = Tg.searchsorted(pts[k[r, b]], side="left")
+            dead += np.bincount(b * dead.shape[1] + bucket,
+                                minlength=dead.size).reshape(dead.shape)
+            pending[rows[r], b] = False
+        return dead
+
+    return n_paths - np.cumsum(_run_chunks(worker, n_paths, threads)[:, :-1], axis=1)
 
 
 def survival_counts(model: LevyModel, boundaries: list[Boundary], T_grid,
@@ -208,42 +217,34 @@ def survival_counts(model: LevyModel, boundaries: list[Boundary], T_grid,
     later points cannot change its contribution.  Perturbed-mode paths use
     `plan`, by default the plan of the model itself.
     """
-    if n_paths <= 0:
-        raise ValueError("n_paths must be positive")
     Tg = _horizons(T_grid)
     if Tg[-1] > grid.horizon:
         raise ValueError("monitoring grid must cover the largest horizon")
-    exact = model.stable is not None
-    if plan is None and not exact:
-        plan = PerturbedPlan.from_model(model)
     pts = grid.points
-    if exact:
+    if model.stable is not None:
         dt_pow = np.diff(pts) ** (1.0 / model.stable.alpha)
         bvals = np.array([boundary_value(b, pts) for b in boundaries])
 
-    def worker(lo: int, hi: int) -> np.ndarray:
-        dead = np.zeros((len(boundaries), Tg.size + 1), dtype=np.int64)
-        pending = np.ones((hi - lo, len(boundaries)), dtype=bool)
-        if exact:
+        def rows_of(lo, hi, pending):
             alive = np.ones(hi - lo, dtype=bool)
             for start, rows, vals in exact_rows(model.stable, dt_pow, seed,
                                                 np.arange(lo, hi), phase, alive):
                 stop = start + vals.shape[1]
-                _score_rows(dead, pending, rows, vals, pts[start:stop],
-                            bvals[:, start:stop], Tg)
+                yield rows, vals[:, None], pts[start:stop], bvals[:, start:stop]
                 alive[rows] = pending[rows].any(axis=1)
-        else:
+    else:
+        plan = plan or PerturbedPlan.from_model(model)
+
+        def rows_of(lo, hi, pending):
             for i in range(lo, hi):
                 row = np.array([i - lo])
                 for mpts, vals, _ in path_blocks(plan, pts, stream(seed, i, phase)):
-                    _score_rows(dead, pending, row, vals[None], mpts,
-                                np.array([boundary_value(b, mpts) for b in boundaries]), Tg)
+                    yield row, vals[None, None], mpts, np.array(
+                        [boundary_value(b, mpts) for b in boundaries])
                     if not pending[row[0]].any():
                         break
-        dead[:, Tg.size] += pending.sum(axis=0)
-        return dead
 
-    return _nested_counts(_run_chunks(worker, n_paths, threads), n_paths)
+    return _survivors(rows_of, len(boundaries), Tg, n_paths, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +337,8 @@ def lemma_n0N_experiment(alpha: float, gamma: float, ell, N: int,
     exceeds N; the index range is then empty and the probability is vacuously
     one, which the result flags.
     """
+    if not (0.0 < alpha < 1.0):
+        raise ValueError("the lemma's subordinator needs alpha in (0, 1)")
     ga = gamma * alpha
     if not (0.0 < ga < 1.0):
         raise ValueError("need 0 < gamma * alpha < 1")
@@ -373,7 +376,6 @@ def lemma_n0N_experiment(alpha: float, gamma: float, ell, N: int,
 class DiscreteSurvivalResult:
     estimate_y: SurvivalEstimate
     estimate_x: SurvivalEstimate
-    ordering_ok: bool
 
 
 def discrete_survival_experiment(model: LevyModel, T_grid, x: float,
@@ -383,35 +385,35 @@ def discrete_survival_experiment(model: LevyModel, T_grid, x: float,
 
     Simulates (X, Y_T = X - S_T) jointly by thinning the big positive jumps
     of one perturbed path set, so the domination survivors(Y) >= survivors(X)
-    holds pathwise, not just in expectation.  Returns one result per horizon
-    T in T_grid, each with its own split of the jump measure.  Path i is
-    drawn once, over the floor(T) cells of the largest horizon, and every
-    split thins its jumps with one shared uniform per jump; horizon T scores
-    the first floor(T) cells, so the X counts are nested in T.
+    holds pathwise, not just in expectation; a Y_T above X at any cell
+    raises RuntimeError.  Returns one result per horizon T in T_grid, each
+    with its own split of the jump measure.  Path i is drawn once, over the
+    floor(T) cells of the largest horizon, and every split thins its jumps
+    with one shared uniform per jump; horizon T scores the first floor(T)
+    cells, so the X counts are nested in T.
     """
     if not model.has_jumps or model.alpha >= 1.0:
         raise ValueError("discrete survival experiments require jumps with alpha < 1")
-    Ts = [float(T) for T in T_grid]
+    Tg = _horizons(T_grid)
+    Ts = [float(T) for T in Tg]
     decomps = [build_decomposition(model, T, POSITIVE) for T in Ts]  # needs the right tail
     plan = PerturbedPlan.from_model(model)
-    steps = np.floor(Ts).astype(int)  # cells per horizon
+    ends = np.arange(1.0, math.floor(Ts[-1]) + 1.0)  # cell end times
 
-    def worker(lo, hi):
-        res = np.zeros((3, steps.size), dtype=np.int64)  # survivors_y, survivors_x, violations
+    def rows_of(lo, hi, pending):
         for i in range(lo, hi):
-            inc, s_inc = discrete_increments(plan, steps.max(), stream(seed, i), decomp=decomps)
+            inc, s_inc = discrete_increments(plan, ends.size, stream(seed, i), decomp=decomps)
             xv = np.cumsum(inc)
-            ky = first_crossings(xv - np.cumsum(s_inc, axis=1), x)  # Y_T of each horizon
-            kx = first_crossings(xv, x)
-            ok_y, ok_x = ((k < 0) | (k >= steps) for k in (ky, kx))  # survives horizon j
-            res += ok_y, ok_x, ok_x & ~ok_y
-        return res
+            paths = np.vstack([xv, xv - np.cumsum(s_inc, axis=1)])  # X, then Y_T per T
+            if np.any(paths[1:] > xv):
+                raise RuntimeError("pathwise ordering Y_T <= X violated")
+            yield np.array([i - lo]), paths[None], ends, x
 
-    k_y, k_x, violations = _run_chunks(worker, n_paths, threads)
+    k = _survivors(rows_of, 1 + len(Ts), Tg, n_paths, threads)
     return [DiscreteSurvivalResult(
-        estimate_y=SurvivalEstimate.from_counts(T, int(ky), n_paths),
-        estimate_x=SurvivalEstimate.from_counts(T, int(kx), n_paths),
-        ordering_ok=bool(v == 0)) for T, ky, kx, v in zip(Ts, k_y, k_x, violations)]
+        estimate_y=SurvivalEstimate.from_counts(T, int(k[1 + j, j]), n_paths),
+        estimate_x=SurvivalEstimate.from_counts(T, int(k[0, j]), n_paths))
+        for j, T in enumerate(Ts)]
 
 
 # ---------------------------------------------------------------------------
@@ -469,21 +471,18 @@ def gaussian_refinement_counts(sigma2: float, drift: float, level: float,
     """
     Tg = _horizons(T_grid)
     T = float(Tg[-1])
-    grid = TimeGrid.uniform(T, dt_fine)
-    pts = grid.points
-    sub = pts[::stride]
-    if sub[-1] != T:
+    pts = TimeGrid.uniform(T, dt_fine).points
+    if pts[::stride][-1] != T:
         raise ValueError("stride must divide the fine grid")
     sd = math.sqrt(sigma2 * dt_fine)
+    limits = np.full((2, pts.size), level)
+    limits[0] = np.inf  # the coarse row is scored on the subgrid only
+    limits[0, ::stride] = level
 
-    def worker(lo, hi):
-        dead = np.zeros((2, Tg.size + 1), dtype=np.int64)
+    def rows_of(lo, hi, pending):
         for i in range(lo, hi):
             g = stream(seed, i)
             vals = _running_sum(drift * dt_fine + sd * g.standard_normal(pts.size - 1))
-            for row, (p, v) in enumerate(((sub, vals[::stride]), (pts, vals))):
-                k = first_crossing(v, level)
-                dead[row, Tg.size if k is None else Tg.searchsorted(p[k], side="left")] += 1
-        return dead
+            yield np.array([i - lo]), vals[None, None], pts, limits
 
-    return _nested_counts(_run_chunks(worker, n_paths, threads), n_paths)
+    return _survivors(rows_of, 2, Tg, n_paths, threads)

@@ -45,16 +45,10 @@ def first_crossings(values: np.ndarray, limits) -> np.ndarray:
     return np.where(crossed.any(axis=-1), crossed.argmax(axis=-1), -1)
 
 
-def first_crossing(values: np.ndarray, limits) -> int | None:
-    """first_crossings of one path, None when it never crosses."""
-    k = int(first_crossings(values, limits))
-    return k if k >= 0 else None
-
-
 def survives(path: PathSample, b: Boundary) -> SurvivalVerdict:
     """True iff values <= f(t) at every monitored point (ties survive)."""
-    k = first_crossing(path.values, boundary_value(b, path.grid.points))
-    return SurvivalVerdict(k is None, k)
+    k = int(first_crossings(path.values, boundary_value(b, path.grid.points)))
+    return SurvivalVerdict(k < 0, k if k >= 0 else None)
 
 
 def subordinator_stays_above(path: PathSample, b: Boundary) -> bool:

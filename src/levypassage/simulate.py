@@ -185,9 +185,8 @@ class PerturbedPlan:
 def _cell_jumps(points: np.ndarray, epochs: np.ndarray,
                 sizes: np.ndarray) -> np.ndarray:
     """Sum of the jumps in each cell (t_{k-1}, t_k]; every epoch is a point."""
-    acc = np.zeros(points.size)
-    np.add.at(acc, np.searchsorted(points, epochs), sizes)
-    return acc[1:]
+    return np.bincount(np.searchsorted(points, epochs), weights=sizes,
+                       minlength=points.size)[1:]
 
 
 def _running_sum(inc: np.ndarray, start: float = 0.0) -> np.ndarray:

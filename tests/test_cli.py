@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levypassage import estimate
 from levypassage.cli import (CSV_COLUMNS, ConfigError, build_config,
                              build_model, emit_plot_data, main,
                              monitoring_grid, parse_config_text)
@@ -247,6 +248,24 @@ run.seed = 2
     assert err["error"]["code"] == 3
 
 
+def test_discrete_ordering_violation_exits_3(tmp_path, capsys, monkeypatch):
+    # S_T increments below zero would put Y_T = X - S_T above X
+    real = estimate.discrete_increments
+
+    def negative(*args, **kwargs):
+        inc, s_inc = real(*args, **kwargs)
+        return inc, -1.0 - s_inc
+
+    monkeypatch.setattr(estimate, "discrete_increments", negative)
+    out = tmp_path / "o"
+    assert main(["--config", str(engine_config(tmp_path, "discrete-survival")),
+                 "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["violations"] == [
+        {"field": "runtime", "message": "pathwise ordering Y_T <= X violated"}]
+    assert not (out / "results.csv").exists()
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "nope.cfg")]) == 2
     assert json.loads(capsys.readouterr().err)["error"]["code"] == 2
@@ -419,6 +438,9 @@ def engine_config(tmp_path, kind, change=()):
     ("spitzer", {"spitzer.t_values": "1,inf"}, "spitzer.t_values"),
     ("kappa", {"kappa.rho_values": "-1"}, "kappa.rho_values"),
     ("kappa", {"kappa.rho_values": "1.5,nan"}, "kappa.rho_values"),
+    # S_N is a one-sided stable subordinator: alpha < 1, vacuous range or not
+    ("lemma-n0N", {"model.alpha": "1.5", "boundary.gamma": "0.01"}, "model.alpha"),
+    ("lemma-n0N", {"model.alpha": "1.5", "boundary.gamma": "0.6"}, "model.alpha"),
 ])
 def test_engine_input_rules_exit_2(tmp_path, capsys, kind, change, field):
     # each config is one the engine would reject at run time (exit 3, or a

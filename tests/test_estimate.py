@@ -15,6 +15,7 @@ from levypassage.estimate import (SurvivalEstimate,
                                   gaussian_refinement_counts,
                                   lemma_n0N_experiment, product_bound_check,
                                   survival_counts, wilson_log_ci)
+from levypassage.fluctuation import spitzer_profile
 from levypassage.levymodel import (Boundary, LevyModel, stable_model,
                                    standard_symmetric_model)
 from levypassage.passage import boundary_value, first_crossings
@@ -306,9 +307,6 @@ def test_chunks_stay_in_process_without_fork_or_affinity(monkeypatch):
 def test_survival_guard_rails():
     m = standard_symmetric_model(0.7)
     with pytest.raises(ValueError):
-        survival_counts(m, [Boundary("constant")], [1.0, 2.0], 0,
-                        TimeGrid.survival(2.0), seed=0)
-    with pytest.raises(ValueError):
         survival_counts(m, [Boundary("constant")], [4.0, 2.0], 10,
                         TimeGrid.survival(4.0), seed=0)
     with pytest.raises(ValueError):
@@ -320,6 +318,24 @@ def test_survival_guard_rails():
     with pytest.raises(ValueError, match="increasing"):
         gaussian_refinement_counts(1.0, 0.0, 1.0, [2.0, 1.0], dt_fine=0.01,
                                    stride=2, n_paths=10, seed=0)
+    for T_grid in ([], [32.0, 16.0]):
+        with pytest.raises(ValueError, match="increasing"):
+            discrete_survival_experiment(m, T_grid, 1.0, seed=0, n_paths=10)
+
+
+@pytest.mark.parametrize("n_paths", [0, -1])
+@pytest.mark.parametrize("engine", [
+    lambda n: survival_counts(standard_symmetric_model(0.7), [Boundary("constant")],
+                              [1.0, 2.0], n, TimeGrid.survival(2.0), seed=0),
+    lambda n: spitzer_profile(stable_model(0.7), [1.0, 2.0], n, 1),
+    lambda n: discrete_survival_experiment(stable_model(0.7), [16.0], 1.0,
+                                           seed=0, n_paths=n),
+    lambda n: gaussian_refinement_counts(1.0, 0.0, 1.0, [1.0], dt_fine=0.5,
+                                         stride=2, n_paths=n, seed=0),
+], ids=["survival", "spitzer", "discrete", "gaussian"])
+def test_engines_reject_no_paths(engine, n_paths):
+    with pytest.raises(ValueError, match="n_paths must be positive"):
+        engine(n_paths)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +410,10 @@ def test_lemma_nonvacuous_range():
 def test_lemma_argument_validation():
     with pytest.raises(ValueError):
         lemma_n0N_experiment(0.5, 4.0, ELL1, 100, 10, seed=0)  # gamma*alpha >= 1
+    # one-sided stable subordinators exist for alpha < 1 only, vacuous range or not
+    for gamma in (0.01, 0.6):
+        with pytest.raises(ValueError, match="alpha in"):
+            lemma_n0N_experiment(1.5, gamma, ELL1, 10 ** 4, 20, seed=1)
     with pytest.raises(ValueError):
         lemma_n0N_experiment(0.5, 1.0, SlowlyVaryingSpec("log-power", p=1.0),
                              100, 10, seed=0)
@@ -407,7 +427,6 @@ def test_discrete_trivial_when_level_large():
     m = standard_symmetric_model(0.7)
     [res] = discrete_survival_experiment(m, [16.0], 1e6, seed=11, n_paths=300)
     assert res.estimate_y.p_hat == 1.0
-    assert res.ordering_ok
 
 
 def test_discrete_survival_reuses_one_path_set():
@@ -423,6 +442,20 @@ def test_discrete_survival_reuses_one_path_set():
         (results[-1].estimate_y, results[-1].estimate_x)
 
 
+def test_discrete_ordering_guard(monkeypatch):
+    # negative S_T increments put Y_T = X - S_T above X
+    real = estimate.discrete_increments
+
+    def negative(*args, **kwargs):
+        inc, s_inc = real(*args, **kwargs)
+        return inc, -1.0 - s_inc
+
+    monkeypatch.setattr(estimate, "discrete_increments", negative)
+    with pytest.raises(RuntimeError, match="pathwise ordering Y_T <= X violated"):
+        discrete_survival_experiment(standard_symmetric_model(0.7), [16.0], 1.0,
+                                     seed=0, n_paths=10)
+
+
 @pytest.mark.slow
 def test_discrete_survival_ordering_and_exponents():
     # Y_T = X - S_T with delta(T) ~ 1/2 at desk scale: Y_T's exponent tracks
@@ -432,7 +465,6 @@ def test_discrete_survival_ordering_and_exponents():
     ys, xs = [], []
     for res in discrete_survival_experiment(m, (32.0, 64.0, 128.0, 256.0, 512.0),
                                             1.0, seed=12, n_paths=600):
-        assert res.ordering_ok
         assert res.estimate_y.survivors >= res.estimate_x.survivors
         ys.append(res.estimate_y)
         xs.append(res.estimate_x)
