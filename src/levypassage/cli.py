@@ -24,7 +24,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .decompose import MIN_EXPERIMENT_T, InvalidDecompositionError
+from .decompose import MIN_EXPERIMENT_T
 from .estimate import (WILSON_Z, FitUnavailable, SurvivalEstimate,
                        discrete_survival_experiment, fit_exponent,
                        lemma_n0N_experiment,
@@ -295,7 +295,7 @@ def build_model(cfg: ExperimentConfig) -> LevyModel:
         return LevyModel(b=cfg.drift, sigma2=cfg.sigma2)
     if _has_custom_ell(cfg) and cfg.mode == "perturbed":
         ell = SlowlyVaryingSpec(cfg.ell_family, c=cfg.ell_c, p=cfg.ell_p)
-        m = tail_only_model(cfg.alpha, ell, sides="both")
+        m = tail_only_model(cfg.alpha, ell)
         return replace(m, b=cfg.drift, sigma2=cfg.sigma2)
     m = stable_model(cfg.alpha, cfg.beta, cfg.scale)
     if cfg.mode == "perturbed":
@@ -543,7 +543,7 @@ def main(argv: list[str] | None = None) -> int:
         quadpack()  # these runs build jump plans by quadrature: import scipy in set-up
     try:
         return run_experiment(cfg, Path(args.out), quiet=args.quiet)
-    except (InvalidDecompositionError, ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(_error_record(3, [("runtime", str(exc))]), file=sys.stderr)
         return 3
 

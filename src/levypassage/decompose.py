@@ -32,6 +32,7 @@ VALIDATION_GRID_HI = 1e6
 TABLE_KNOTS = 4096
 TABLE_HI = 1e10
 GUIDE_BUCKETS_PER_KNOT = 4
+REMAINDER_TOL = 1e-6  # largest share of a table's mass its two tail remainders may differ by
 MIN_EXPERIMENT_T = 16.0
 LAPLACE_REGIME_MAX = 0.1
 
@@ -52,7 +53,10 @@ class JumpTable:
 
     Holds ln(tail mass) against ln(x) on 4096 log-spaced knots; segment
     masses come from vectorized Gauss-Legendre panels and the mass past the
-    last knot from the regular-variation tail asymptotic.  A target's
+    last knot from the regular-variation tail asymptotic.  That asymptotic
+    is taken from the log-log slope over (x, 2x); where the slope over
+    (x, 4x) moves it by more than REMAINDER_TOL of the total mass, ell bends
+    too much for it, and the table raises ValueError.  A target's
     segment is found through a Chen-Asau (1974) guide table: a direct index
     into equal buckets of ln(mass), then as many forward steps as the
     fullest bucket holds knots, each taken while the next knot is at or
@@ -75,8 +79,14 @@ class JumpTable:
         u = mid[:, None] + half[:, None] * self._GL_NODES[None, :]
         x = np.exp(u)
         seg = half * np.sum(self._GL_WEIGHTS[None, :] * density(x) * x, axis=1)
-        rest = power_tail_remainder(lambda v: density(np.asarray([v]))[0], TABLE_HI)
+        rest, rest_4x = power_tail_remainder(lambda v: density(np.asarray([v]))[0],
+                                             TABLE_HI)
         mass = np.concatenate([np.cumsum(seg[::-1])[::-1] + rest, [rest]])
+        if abs(rest_4x - rest) > REMAINDER_TOL * mass[0]:
+            raise ValueError(
+                f"jump table cannot resolve its tail beyond {TABLE_HI:g}: remainders "
+                f"from two slopes differ by {abs(rest_4x - rest) / mass[0]:.3g} "
+                "of the total mass")
         self.alpha = alpha
         self.total_mass = float(mass[0])
         self._ln_rest = math.log(rest)
@@ -190,7 +200,7 @@ def build_decomposition(model: LevyModel, T: float, side: str) -> DecompositionT
         raise ValueError(f"model lacks the {'left' if side == NEGATIVE else 'right'} "
                          f"tail needed for the {side} side")
     d = DecompositionT(T=T, delta=delta(T), side=side, tail=tail, table=None)
-    grid = np.union1d(np.geomspace(1.0, VALIDATION_GRID_HI, VALIDATION_GRID_POINTS), [1.0])
+    grid = np.geomspace(1.0, VALIDATION_GRID_HI, VALIDATION_GRID_POINTS)
     probs = d.thinning_probability(grid)
     bad = np.nonzero(probs > 1.0 + 1e-12)[0]
     if bad.size:

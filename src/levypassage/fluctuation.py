@@ -111,10 +111,8 @@ def renewal_estimate(samples, x: float) -> float:
 
 def spitzer_profile(model: LevyModel, t_grid, n_paths: int, seed: int,
                     threads: int = 1) -> PositivityProfile:
-    """Tabulated MC estimates of P(X(t) >= 0)."""
+    """Tabulated MC estimates of P(X(t) >= 0) at increasing times t > 0."""
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or np.any(t_grid <= 0) or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be positive and increasing")
     grid = TimeGrid(np.concatenate([[0.0], t_grid]))
     if model.stable is not None:
         dt_pow = np.diff(grid.points) ** (1.0 / model.stable.alpha)
@@ -137,27 +135,25 @@ def spitzer_profile(model: LevyModel, t_grid, n_paths: int, seed: int,
     return PositivityProfile.tabulated(t_grid, _run_chunks(worker, n_paths, threads) / n_paths)
 
 
-def renewal_convergence_gaps(model: LevyModel, decomp_by_T: dict[float, DecompositionT],
+def renewal_convergence_gaps(model: LevyModel, splits: list[DecompositionT],
                              grid: TimeGrid, x: float, n_paths: int,
                              seed: int) -> dict[float, float]:
-    """|V_T(x) - V(x)| per T with common seeds and coupled thinning.
+    """|V_T(x) - V(x)| per split, keyed by its T, with common seeds and coupled thinning.
 
     Simulates X once per path and derives each Y_T by thinning with a shared
     per-jump uniform; when the thinning probability decreases with T (always
     true for constant ell) the removed-jump sets are nested across T and the
     gaps shrink monotonically as delta(T) decreases.
     """
-    Ts = sorted(decomp_by_T)
-    decomps = [decomp_by_T[T] for T in Ts]
     plan = PerturbedPlan.from_model(model)
     count_x = 0.0
-    count_y = {T: 0.0 for T in Ts}
+    count_y = [0.0] * len(splits)
     for i in range(n_paths):
-        _, vx, _, s_values = joined_blocks(plan, grid.points, stream(seed, i), decomps)
+        _, vx, _, s_values = joined_blocks(plan, grid.points, stream(seed, i), splits)
         count_x += int(np.count_nonzero(vx[_record_mask(vx)] < x))
-        for T, d, vs in zip(Ts, decomps, s_values):
+        for j, (d, vs) in enumerate(zip(splits, s_values)):
             # negative side: X = Y - S  =>  Y = X + S ; positive side: Y = X - S
             vy = vx + vs if d.side == NEGATIVE else vx - vs
-            count_y[T] += int(np.count_nonzero(vy[_record_mask(vy)] < x))
+            count_y[j] += int(np.count_nonzero(vy[_record_mask(vy)] < x))
     v_x = count_x / n_paths
-    return {T: abs(count_y[T] / n_paths - v_x) for T in Ts}
+    return {d.T: abs(c / n_paths - v_x) for d, c in zip(splits, count_y)}

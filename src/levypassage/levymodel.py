@@ -104,9 +104,6 @@ def characteristic_exponent(model: LevyModel, u: float,
     """
     if not math.isfinite(u):
         raise ValueError("u must be finite")
-    for t in (model.tail_left, model.tail_right):
-        if t is not None and t.alpha >= 2.0:
-            raise ValueError("compensator is not integrable for alpha >= 2")
     out = complex(-0.5 * model.sigma2 * u * u, model.b * u)
     if model.tail_right is not None:
         re, im = _jump_side_integrals(model.tail_right, u, epsabs, epsrel)
@@ -169,9 +166,7 @@ def standard_symmetric_model(alpha: float) -> LevyModel:
     return stable_model(alpha, 0.0, levy_unit_tail_scale(alpha))
 
 
-def tail_only_model(alpha: float, ell: SlowlyVaryingSpec,
-                    sides: str = "both") -> LevyModel:
-    """Pure-jump model from bare tail specs (no exact-increment mode)."""
-    left = RegVaryingTail(alpha, ell, "left") if sides in ("both", "left") else None
-    right = RegVaryingTail(alpha, ell, "right") if sides in ("both", "right") else None
-    return LevyModel(tail_left=left, tail_right=right)
+def tail_only_model(alpha: float, ell: SlowlyVaryingSpec) -> LevyModel:
+    """Pure-jump model with the same tail on both sides (no exact-increment mode)."""
+    return LevyModel(tail_left=RegVaryingTail(alpha, ell, "left"),
+                     tail_right=RegVaryingTail(alpha, ell, "right"))

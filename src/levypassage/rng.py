@@ -80,11 +80,3 @@ class Cursor:
         self.bits.state = self._state
         return self.gen
 
-
-def as_generator(source) -> np.random.Generator:
-    """Accept a Generator or a (seed, path_index[, phase]) tuple."""
-    if isinstance(source, np.random.Generator):
-        return source
-    if isinstance(source, tuple) and len(source) in (2, 3):
-        return stream(*(int(v) for v in source))
-    raise TypeError(f"cannot build an RNG stream from {source!r}")

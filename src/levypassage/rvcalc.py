@@ -6,10 +6,11 @@ Two concrete slowly-varying-at-zero families are supported:
 * ``log-power``: ell(x) = (ln(e + 1/x))**p
 
 A regularly varying tail is the jump density |x|**(-alpha-1) * ell(1/|x|) on
-one side of the origin, written in the magnitude coordinate x > 0.  Tail
-masses are integrated adaptively; the integrand is truncated where it has
-dropped below 1e-16 of its value at the left endpoint.  `quad` and
-`mass_beyond` are the package's one quadrature recipe.
+one side of the origin, written in the magnitude coordinate x > 0; only
+RegVaryingTail checks that its index lies in (0, 2).  Tail masses are
+integrated adaptively, truncated where the integrand has dropped below 1e-16
+of its value at the left endpoint, and completed from the local log-log
+slope.  `quad` and `mass_beyond` are the package's one quadrature recipe.
 
 `quadpack` is the one entry to scipy's quadrature: `scipy.integrate` is
 imported on its first call, never at module import, because it costs most
@@ -95,20 +96,22 @@ def truncation_point(tail: RegVaryingTail, x: float) -> float:
     return hi
 
 
-def power_tail_remainder(density, x: float) -> float:
+def power_tail_remainder(density, x: float) -> tuple[float, float]:
     """int_x^inf of a regularly varying density, from its local log-log slope.
 
-    Locally density ~ C * u**s with s = d ln g / d ln u measured at x, so the
-    remainder is g(x) * x / (-(s + 1)); exact for pure power laws, accurate
-    to second order in the slowly varying drift otherwise.
+    Locally density ~ C * u**s with s = d ln g / d ln u near x, so the
+    remainder is g(x) * x / (-(s + 1)); exact for pure power laws, first-order
+    accurate in the slowly varying drift otherwise.  Returns the remainder
+    with s measured over (x, 2x), then with s over (x, 4x): their difference
+    shows how far that first order falls short.
     """
-    g0, g1 = float(density(x)), float(density(2.0 * x))
+    g0 = float(density(x))
     if g0 <= 0.0:
-        return 0.0
-    s = math.log(g1 / g0) / math.log(2.0)
-    if s >= -1.0:
+        return 0.0, 0.0
+    s2, s4 = (math.log(float(density(k * x)) / g0) / math.log(k) for k in (2.0, 4.0))
+    if max(s2, s4) >= -1.0:
         raise ValueError("density does not decay fast enough for a tail remainder")
-    return g0 * x / (-(s + 1.0))
+    return g0 * x / (-(s2 + 1.0)), g0 * x / (-(s4 + 1.0))
 
 
 def quadpack():
@@ -132,15 +135,13 @@ def mass_beyond(density, x: float, hi: float) -> float:
     """
     inner = quad(lambda v: density(math.exp(v)) * math.exp(v),
                  math.log(x), math.log(hi))
-    return inner + power_tail_remainder(density, hi)
+    return inner + power_tail_remainder(density, hi)[0]
 
 
 def tail_mass(tail: RegVaryingTail, x: float) -> float:
     """nu_+(x) or nu_-(x): integrated density from x to infinity, x > 0."""
     if not (math.isfinite(x) and x > 0):
         raise ValueError("tail_mass requires finite x > 0")
-    if tail.alpha <= 0:
-        raise ValueError("tail mass diverges for alpha <= 0")
     if tail.ell.is_constant:
         return tail.ell.c * x ** (-tail.alpha) / tail.alpha
     return mass_beyond(tail.density, x, truncation_point(tail, x))

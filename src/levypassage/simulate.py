@@ -31,7 +31,7 @@ import numpy as np
 
 from .decompose import DecompositionT, JumpTable
 from .levymodel import LevyModel
-from .rng import Cursor, as_generator
+from .rng import Cursor
 from .rvcalc import quad
 from .stable import StableParams, cms_transform, sample_stable
 
@@ -264,10 +264,9 @@ def _coupled(splits, merged, epochs, sizes, thin_u) -> np.ndarray:
 # public sampling operations
 # ---------------------------------------------------------------------------
 
-def sample_path(model: LevyModel, grid: TimeGrid, stream,
+def sample_path(model: LevyModel, grid: TimeGrid, rng: np.random.Generator,
                 plan: PerturbedPlan | None = None) -> PathSample:
     """One path of X on the grid; perturbed mode also monitors jump epochs."""
-    rng = as_generator(stream)
     if model.stable is not None:
         dt = np.diff(grid.points)
         values = _running_sum(dt ** (1.0 / model.stable.alpha)
@@ -277,10 +276,10 @@ def sample_path(model: LevyModel, grid: TimeGrid, stream,
 
 
 def sample_subordinator_path(decomp: DecompositionT, grid: TimeGrid,
-                             stream) -> PathSample:
+                             rng: np.random.Generator) -> PathSample:
     """Path of S_T, monitored at grid points and jump epochs: the block
     source on PerturbedPlan.subordinator(decomp)."""
-    return _perturbed_path(PerturbedPlan.subordinator(decomp), grid, as_generator(stream))
+    return _perturbed_path(PerturbedPlan.subordinator(decomp), grid, rng)
 
 
 def _perturbed_path(plan: PerturbedPlan, grid: TimeGrid,

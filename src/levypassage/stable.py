@@ -5,7 +5,8 @@ on (-pi/2, pi/2) and one unit exponential per variate, no rejection loop.
 The parameterization is the strictly stable one without shift, in which
 beta = +-1 with alpha < 1 gives a one-sided law supported on a half line.
 alpha = 1 is supported only for beta = 0 (Cauchy); the skewed alpha = 1 case
-has a drift ambiguity in this parameterization and is rejected.
+has a drift ambiguity in this parameterization, and StableParams rejects it,
+so the transform and rho below need no check of their own.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .rng import as_generator
 
 
 @dataclass(frozen=True)
@@ -29,18 +28,19 @@ class StableParams:
             raise ValueError("alpha must lie in (0, 2)")
         if not (-1.0 <= self.beta <= 1.0):
             raise ValueError("beta must lie in [-1, 1]")
+        if self.alpha == 1.0 and self.beta != 0.0:
+            raise ValueError("alpha = 1 with beta != 0 is unsupported")
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError("scale must be positive")
 
 
-def sample_stable(params: StableParams, n: int, stream) -> np.ndarray:
-    """n i.i.d. draws of Z(1); deterministic given the stream id.
+def sample_stable(params: StableParams, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n i.i.d. draws of Z(1); deterministic given the generator's state.
 
-    The n uniforms come first from `stream`, then the n exponentials.
+    The n uniforms come first from `rng`, then the n exponentials.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = as_generator(stream)
     return cms_transform(params, rng.random(n), rng.standard_exponential(n))
 
 
@@ -56,8 +56,6 @@ def cms_transform(params: StableParams, u: np.ndarray, w: np.ndarray) -> np.ndar
     tan(pi*alpha/2)**2)**(1/(2*alpha)); tan(U) for alpha = 1, beta = 0.
     """
     a, b = params.alpha, params.beta
-    if a == 1.0 and b != 0.0:
-        raise ValueError("alpha = 1 with beta != 0 is unsupported")
     U = u * math.pi - math.pi / 2.0
     if a == 1.0:
         return np.tan(U) * params.scale
@@ -70,12 +68,11 @@ def cms_transform(params: StableParams, u: np.ndarray, w: np.ndarray) -> np.ndar
 
 
 def positivity_parameter(params: StableParams) -> float:
-    """rho = P(Z(1) > 0) = 1/2 + arctan(beta * tan(pi*alpha/2)) / (pi*alpha)."""
+    """rho = P(Z(1) > 0) = 1/2 + arctan(beta * tan(pi*alpha/2)) / (pi*alpha).
+
+    The Cauchy law (alpha = 1, where beta = 0) gets exactly 1/2.
+    """
     a, b = params.alpha, params.beta
-    if a == 1.0:
-        if b != 0.0:
-            raise ValueError("alpha = 1 with beta != 0 is unsupported")
-        return 0.5
     return 0.5 + math.atan(b * math.tan(math.pi * a / 2.0)) / (math.pi * a)
 
 

@@ -20,6 +20,7 @@ from levypassage.estimate import (SurvivalEstimate, fit_exponent,
 from levypassage.fluctuation import PositivityProfile, kappa
 from levypassage.levymodel import (Boundary, characteristic_exponent,
                                    standard_symmetric_model, tail_only_model)
+from levypassage.rng import stream
 from levypassage.rvcalc import SlowlyVaryingSpec
 from levypassage.simulate import TimeGrid, sample_subordinator_path
 from levypassage.stable import StableParams, positivity_parameter
@@ -207,7 +208,7 @@ def test_criterion_10_property_suites():
     # subordinator monotonicity on every sampled path
     d2 = build_decomposition(tail_only_model(0.5, ELL1), 100.0, NEGATIVE)
     grid = TimeGrid.geometric(50.0, t_min=0.5, per_octave=4)
-    mono = all(np.all(np.diff(sample_subordinator_path(d2, grid, (SEED, i, 0)).values)
+    mono = all(np.all(np.diff(sample_subordinator_path(d2, grid, stream(SEED, i)).values)
                       >= 0.0) for i in range(2000))
     checks.append(("subordinator-monotone", mono))
 

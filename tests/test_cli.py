@@ -247,6 +247,26 @@ run.seed = 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["code"] == 3
 
+    # runtime failure: a jump table that cannot resolve its tail remainder
+    text = """
+experiment.kind = survival
+model.alpha = 0.2
+model.mode = perturbed
+model.ell_family = log-power
+model.ell_p = 3
+boundary.kind = constant
+run.t_min = 1
+run.t_max = 4
+run.t_points = 2
+run.n_paths = 10
+run.seed = 2
+"""
+    cfg = write_config(tmp_path, text)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["code"] == 3
+    assert "cannot resolve its tail" in err["error"]["violations"][0]["message"]
+
 
 def test_discrete_ordering_violation_exits_3(tmp_path, capsys, monkeypatch):
     # S_T increments below zero would put Y_T = X - S_T above X

@@ -10,9 +10,9 @@ from levypassage.decompose import (GUIDE_BUCKETS_PER_KNOT, NEGATIVE, POSITIVE,
                                    build_decomposition, delta, laplace_bound)
 from levypassage.estimate import (subordinator_exceedance,
                                   subordinator_laplace_check)
-from levypassage.levymodel import tail_only_model
+from levypassage.levymodel import LevyModel, tail_only_model
 from levypassage.rng import stream
-from levypassage.rvcalc import SlowlyVaryingSpec, eval_slowly_varying
+from levypassage.rvcalc import RegVaryingTail, SlowlyVaryingSpec, eval_slowly_varying
 from levypassage.simulate import ETA, PerturbedPlan
 
 ELL1 = SlowlyVaryingSpec("constant", c=1.0)
@@ -95,7 +95,7 @@ def test_nu_rest_negative_detected():
 
 
 def test_build_requires_matching_tail():
-    m = tail_only_model(0.5, ELL1, sides="right")
+    m = LevyModel(tail_right=RegVaryingTail(0.5, ELL1, "right"))
     with pytest.raises(ValueError, match="left"):
         build_decomposition(m, 100.0, NEGATIVE)
     build_decomposition(m, 100.0, POSITIVE)
@@ -132,6 +132,14 @@ def test_jump_table_matches_pareto_for_constant_ell():
     # exact jump law is Pareto(1/2): P(S > x) = x**-0.5
     assert np.max(np.abs(emp - u ** -0.5)) < 1.628 / math.sqrt(u.size)
 
+
+
+def test_jump_table_rejects_an_unresolved_tail():
+    # ell = ln(e + 1/x)**3 at alpha 0.2 bends too much for the first-order
+    # remainder past the last knot: it would put the rate 13% too high
+    tail = RegVaryingTail(0.2, SlowlyVaryingSpec("log-power", p=3.0), "right")
+    with pytest.raises(ValueError, match="cannot resolve its tail"):
+        JumpTable(tail.density, x_lo=ETA, alpha=0.2)
 
 @pytest.fixture(scope="module")
 def bit_identity_tables():

@@ -189,7 +189,7 @@ def test_reflection_in_law(kind, seed, reflected_seed):
     grid = TimeGrid.survival(T_grid[-1])
     direct = survival_counts(stable_model(0.7, 0.5), [b], T_grid, n, grid, seed=seed)[0]
     neg = stable_model(0.7, -0.5)
-    values = -np.array([sample_path(neg, grid, (reflected_seed, i, 0)).values
+    values = -np.array([sample_path(neg, grid, stream(reflected_seed, i)).values
                         for i in range(n)])
     died = grid_deaths(boundary_value(b, grid.points), grid.points, values)
     reflected = (died[:, None] > T_grid).sum(axis=0)
@@ -321,6 +321,9 @@ def test_survival_guard_rails():
     for T_grid in ([], [32.0, 16.0]):
         with pytest.raises(ValueError, match="increasing"):
             discrete_survival_experiment(m, T_grid, 1.0, seed=0, n_paths=10)
+    for t_grid in ([2.0, 1.0], [1.0, 1.0], [0.0, 1.0], [-1.0, 2.0]):
+        with pytest.raises(ValueError, match="increasing"):
+            spitzer_profile(m, t_grid, 10, 0)
 
 
 @pytest.mark.parametrize("n_paths", [0, -1])

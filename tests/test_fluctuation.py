@@ -9,6 +9,7 @@ from levypassage.fluctuation import (LadderSample, PositivityProfile, kappa,
                                      renewal_estimate, spitzer_profile)
 from levypassage.levymodel import (LevyModel, stable_model,
                                    standard_symmetric_model, tail_only_model)
+from levypassage.rng import stream
 from levypassage.rvcalc import SlowlyVaryingSpec
 from levypassage.simulate import TimeGrid, sample_path
 from levypassage.stable import StableParams, positivity_parameter
@@ -60,7 +61,7 @@ def test_profile_validation():
 
 def test_ladder_records_drift_path():
     grid = TimeGrid(np.linspace(0.0, 2.0, 5))
-    path = sample_path(LevyModel(b=1.0), grid, (0, 0, 0))
+    path = sample_path(LevyModel(b=1.0), grid, stream(0, 0))
     lad = ladder_process(path)
     assert np.array_equal(lad.epochs, grid.points)
     assert np.allclose(lad.heights, path.values)
@@ -81,7 +82,7 @@ def test_ladder_refinement_growth_brownian():
     counts = {}
     for dt in (1e-2, 1e-3):
         grid = TimeGrid.uniform(1.0, dt)
-        counts[dt] = np.mean([ladder_process(sample_path(m, grid, (71, i, 0))).epochs.size
+        counts[dt] = np.mean([ladder_process(sample_path(m, grid, stream(71, i))).epochs.size
                               for i in range(n)])
     assert counts[1e-3] > counts[1e-2]
 
@@ -99,7 +100,7 @@ def test_renewal_estimate_basics():
 def test_renewal_monotone_in_x():
     m = LevyModel(sigma2=1.0)
     grid = TimeGrid.uniform(16.0, 0.05)
-    samples = [ladder_process(sample_path(m, grid, (72, i, 0))) for i in range(500)]
+    samples = [ladder_process(sample_path(m, grid, stream(72, i))) for i in range(500)]
     vals = [renewal_estimate(samples, x) for x in (0.5, 1.0, 2.0, 4.0)]
     assert all(a <= b for a, b in zip(vals, vals[1:]))
 
@@ -108,7 +109,7 @@ def test_renewal_brownian_linearity():
     # V(2x)/V(x) ~ 2 for Brownian motion (renewal function linear)
     m = LevyModel(sigma2=1.0)
     grid = TimeGrid.uniform(128.0, 0.02)
-    samples = [ladder_process(sample_path(m, grid, (73, i, 0)))
+    samples = [ladder_process(sample_path(m, grid, stream(73, i)))
                for i in range(100_000)]
     ratio = renewal_estimate(samples, 2.0) / renewal_estimate(samples, 1.0)
     assert 1.8 <= ratio <= 2.2
@@ -118,7 +119,7 @@ def test_renewal_gaps_shrink_with_T():
     # |V_T(1) - V(1)| shrinks as delta(T) -> 0, nested thinning, common seeds
     m = tail_only_model(0.7, SlowlyVaryingSpec("constant", c=1.0))
     Ts = (1e2, 1e4, 1e6)
-    decomps = {T: build_decomposition(m, T, NEGATIVE) for T in Ts}
+    decomps = [build_decomposition(m, T, NEGATIVE) for T in Ts]
     grid = TimeGrid.integers(64.0)
     gaps = renewal_convergence_gaps(m, decomps, grid, 1.0, 1500, 74)
     assert gaps[1e2] >= gaps[1e4] >= gaps[1e6]
@@ -140,7 +141,7 @@ def test_spitzer_long_t_grid_matches_whole_paths():
     n = 40
     prof = spitzer_profile(m, t, n, 78)
     grid = TimeGrid(np.concatenate([[0.0], t]))
-    want = sum(sample_path(m, grid, (78, i, 0)).values[1:] >= 0.0 for i in range(n))
+    want = sum(sample_path(m, grid, stream(78, i)).values[1:] >= 0.0 for i in range(n))
     assert np.array_equal((prof.p * n).round().astype(int), want)
 
 

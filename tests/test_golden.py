@@ -166,7 +166,7 @@ run.seed = 22
 
 def test_golden_renewal_gaps():
     m = tail_only_model(0.7, SlowlyVaryingSpec("constant", c=1.0))
-    decomps = {T: build_decomposition(m, T, NEGATIVE) for T in (1e2, 1e4)}
+    decomps = [build_decomposition(m, T, NEGATIVE) for T in (1e2, 1e4)]
     gaps = renewal_convergence_gaps(m, decomps, TimeGrid.integers(16.0), 1.0,
                                     40, 24)
     assert {T: "%.17g" % g for T, g in gaps.items()} == {

@@ -7,6 +7,7 @@ from levypassage.levymodel import Boundary, LevyModel, stable_model
 from levypassage.passage import (IntegralTest, SurvivalVerdict, boundary_value,
                                  brownian_integral_test,
                                  subordinator_stays_above, survives)
+from levypassage.rng import stream
 from levypassage.simulate import PathSample, TimeGrid, sample_path
 
 
@@ -39,7 +40,7 @@ def test_zero_path_vs_constant():
 
 def test_drift_path_vs_increasing():
     grid = TimeGrid(np.linspace(0.0, 2.0, 21))
-    p = sample_path(LevyModel(b=1.0), grid, (0, 0, 0))
+    p = sample_path(LevyModel(b=1.0), grid, stream(0, 0))
     assert survives(p, Boundary("increasing", 2.0, 1.0)).survived  # t <= 1 + t^2
 
 
@@ -50,7 +51,7 @@ def test_dominance_orderings():
     dec = Boundary("decreasing", 1.0)
     inc = Boundary("increasing", 1.0)
     for i in range(300):
-        p = sample_path(m, grid, (41, i, 0))
+        p = sample_path(m, grid, stream(41, i))
         s_dec, s_con, s_inc = (survives(p, b).survived for b in (dec, cons, inc))
         assert (not s_dec) or s_con   # dec survival implies constant survival
         assert (not s_con) or s_inc   # constant survival implies inc survival
@@ -61,7 +62,7 @@ def test_nesting_in_horizon():
     grid = TimeGrid.survival(32.0)
     b = Boundary("constant")
     for i in range(300):
-        p = sample_path(m, grid, (43, i, 0))
+        p = sample_path(m, grid, stream(43, i))
         v = survives(p, b)
         if not v.survived:
             tau = p.grid.points[v.first_crossing_index]

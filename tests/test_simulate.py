@@ -40,7 +40,7 @@ def test_survival_grid_contains_integers():
 
 def test_pure_drift_path():
     path = sample_path(LevyModel(b=1.0), TimeGrid(np.array([0.0, 1.0, 2.0])),
-                       (0, 0, 0))
+                       stream(0, 0))
     assert np.allclose(path.values, [0.0, 1.0, 2.0], atol=1e-12)
 
 
@@ -48,7 +48,7 @@ def test_brownian_increment_mean():
     n = 10 ** 5
     grid = TimeGrid(np.array([0.0, 1.0]))
     m = LevyModel(sigma2=1.0)
-    vals = np.array([sample_path(m, grid, (123, i, 0)).values[1] for i in range(n)])
+    vals = np.array([sample_path(m, grid, stream(123, i)).values[1] for i in range(n)])
     assert abs(vals.mean()) < 3.0 / math.sqrt(n)
     assert vals.std() == pytest.approx(1.0, abs=0.02)
 
@@ -58,7 +58,7 @@ def test_exact_self_similarity_on_grid():
     m = stable_model(0.7)
     n = 10 ** 5
     grid = TimeGrid(np.array([0.0, 4.0]))
-    vals = np.array([sample_path(m, grid, (5, i, 0)).values[1] for i in range(n)])
+    vals = np.array([sample_path(m, grid, stream(5, i)).values[1] for i in range(n)])
     z = sample_stable(StableParams(0.7, 0.0), n, stream(5, n + 1, 1))
     stat = ks_2samp(vals / 4.0 ** (1 / 0.7), z).statistic
     assert stat < 1.628 * math.sqrt(2.0 / n)
@@ -70,7 +70,7 @@ def test_exact_increments_uncorrelated():
     n = 10 ** 5
     inc = np.empty((n, 2))
     for i in range(n):
-        v = sample_path(m, grid, (17, i, 0)).values
+        v = sample_path(m, grid, stream(17, i)).values
         inc[i] = np.diff(v)
     # heavy tails: correlate signs, not values (correlation needs 2 moments)
     s = np.sign(inc)
@@ -81,13 +81,13 @@ def test_exact_increments_uncorrelated():
 def test_path_determinism_bit_identical():
     m = standard_symmetric_model(0.7)
     grid = TimeGrid.survival(32.0)
-    a = sample_path(m, grid, (99, 4, 0))
-    b = sample_path(m, grid, (99, 4, 0))
+    a = sample_path(m, grid, stream(99, 4))
+    b = sample_path(m, grid, stream(99, 4))
     assert np.array_equal(a.values, b.values)
     plan = PerturbedPlan.from_model(tail_only_model(0.7, ELL1))
     pm = tail_only_model(0.7, ELL1)
-    c = sample_path(pm, grid, (99, 4, 0), plan=plan)
-    d = sample_path(pm, grid, (99, 4, 0), plan=plan)
+    c = sample_path(pm, grid, stream(99, 4), plan=plan)
+    d = sample_path(pm, grid, stream(99, 4), plan=plan)
     assert np.array_equal(c.values, d.values)
     assert np.array_equal(c.jump_times, d.jump_times)
 
@@ -100,7 +100,7 @@ def test_perturbed_matches_exact_in_law():
     plan = PerturbedPlan.from_model(pm)
     n = 4 * 10 ** 4
     grid = TimeGrid(np.array([0.0, 1.0]))
-    vals = np.array([sample_path(pm, grid, (31, i, 0), plan=plan).values[-1]
+    vals = np.array([sample_path(pm, grid, stream(31, i), plan=plan).values[-1]
                      for i in range(n)])
     z = m.stable.scale * sample_stable(StableParams(0.7, 0.0), n, stream(31, 0, 5))
     assert ks_2samp(vals, z).statistic < 1.628 * math.sqrt(2.0 / n)
@@ -117,7 +117,7 @@ def test_perturbed_matches_exact_in_law_across_blocks(beta, seed):
     plan = PerturbedPlan.from_model(pm)
     n, T = 10 ** 4, 4.0
     grid = TimeGrid(np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, T]))
-    vals = np.array([sample_path(pm, grid, (seed, i, 0), plan=plan).values[-1]
+    vals = np.array([sample_path(pm, grid, stream(seed, i), plan=plan).values[-1]
                      for i in range(n)])
     z = T ** (1.0 / 0.7) * m.stable.scale * sample_stable(StableParams(0.7, beta), n,
                                                           stream(seed, 0, 5))
@@ -126,7 +126,7 @@ def test_perturbed_matches_exact_in_law_across_blocks(beta, seed):
 
 def test_perturbed_monitors_jump_epochs():
     pm = tail_only_model(0.7, ELL1)
-    path = sample_path(pm, TimeGrid(np.array([0.0, 8.0])), (3, 7, 0))
+    path = sample_path(pm, TimeGrid(np.array([0.0, 8.0])), stream(3, 7))
     assert path.jump_times.size > 0
     assert np.all(np.isin(path.jump_times, path.grid.points))
 
@@ -136,7 +136,7 @@ def test_subordinator_jump_count_poisson_mean():
     d = build_decomposition(m, 100.0, NEGATIVE)  # total mass 1
     grid = TimeGrid(np.array([0.0, 10.0]))
     n = 10 ** 4
-    paths = [sample_subordinator_path(d, grid, (8, i, 0)) for i in range(n)]
+    paths = [sample_subordinator_path(d, grid, stream(8, i)) for i in range(n)]
     counts = np.array([p.jump_times.size for p in paths])
     assert abs(counts.mean() - 10.0) < 3.0 * math.sqrt(10.0 / n)
     # the block source's S_T at the horizon and the marginal drawn as unit
@@ -151,7 +151,7 @@ def test_subordinator_paths_nondecreasing():
     d = build_decomposition(m, 100.0, POSITIVE)
     grid = TimeGrid.geometric(50.0, t_min=0.25, per_octave=4)
     for i in range(500):
-        path = sample_subordinator_path(d, grid, (21, i, 0))
+        path = sample_subordinator_path(d, grid, stream(21, i))
         assert np.all(np.diff(path.values) >= 0.0)
         assert path.values[0] == 0.0
 
@@ -163,7 +163,7 @@ def test_subordinator_path_laplace_example():
     d = build_decomposition(m, 100.0, NEGATIVE)  # delta = 1/2
     grid = TimeGrid(np.array([0.0, 1.0]))
     n = 20_000
-    vals = np.array([sample_subordinator_path(d, grid, (19, i, 0)).values[-1]
+    vals = np.array([sample_subordinator_path(d, grid, stream(19, i)).values[-1]
                      for i in range(n)])
     emp = np.exp(-0.01 * vals)
     bound = laplace_bound(d, 0.01).value
@@ -225,7 +225,7 @@ def test_discrete_increments_match_path_law():
         inc, _ = discrete_increments(plan, steps, stream(51, i))
         a[i] = inc.sum()
     grid = TimeGrid(np.array([0.0, float(steps)]))
-    b = np.array([sample_path(pm, grid, (52, i, 0), plan=plan).values[-1]
+    b = np.array([sample_path(pm, grid, stream(52, i), plan=plan).values[-1]
                   for i in range(n)])
     assert ks_2samp(a, b).statistic < 1.628 * math.sqrt(2.0 / n)
 

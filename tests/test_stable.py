@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
-from levypassage.rng import Cursor, as_generator, stream
+from levypassage.rng import Cursor, stream
 from levypassage.stable import (StableParams, cms_transform,
                                 positivity_parameter, sample_stable,
                                 subordinator_unit_scale)
@@ -27,6 +27,8 @@ def test_params_validation():
         StableParams(0.5, 1.5)
     with pytest.raises(ValueError):
         StableParams(0.5, 0.0, -1.0)
+    with pytest.raises(ValueError, match="alpha = 1"):
+        StableParams(1.0, 0.5)
     with pytest.raises(ValueError):
         sample_stable(StableParams(0.5, 0.0), 0, stream(0, 0))
 
@@ -99,8 +101,6 @@ def test_streams_are_reproducible_and_distinct():
     c = sample_stable(params, 64, stream(123, 6))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-    with pytest.raises(TypeError):
-        as_generator(5)  # a bare seed names no path
 
 
 @pytest.mark.parametrize("make", [
