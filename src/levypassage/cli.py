@@ -30,7 +30,8 @@ from .estimate import (WILSON_Z, FitUnavailable, SurvivalEstimate,
                        lemma_n0N_experiment,
                        product_bound_check, survival_counts, wilson_log_ci)
 from .fluctuation import PositivityProfile, kappa, spitzer_profile
-from .levymodel import Boundary, LevyModel, stable_model, tail_only_model
+from .levymodel import (BOUNDARY_KINDS, Boundary, LevyModel, stable_model,
+                        tail_only_model)
 from .passage import brownian_integral_test
 from .rvcalc import CONSTANT, LOG_POWER, SlowlyVaryingSpec, quadpack
 from .simulate import TimeGrid
@@ -97,44 +98,76 @@ class Parser(NamedTuple):
     error: str  # violation message prefix when parse raises ValueError
 
 
-TEXT = Parser(str, str, "")
-NAMES = Parser(lambda s: tuple(v.strip() for v in s.split(",")), ",".join, "")
-NUMBER = Parser(float, fmt, "not a number")
-INTEGER = Parser(int, fmt, "not an integer")
-NUMBERS = Parser(lambda s: tuple(float(v) for v in s.split(",")),
-                  lambda vs: ",".join(fmt(v) for v in vs),
-                 "not a comma-separated number list")
+def within(convert, holds, error, show=fmt) -> Parser:
+    """The Parser of the values convert(text) for which holds(value) is true."""
+    def parse(text):
+        value = convert(text)
+        if not holds(value):
+            raise ValueError(error)
+        return value
+    return Parser(parse, show, error)
+
+
+def one_of(*names: str) -> Parser:
+    return within(str, names.__contains__, f"not one of {', '.join(names)}", str)
+
+
+def numbers(holds, error: str) -> Parser:
+    """Comma-separated numbers whose tuple satisfies holds."""
+    return within(lambda s: tuple(float(v) for v in s.split(",")), holds, error,
+                  lambda vs: ",".join(fmt(v) for v in vs))
+
+
+POSITIVE = within(float, lambda x: 0.0 < x < math.inf, "not a finite number > 0")
+FINITE = within(float, math.isfinite, "not a finite number")
+COUNT = within(int, lambda n: n >= 1, "not an integer >= 1")
 
 # Every configuration key as (key, attribute, parser, default), in manifest
 # order.  run.threads comes last because the experiment id leaves it out.
+# Each parser accepts exactly its key's domain, whatever the experiment kind.
 SCHEMA = (
-    ("experiment.kind", "kind", TEXT, ""),
-    ("model.alpha", "alpha", NUMBER, None),
-    ("model.beta", "beta", NUMBER, 0.0),
-    ("model.scale", "scale", NUMBER, 1.0),
-    ("model.sigma2", "sigma2", NUMBER, 0.0),
-    ("model.drift", "drift", NUMBER, 0.0),
-    ("model.ell_family", "ell_family", TEXT, CONSTANT),
-    ("model.ell_c", "ell_c", NUMBER, 1.0),
-    ("model.ell_p", "ell_p", NUMBER, 0.0),
-    ("model.mode", "mode", TEXT, "exact"),
-    ("boundary.kind", "boundary_kinds", NAMES, ("constant",)),
-    ("boundary.gamma", "gamma", NUMBER, 1.0),
-    ("boundary.level", "level", NUMBER, 1.0),
-    ("run.t_min", "t_min", NUMBER, 16.0),
-    ("run.t_max", "t_max", NUMBER, 1024.0),
-    ("run.t_points", "t_points", INTEGER, 6),
-    ("run.n_paths", "n_paths", INTEGER, 1000),
-    ("run.seed", "seed", INTEGER, None),
-    ("run.grid_policy", "grid_policy", TEXT, "survival"),
-    ("run.grid_dt", "grid_dt", NUMBER, 1e-3),
-    ("run.grid_t_min", "grid_t_min", NUMBER, 2.0 ** -10),
-    ("run.grid_per_octave", "grid_per_octave", INTEGER, 8),
-    ("kappa.rho_values", "rho_values", NUMBERS, (0.3, 0.5, 0.7)),
-    ("kappa.a_values", "a_values", NUMBERS, (0.25, 0.5, 2.0, 4.0)),
-    ("spitzer.t_values", "t_values", NUMBERS, ()),
-    ("lemma.n", "lemma_n", INTEGER, 10_000),
-    ("run.threads", "threads", INTEGER, 1),
+    ("experiment.kind", "kind", Parser(str, str, ""), ""),
+    ("model.alpha", "alpha", within(float, lambda a: 0.0 < a < 2.0,
+                                    "not a number in (0, 2)"), None),
+    ("model.beta", "beta", within(float, lambda b: -1.0 <= b <= 1.0,
+                                  "not a number in [-1, 1]"), 0.0),
+    ("model.scale", "scale", POSITIVE, 1.0),
+    ("model.sigma2", "sigma2", within(float, lambda v: 0.0 <= v < math.inf,
+                                      "not a finite number >= 0"), 0.0),
+    ("model.drift", "drift", FINITE, 0.0),
+    ("model.ell_family", "ell_family", one_of(CONSTANT, LOG_POWER), CONSTANT),
+    ("model.ell_c", "ell_c", POSITIVE, 1.0),
+    ("model.ell_p", "ell_p", FINITE, 0.0),
+    ("model.mode", "mode", one_of("exact", "perturbed"), "exact"),
+    ("boundary.kind", "boundary_kinds",
+     within(lambda s: tuple(v.strip() for v in s.split(",")),
+            lambda names: all(n in BOUNDARY_KINDS for n in names),
+            f"not a list of {', '.join(BOUNDARY_KINDS)}", ",".join), ("constant",)),
+    ("boundary.gamma", "gamma", POSITIVE, 1.0),
+    ("boundary.level", "level", FINITE, 1.0),
+    ("run.t_min", "t_min", POSITIVE, 16.0),
+    ("run.t_max", "t_max", POSITIVE, 1024.0),
+    ("run.t_points", "t_points", COUNT, 6),
+    ("run.n_paths", "n_paths", COUNT, 1000),
+    # the path streams are keyed by 64-bit words
+    ("run.seed", "seed", within(int, lambda n: 0 <= n < 1 << 64,
+                                "not an integer in [0, 2**64)"), None),
+    ("run.grid_policy", "grid_policy", one_of(*GRID_POLICIES), "survival"),
+    ("run.grid_dt", "grid_dt", POSITIVE, 1e-3),
+    ("run.grid_t_min", "grid_t_min", POSITIVE, 2.0 ** -10),
+    ("run.grid_per_octave", "grid_per_octave", COUNT, 8),
+    ("kappa.rho_values", "rho_values", numbers(lambda vs: all(0.0 <= r <= 1.0 for r in vs),
+                                               "not a list of numbers in [0, 1]"),
+     (0.3, 0.5, 0.7)),
+    ("kappa.a_values", "a_values", numbers(lambda vs: all(0.0 < a < math.inf for a in vs),
+                                           "not a list of finite numbers > 0"),
+     (0.25, 0.5, 2.0, 4.0)),
+    # 0 < t_1 < ... < t_n < inf
+    ("spitzer.t_values", "t_values",
+     numbers(lambda vs: all(a < b for a, b in zip((0.0,) + vs, vs + (math.inf,))),
+             "not a finite, positive, increasing list of numbers"), ()),
+    ("lemma.n", "lemma_n", within(int, lambda n: n >= 3, "not an integer >= 3"), 10_000),
+    ("run.threads", "threads", COUNT, 1),
 )
 
 
@@ -168,16 +201,16 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
                 setattr(cfg, attr, p.parse(raw[key]))
             except ValueError:
                 violations.append((key, f"{p.error}: {raw[key]!r}"))
-    for bk in cfg.boundary_kinds:
-        if bk not in ("constant", "decreasing", "increasing"):
-            violations.append(("boundary.kind", f"unknown boundary kind {bk!r}"))
     known_keys = {key for key, *_ in SCHEMA}
     for key in raw:
         if key not in known_keys:
             violations.append((key, "unknown configuration key"))
+    if violations:
+        raise ConfigError(violations)
 
-    # Every rule as (key, holds, message), in report order: what build_model,
-    # monitoring_grid, Boundary and the experiment engines rely on.
+    # The rules between keys, or between a key and the experiment kind, as
+    # (key, holds, message) in report order: what build_model,
+    # monitoring_grid and the experiment engines rely on beyond each domain.
     custom_ell = _has_custom_ell(cfg)
     matched = cfg.alpha is not None and not (custom_ell and cfg.mode == "perturbed")
     horizons = cfg.kind in HORIZON_KINDS or (cfg.kind == "spitzer" and not cfg.t_values)
@@ -185,22 +218,11 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
     ds, pb = cfg.kind == "discrete-survival", cfg.kind == "product-bound"
     rules = [
         ("run.seed", cfg.seed is not None, "an explicit seed is required"),
-        ("run.seed", cfg.seed is None or 0 <= cfg.seed < 1 << 64,
-         "seed must lie in [0, 2**64)"),
-        ("run.threads", cfg.threads >= 1, "threads must be >= 1"),
-        ("run.n_paths", cfg.n_paths >= 1, "n_paths must be >= 1"),
         ("run.t_points", cfg.kind not in ("exponent", "discrete-survival")
          or cfg.t_points >= 4, "exponent fits need at least 4 T points"),
-        ("run.t_min", not horizons or 0.0 < cfg.t_min < cfg.t_max
-         or (0.0 < cfg.t_min == cfg.t_max and cfg.t_points == 1),
-         "t_min must be > 0 and below run.t_max"),
-        ("run.t_points", not horizons or cfg.t_points >= 1, "t_points must be >= 1"),
-        ("run.grid_policy", cfg.grid_policy in GRID_POLICIES,
-         f"must be one of {', '.join(GRID_POLICIES)}"),
-        ("model.mode", cfg.mode in ("exact", "perturbed"),
-         "mode must be 'exact' or 'perturbed'"),
-        ("model.ell_family", cfg.ell_family in (CONSTANT, LOG_POWER),
-         "unknown slowly varying family"),
+        ("run.t_min", not horizons or cfg.t_min < cfg.t_max
+         or (cfg.t_min == cfg.t_max and cfg.t_points == 1),
+         "t_min must lie below run.t_max"),
         ("model.mode", lemma or not custom_ell or cfg.mode != "exact",
          "exact mode fixes the matched constant tails; custom ell requires mode = perturbed"),
         ("model.beta", lemma or not custom_ell or cfg.mode != "perturbed" or cfg.beta == 0.0,
@@ -210,30 +232,11 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
         ("model.alpha", cfg.kind not in HORIZON_KINDS + ("spitzer", "product-bound")
          or cfg.alpha is not None or cfg.sigma2 != 0.0 or cfg.drift != 0.0,
          "this experiment needs a model"),
-        ("model.alpha", cfg.alpha is None or 0.0 < cfg.alpha < 2.0,
-         "alpha must lie in (0, 2)"),
         ("model.alpha", not matched or cfg.alpha < 1.0
          or (cfg.alpha > 1.0 and cfg.beta == 0.0),
          "matched stable tails need alpha < 1, or alpha > 1 with beta = 0"),
-        ("model.beta", -1.0 <= cfg.beta <= 1.0, "beta must lie in [-1, 1]"),
-        ("model.scale", 0.0 < cfg.scale < math.inf, "scale must be finite and > 0"),
-        ("model.sigma2", 0.0 <= cfg.sigma2 < math.inf,
-         "sigma2 must be finite and >= 0"),
-        ("model.drift", math.isfinite(cfg.drift), "drift must be finite"),
-        ("model.ell_c", 0.0 < cfg.ell_c < math.inf, "ell_c must be finite and > 0"),
-        ("model.ell_p", math.isfinite(cfg.ell_p), "ell_p must be finite"),
-        ("boundary.gamma", 0.0 < cfg.gamma < math.inf,
-         "gamma must be finite and > 0"),
-        ("boundary.level", math.isfinite(cfg.level), "level must be finite"),
-        ("run.t_max", 0.0 < cfg.t_max < math.inf, "t_max must be finite and > 0"),
-        ("run.grid_dt", 0.0 < cfg.grid_dt < math.inf,
-         "grid_dt must be finite and > 0"),
-        ("run.grid_t_min", 0.0 < cfg.grid_t_min < math.inf and not (
-            cfg.grid_policy == "geometric" and cfg.grid_t_min >= cfg.t_max),
-         "grid_t_min must be finite, > 0 and, on a geometric grid, below "
-         "run.t_max"),
-        ("run.grid_per_octave", cfg.grid_per_octave >= 1,
-         "grid_per_octave must be >= 1"),
+        ("run.grid_t_min", cfg.grid_policy != "geometric" or cfg.grid_t_min < cfg.t_max,
+         "on a geometric grid, grid_t_min must lie below run.t_max"),
         ("model.alpha", not (ds or pb or lemma) or (cfg.alpha is not None and cfg.alpha < 1.0),
          "this experiment needs jumps with alpha < 1"),
         ("model.beta", (not ds or cfg.beta > -1.0) and (not pb or cfg.beta < 1.0),
@@ -246,16 +249,8 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
          "lemma-n0N needs gamma * alpha < 1"),
         ("model.ell_family", not lemma or cfg.ell_family == CONSTANT,
          "lemma-n0N supports constant ell only"),
-        ("lemma.n", not lemma or cfg.lemma_n > math.e, "lemma.n must be >= 3"),
-        ("spitzer.t_values", cfg.kind != "spitzer" or (
-            all(np.diff((0.0,) + cfg.t_values) > 0) and all(map(math.isfinite, cfg.t_values))),
-         "t_values must be finite, positive and increasing"),
-        ("kappa.rho_values", cfg.kind != "kappa" or all(0.0 <= r <= 1.0 for r in cfg.rho_values),
-         "rho_values must lie in [0, 1]"),
-        ("kappa.a_values", cfg.kind != "kappa" or all(0.0 < a < math.inf for a in cfg.a_values),
-         "a_values must be finite and > 0"),
     ]
-    violations += [(key, message) for key, ok, message in rules if not ok]
+    violations = [(key, message) for key, ok, message in rules if not ok]
     if violations:
         raise ConfigError(violations)
     return cfg

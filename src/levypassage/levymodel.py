@@ -47,16 +47,19 @@ class LevyModel:
         return self.tail_left is not None or self.tail_right is not None
 
 
+BOUNDARY_KINDS = ("constant", "decreasing", "increasing")
+
+
 @dataclass(frozen=True)
 class Boundary:
     """f(t) = level (constant), level - t**gamma, or level + t**gamma."""
 
-    kind: str  # "constant" | "decreasing" | "increasing"
+    kind: str  # one of BOUNDARY_KINDS
     gamma: float = 1.0
     level: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "decreasing", "increasing"):
+        if self.kind not in BOUNDARY_KINDS:
             raise ValueError(f"unknown boundary kind {self.kind!r}")
         if self.kind != "constant" and not (math.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError("moving boundaries require gamma > 0")

@@ -51,8 +51,9 @@ class TimeGrid:
             raise ValueError("a grid needs at least two points")
         if pts[0] != 0.0:
             raise ValueError("grids start at t = 0")
-        if np.any(np.diff(pts) <= 0):
-            raise ValueError("grid points must be strictly increasing (no duplicates)")
+        # NaN fails every comparison, so only an infinite last point needs its own check
+        if not (np.all(np.diff(pts) > 0) and math.isfinite(pts[-1])):
+            raise ValueError("grid points must be finite and strictly increasing")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 

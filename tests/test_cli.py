@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levypassage import estimate
-from levypassage.cli import (CSV_COLUMNS, ConfigError, build_config,
+from levypassage.cli import (CSV_COLUMNS, SCHEMA, ConfigError, build_config,
                              build_model, emit_plot_data, main,
                              monitoring_grid, parse_config_text)
 from levypassage.levymodel import Boundary
@@ -56,6 +56,14 @@ def test_config_unknown_key():
         raw = parse_config_text(BASE + line + "\n")
         with pytest.raises(ConfigError, match="unknown configuration key"):
             build_config(raw)
+
+
+@pytest.mark.parametrize("p, default", [pytest.param(p, d, id=k) for k, _, p, d in SCHEMA
+                                        if p.show(d) != ""])
+def test_defaults_lie_in_their_domains(p, default):
+    # build_config runs no domain on a default, and manifest.txt shows each
+    # default as a config line that must read back to it
+    assert p.parse(p.show(default)) == default
 
 
 def test_seed_range_edges_build():
@@ -396,6 +404,7 @@ def test_seed_override_changes_id(tmp_path):
     ("run.grid_per_octave = 0", "run.grid_per_octave"),
     ("run.grid_policy = uniform\nrun.grid_dt = 0", "run.grid_dt"),
     ("run.grid_t_min = -1", "run.grid_t_min"),
+    ("run.grid_policy = geometric\nrun.grid_t_min = 64", "run.grid_t_min"),
     ("model.alpha = 2.5", "model.alpha"),
     ("model.beta = 3", "model.beta"),
     ("model.scale = 0", "model.scale"),
@@ -407,6 +416,19 @@ def test_seed_override_changes_id(tmp_path):
     # of 2**64 - 1 under another experiment id
     ("run.seed = -1", "run.seed"),
     ("run.seed = 18446744073709551616", "run.seed"),
+    ("model.sigma2 = -1", "model.sigma2"),
+    ("model.drift = inf", "model.drift"),
+    ("model.ell_c = 0", "model.ell_c"),
+    ("model.ell_p = nan", "model.ell_p"),
+    ("run.n_paths = 0", "run.n_paths"),
+    ("model.mode = bogus", "model.mode"),
+    ("model.ell_family = bogus", "model.ell_family"),
+    ("boundary.kind = constant,bogus", "boundary.kind"),
+    # each domain holds for every kind, read or not
+    ("lemma.n = 2", "lemma.n"),
+    ("spitzer.t_values = 2,1", "spitzer.t_values"),
+    ("kappa.rho_values = 2", "kappa.rho_values"),
+    ("kappa.a_values = 0", "kappa.a_values"),
 ])
 def test_range_checks_exit_2(tmp_path, capsys, change, field):
     key = change.split(" = ")[0]
@@ -416,7 +438,7 @@ def test_range_checks_exit_2(tmp_path, capsys, change, field):
     assert main(["--config", str(cfg), "--out", str(out)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["code"] == 2
-    assert {v["field"] for v in err["error"]["violations"]} == {field}
+    assert [v["field"] for v in err["error"]["violations"]] == [field]
     assert not out.exists()
 
 
@@ -461,6 +483,9 @@ def engine_config(tmp_path, kind, change=()):
     # S_N is a one-sided stable subordinator: alpha < 1, vacuous range or not
     ("lemma-n0N", {"model.alpha": "1.5", "boundary.gamma": "0.01"}, "model.alpha"),
     ("lemma-n0N", {"model.alpha": "1.5", "boundary.gamma": "0.6"}, "model.alpha"),
+    # kappa reads no horizon, but each domain holds for every kind
+    ("kappa", {"run.t_min": "0"}, "run.t_min"),
+    ("kappa", {"run.t_points": "0"}, "run.t_points"),
 ])
 def test_engine_input_rules_exit_2(tmp_path, capsys, kind, change, field):
     # each config is one the engine would reject at run time (exit 3, or a
@@ -472,7 +497,7 @@ def test_engine_input_rules_exit_2(tmp_path, capsys, kind, change, field):
                  "--out", str(out)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["code"] == 2
-    assert {v["field"] for v in err["error"]["violations"]} == {field}
+    assert [v["field"] for v in err["error"]["violations"]] == [field]
     assert not out.exists()
 
 
@@ -564,9 +589,13 @@ def config_texts(draw):
 def test_accepted_configs_build(text):
     """A config is either rejected as a ConfigError or every object the
     drivers build from it constructs."""
+    raw = parse_config_text(text)
     try:
-        cfg = build_config(parse_config_text(text))
-    except ConfigError:
+        cfg = build_config(raw)
+    except ConfigError as exc:
+        # a misspelled field in a rule would name a key nobody wrote
+        known = {key for key, *_ in SCHEMA} | raw.keys()
+        assert {field for field, _ in exc.violations} <= known
         return
     build_model(cfg)
     monitoring_grid(cfg, cfg.t_max)

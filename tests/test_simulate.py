@@ -8,6 +8,7 @@ from scipy.stats import ks_2samp
 from levypassage.decompose import (NEGATIVE, POSITIVE, JumpTable,
                                    build_decomposition)
 from levypassage.estimate import _subordinator_marginal, survival_counts
+from levypassage.fluctuation import spitzer_profile
 from levypassage.levymodel import (Boundary, LevyModel, stable_model,
                                    standard_symmetric_model, tail_only_model)
 from levypassage.rng import stream
@@ -26,6 +27,11 @@ def test_grid_validation():
         TimeGrid(np.array([0.0, 1.0, 1.0, 2.0]))  # duplicate
     with pytest.raises(ValueError):
         TimeGrid(np.array([1.0, 2.0]))  # missing 0
+    for pts in ([0.0, math.nan, 1.0], [0.0, 1.0, math.inf]):
+        with pytest.raises(ValueError):
+            TimeGrid(np.array(pts))
+    with pytest.raises(ValueError):  # not p = [0, 0] for P(X(t) >= 0)
+        spitzer_profile(stable_model(0.7), [math.nan, 1.0], 20, 1)
     g = TimeGrid.uniform(2.0, 0.5)
     assert g.points[-1] == 2.0 and g.points[0] == 0.0
     assert TimeGrid.integers(7.5).points[-1] == 7.5
