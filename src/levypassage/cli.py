@@ -250,9 +250,12 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
         ("model.ell_family", not lemma or cfg.ell_family == CONSTANT,
          "lemma-n0N supports constant ell only"),
     ]
-    violations = [(key, message) for key, ok, message in rules if not ok]
-    if violations:
-        raise ConfigError(violations)
+    failed: dict[str, str] = {}  # each key once, with the first rule it fails
+    for key, ok, message in rules:
+        if not ok:
+            failed.setdefault(key, message)
+    if failed:
+        raise ConfigError(list(failed.items()))
     return cfg
 
 

@@ -22,7 +22,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .levymodel import LevyModel
-from .rvcalc import RegVaryingTail, eval_slowly_varying, power_tail_remainder
+from .rvcalc import (GL_NODES, GL_WEIGHTS, RegVaryingTail, eval_slowly_varying,
+                     mass_beyond)
 
 NEGATIVE = "negative"   # thin big negative jumps (decreasing-boundary side)
 POSITIVE = "positive"   # thin big positive jumps (increasing-boundary side)
@@ -32,7 +33,6 @@ VALIDATION_GRID_HI = 1e6
 TABLE_KNOTS = 4096
 TABLE_HI = 1e10
 GUIDE_BUCKETS_PER_KNOT = 4
-REMAINDER_TOL = 1e-6  # largest share of a table's mass its two tail remainders may differ by
 MIN_EXPERIMENT_T = 16.0
 LAPLACE_REGIME_MAX = 0.1
 
@@ -53,10 +53,7 @@ class JumpTable:
 
     Holds ln(tail mass) against ln(x) on 4096 log-spaced knots; segment
     masses come from vectorized Gauss-Legendre panels and the mass past the
-    last knot from the regular-variation tail asymptotic.  That asymptotic
-    is taken from the log-log slope over (x, 2x); where the slope over
-    (x, 4x) moves it by more than REMAINDER_TOL of the total mass, ell bends
-    too much for it, and the table raises ValueError.  A target's
+    last knot from `mass_beyond`, the same rule as `tail_mass`.  A target's
     segment is found through a Chen-Asau (1974) guide table: a direct index
     into equal buckets of ln(mass), then as many forward steps as the
     fullest bucket holds knots, each taken while the next knot is at or
@@ -64,8 +61,6 @@ class JumpTable:
     so the sizes equal np.interp's bit for bit.  Draws landing beyond the
     last knot fall back to the pure power-law inverse.
     """
-
-    _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
     def __init__(self, density: Callable[[np.ndarray], np.ndarray], x_lo: float,
                  alpha: float, breakpoints: tuple[float, ...] = ()):
@@ -76,17 +71,11 @@ class JumpTable:
         # Gauss-Legendre in u = ln x per segment
         lo, hi = np.log(pts[:-1]), np.log(pts[1:])
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        u = mid[:, None] + half[:, None] * self._GL_NODES[None, :]
+        u = mid[:, None] + half[:, None] * GL_NODES[None, :]
         x = np.exp(u)
-        seg = half * np.sum(self._GL_WEIGHTS[None, :] * density(x) * x, axis=1)
-        rest, rest_4x = power_tail_remainder(lambda v: density(np.asarray([v]))[0],
-                                             TABLE_HI)
+        seg = half * np.sum(GL_WEIGHTS[None, :] * density(x) * x, axis=1)
+        rest = mass_beyond(density, TABLE_HI, alpha)
         mass = np.concatenate([np.cumsum(seg[::-1])[::-1] + rest, [rest]])
-        if abs(rest_4x - rest) > REMAINDER_TOL * mass[0]:
-            raise ValueError(
-                f"jump table cannot resolve its tail beyond {TABLE_HI:g}: remainders "
-                f"from two slopes differ by {abs(rest_4x - rest) / mass[0]:.3g} "
-                "of the total mass")
         self.alpha = alpha
         self.total_mass = float(mass[0])
         self._ln_rest = math.log(rest)

@@ -7,10 +7,12 @@ Two concrete slowly-varying-at-zero families are supported:
 
 A regularly varying tail is the jump density |x|**(-alpha-1) * ell(1/|x|) on
 one side of the origin, written in the magnitude coordinate x > 0; only
-RegVaryingTail checks that its index lies in (0, 2).  Tail masses are
-integrated adaptively, truncated where the integrand has dropped below 1e-16
-of its value at the left endpoint, and completed from the local log-log
-slope.  `quad` and `mass_beyond` are the package's one quadrature recipe.
+RegVaryingTail checks that its index lies in (0, 2).  Every tail mass, of a
+tail or of a jump table past its last knot, comes from `mass_beyond`: one
+fixed Gauss-Legendre rule in t = alpha * ln(u / x), exact to rounding for a
+constant ell and within 1e-12 of 40-digit references for the log-power
+family at alpha >= 0.1.  `quad` is the package's adaptive recipe for finite
+intervals.
 
 `quadpack` is the one entry to scipy's quadrature: `scipy.integrate` is
 imported on its first call, never at module import, because it costs most
@@ -26,7 +28,13 @@ import numpy as np
 
 QUAD_EPSABS = 1e-10
 QUAD_EPSREL = 1e-8
-TAIL_DROP = 1e-16
+
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# mass_beyond's rule: 8-point panels of width 1/16 on t in [0, 44], weights
+# times exp(-t).  exp(-44) < 1e-19, and a panel spans about 2 in ln u at
+# alpha 0.03, narrow enough for a log-power ell's turn near u = 1
+TAIL_T = (np.arange(0.0, 44.0, 1 / 16)[:, None] + (GL_NODES + 1.0) / 32).ravel()
+TAIL_W = np.tile(GL_WEIGHTS / 32, 704) * np.exp(-TAIL_T)
 
 CONSTANT = "constant"
 LOG_POWER = "log-power"
@@ -86,34 +94,6 @@ class RegVaryingTail:
         return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
-def truncation_point(tail: RegVaryingTail, x: float) -> float:
-    """Upper cutoff where the tail density falls below TAIL_DROP of its value at x."""
-    target = tail.density(x) * TAIL_DROP
-    # pure power-law guess, then expand for slowly varying corrections
-    hi = x * TAIL_DROP ** (-1.0 / (tail.alpha + 1.0))
-    while tail.density(hi) > target:
-        hi *= 10.0
-    return hi
-
-
-def power_tail_remainder(density, x: float) -> tuple[float, float]:
-    """int_x^inf of a regularly varying density, from its local log-log slope.
-
-    Locally density ~ C * u**s with s = d ln g / d ln u near x, so the
-    remainder is g(x) * x / (-(s + 1)); exact for pure power laws, first-order
-    accurate in the slowly varying drift otherwise.  Returns the remainder
-    with s measured over (x, 2x), then with s over (x, 4x): their difference
-    shows how far that first order falls short.
-    """
-    g0 = float(density(x))
-    if g0 <= 0.0:
-        return 0.0, 0.0
-    s2, s4 = (math.log(float(density(k * x)) / g0) / math.log(k) for k in (2.0, 4.0))
-    if max(s2, s4) >= -1.0:
-        raise ValueError("density does not decay fast enough for a tail remainder")
-    return g0 * x / (-(s2 + 1.0)), g0 * x / (-(s4 + 1.0))
-
-
 def quadpack():
     """The `scipy.integrate` module, imported on the first call."""
     from scipy import integrate
@@ -126,23 +106,26 @@ def quad(f, a: float, b: float) -> float:
                            limit=200)[0]
 
 
-def mass_beyond(density, x: float, hi: float) -> float:
-    """int_x^inf of a regularly varying density, truncated at hi.
+def mass_beyond(density, x: float, alpha: float) -> float:
+    """int_x^inf of a vectorised density regularly varying with index -alpha-1.
 
-    Integrates in v = ln u, where the integrand decays exponentially, up to
-    hi, and completes the truncated tail with its regular-variation
-    asymptotic.
+    With u = x * exp(t / alpha) the integral is x**-alpha / alpha times
+    int_0^inf exp(-t) h(u) dt, where h(u) = density(u) * u**(alpha+1) is
+    slowly varying (Karamata's theorem; Bingham, Goldie & Teugels 1987), so
+    one fixed rule in t serves every ell.  |ln u| stops at 700 / (alpha+1),
+    where the density would under- or overflow, and h is held at its value
+    there: exact for a constant h.  For x <= 1e10 the cap falls before
+    t = 44 only below alpha 0.07; at alpha 0.03 it costs 3.2e-7 of the
+    mass for ell = ln(e + 1/x)**3.
     """
-    inner = quad(lambda v: density(math.exp(v)) * math.exp(v),
-                 math.log(x), math.log(hi))
-    return inner + power_tail_remainder(density, hi)[0]
+    cap = 700.0 / (alpha + 1.0)
+    ln_u = np.clip(math.log(x) + TAIL_T / alpha, -cap, cap)
+    h = density(np.exp(ln_u)) * np.exp((alpha + 1.0) * ln_u)
+    return x ** -alpha / alpha * float(TAIL_W @ h)
 
 
 def tail_mass(tail: RegVaryingTail, x: float) -> float:
     """nu_+(x) or nu_-(x): integrated density from x to infinity, x > 0."""
     if not (math.isfinite(x) and x > 0):
         raise ValueError("tail_mass requires finite x > 0")
-    if tail.ell.is_constant:
-        return tail.ell.c * x ** (-tail.alpha) / tail.alpha
-    return mass_beyond(tail.density, x, truncation_point(tail, x))
-
+    return mass_beyond(tail.density, x, tail.alpha)

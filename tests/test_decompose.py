@@ -12,7 +12,8 @@ from levypassage.estimate import (subordinator_exceedance,
                                   subordinator_laplace_check)
 from levypassage.levymodel import LevyModel, tail_only_model
 from levypassage.rng import stream
-from levypassage.rvcalc import RegVaryingTail, SlowlyVaryingSpec, eval_slowly_varying
+from levypassage.rvcalc import (RegVaryingTail, SlowlyVaryingSpec, eval_slowly_varying,
+                                tail_mass)
 from levypassage.simulate import ETA, PerturbedPlan
 
 ELL1 = SlowlyVaryingSpec("constant", c=1.0)
@@ -134,12 +135,13 @@ def test_jump_table_matches_pareto_for_constant_ell():
 
 
 
-def test_jump_table_rejects_an_unresolved_tail():
-    # ell = ln(e + 1/x)**3 at alpha 0.2 bends too much for the first-order
-    # remainder past the last knot: it would put the rate 13% too high
+def test_jump_table_resolves_a_bending_tail():
+    # ell = ln(e + 1/x)**3 at alpha 0.2 puts a third of the mass past the
+    # last knot, where a first-order remainder is off by 13% of the rate:
+    # the knot segments plus the remainder must sum to tail_mass
     tail = RegVaryingTail(0.2, SlowlyVaryingSpec("log-power", p=3.0), "right")
-    with pytest.raises(ValueError, match="cannot resolve its tail"):
-        JumpTable(tail.density, x_lo=ETA, alpha=0.2)
+    table = JumpTable(tail.density, x_lo=ETA, alpha=0.2)
+    assert table.total_mass == pytest.approx(tail_mass(tail, ETA), rel=1e-12)
 
 @pytest.fixture(scope="module")
 def bit_identity_tables():

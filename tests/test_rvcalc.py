@@ -69,9 +69,44 @@ def test_tail_mass_log_power_against_refined_quadrature():
 
 
 def test_karamata_ratio_exact_for_constant_ell():
-    tail = RegVaryingTail(0.7, CONST1, "right")
-    for x in np.geomspace(1.0, 1e4, 17):
-        assert tail_mass(tail, x) * x ** 0.7 * 0.7 == pytest.approx(1.0, rel=1e-12)
+    # at alpha 0.05 tail_mass holds h at its cap past t = 33: exact here
+    for alpha in (0.05, 0.7, 1.9):
+        tail = RegVaryingTail(alpha, CONST1, "right")
+        for x in np.geomspace(1.0, 1e4, 17):
+            assert tail_mass(tail, x) * x ** alpha * alpha == pytest.approx(1.0, rel=1e-12)
+
+
+def log_power_mass(alpha, p, x):
+    """int_x^inf of u**(-alpha-1) ln(e + u)**p du in 40 digits.
+
+    In s = alpha ln u the integrand is exp(-s) ln(e + exp(s/alpha))**p,
+    which turns near s = 0 over a width of alpha and then decays like
+    exp(-s); a quad in u itself misses 2e-6 of it at alpha 0.2, p 3.
+    """
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        s0 = a * mpmath.log(x)
+        f = lambda s: mpmath.exp(-s) * mpmath.log(mpmath.e + mpmath.exp(s / a)) ** p
+        cuts = sorted({s0, *(s for s in (-3 * a, 0, 3 * a) if s > s0),
+                       *(s0 + d for d in (1, 5, 20, 60))})
+        return float(mpmath.quad(f, cuts + [mpmath.inf]) / a)
+
+
+@pytest.mark.parametrize("x", [1e-3, 1.0, 1e10])
+@pytest.mark.parametrize("p", [-3.0, 1.0, 3.0])
+@pytest.mark.parametrize("alpha", [0.03, 0.1, 0.2, 0.5, 1.0, 1.9])
+def test_tail_mass_log_power_against_s_variable_reference(alpha, p, x):
+    tail = RegVaryingTail(alpha, SlowlyVaryingSpec("log-power", p=p), "right")
+    if alpha >= 0.1:
+        bound = 1e-12
+    elif p <= 1.0:
+        bound = 1e-8
+    else:
+        # past ln u = 700/1.03 the density would underflow and the rule holds
+        # h there: that drops exp(-20) of the weight at alpha 0.03, while
+        # (ln u)**3 still grows by a sixth over the dropped part
+        bound = 1e-6
+    assert tail_mass(tail, x) == pytest.approx(log_power_mass(alpha, p, x), rel=bound)
 
 
 def test_levy_integrability_of_density():
