@@ -23,7 +23,7 @@ import numpy as np
 
 from .levymodel import LevyModel
 from .rvcalc import (GL_NODES, GL_WEIGHTS, RegVaryingTail, eval_slowly_varying,
-                     mass_beyond)
+                     slowly_varying_at_log, tail_knots)
 
 NEGATIVE = "negative"   # thin big negative jumps (decreasing-boundary side)
 POSITIVE = "positive"   # thin big positive jumps (increasing-boundary side)
@@ -32,6 +32,7 @@ VALIDATION_GRID_POINTS = 512
 VALIDATION_GRID_HI = 1e6
 TABLE_KNOTS = 4096
 TABLE_HI = 1e10
+LN_SIZE_CAP = 700.0  # ln of the largest jump a table draws: sums of many stay finite
 GUIDE_BUCKETS_PER_KNOT = 4
 MIN_EXPERIMENT_T = 16.0
 LAPLACE_REGIME_MAX = 0.1
@@ -51,37 +52,39 @@ def delta(T: float) -> float:
 class JumpTable:
     """Inverse-CDF sampler for a density on [x_lo, inf), piecewise linear in logs.
 
-    Holds ln(tail mass) against ln(x) on 4096 log-spaced knots; segment
-    masses come from vectorized Gauss-Legendre panels and the mass past the
-    last knot from `mass_beyond`, the same rule as `tail_mass`.  A target's
+    Built from the density's slowly varying part h(v) = density(e**v) *
+    e**((alpha+1) v) (see rvcalc).  Holds ln(tail mass) against ln(x) on
+    4096 log-spaced knots up to 1e10, with segment masses from vectorized
+    Gauss-Legendre panels, and past 1e10 on the panel edges of `tail_knots`,
+    the rule of `tail_mass`, while a uniform can reach them and up to
+    e**LN_SIZE_CAP; a draw beyond the last knot takes its size.  A target's
     segment is found through a Chen-Asau (1974) guide table: a direct index
     into equal buckets of ln(mass), then as many forward steps as the
     fullest bucket holds knots, each taken while the next knot is at or
     below the target.  The value is np.interp's own formula and edge rules,
-    so the sizes equal np.interp's bit for bit.  Draws landing beyond the
-    last knot fall back to the pure power-law inverse.
+    so the sizes equal np.interp's bit for bit.
     """
 
-    def __init__(self, density: Callable[[np.ndarray], np.ndarray], x_lo: float,
+    def __init__(self, h: Callable[[np.ndarray], np.ndarray], x_lo: float,
                  alpha: float, breakpoints: tuple[float, ...] = ()):
         pts = np.geomspace(x_lo, TABLE_HI, TABLE_KNOTS)
         for bp in breakpoints:
             if x_lo < bp < TABLE_HI:
                 pts = np.union1d(pts, [bp])
-        # Gauss-Legendre in u = ln x per segment
+        # Gauss-Legendre in v = ln x per segment, where density * x = h * e**(-alpha v)
         lo, hi = np.log(pts[:-1]), np.log(pts[1:])
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        u = mid[:, None] + half[:, None] * GL_NODES[None, :]
-        x = np.exp(u)
-        seg = half * np.sum(GL_WEIGHTS[None, :] * density(x) * x, axis=1)
-        rest = mass_beyond(density, TABLE_HI, alpha)
-        mass = np.concatenate([np.cumsum(seg[::-1])[::-1] + rest, [rest]])
-        self.alpha = alpha
+        v = mid[:, None] + half[:, None] * GL_NODES[None, :]
+        seg = half * np.sum(GL_WEIGHTS[None, :] * h(v) * np.exp(-alpha * v), axis=1)
+        ln_far, far = tail_knots(h, TABLE_HI, alpha)
+        near = np.cumsum(seg[::-1])[::-1] + far[0]
+        # a uniform u > 0 is at least 2**-53: no draw needs a knot with less mass
+        keep = (far >= near[0] * 2.0 ** -53) & (ln_far <= LN_SIZE_CAP)
+        mass = np.concatenate([near, far[keep]])
         self.total_mass = float(mass[0])
-        self._ln_rest = math.log(rest)
         # ln(mass) decreases in ln(x): knots xp = ln(mass) increasing, fp = ln(x)
         xp = np.ascontiguousarray(np.log(mass)[::-1])
-        fp = np.ascontiguousarray(np.log(pts)[::-1])
+        fp = np.ascontiguousarray(np.concatenate([lo, ln_far[keep]])[::-1])
         self._xp, self._fp = xp, fp
         # np.interp's slope expression per segment; the last knot gets slope 0
         # and a NaN next knot (never <= a target), so a target at xp[-1]
@@ -108,12 +111,7 @@ class JumpTable:
 
     def sizes(self, u: np.ndarray) -> np.ndarray:
         """Jump sizes from uniforms on [0, 1), one per uniform, elementwise."""
-        target = np.log(u * self.total_mass)
-        lnx = self._interp(target)
-        beyond = target < self._ln_rest
-        if beyond.any():
-            lnx[beyond] = self._fp[0] + (self._ln_rest - target[beyond]) / self.alpha
-        return np.exp(lnx)
+        return np.exp(self._interp(np.log(u * self.total_mass)))
 
     def _bucket(self, t: np.ndarray) -> np.ndarray:
         """Guide-table bucket of targets in [xp[0], xp[-1]]."""
@@ -146,10 +144,13 @@ class DecompositionT:
 
     def thinning_probability(self, x):
         """delta * ell(delta**(1/alpha)/x) / ell(1/x) at magnitude x > 1."""
-        a = self.tail.alpha
-        num = eval_slowly_varying(self.tail.ell, self.delta ** (1.0 / a) / np.asarray(x, float))
-        den = eval_slowly_varying(self.tail.ell, 1.0 / np.asarray(x, float))
-        return self.delta * num / den
+        return self._thinning(np.log(np.asarray(x, dtype=float)))
+
+    def _thinning(self, v):
+        """thinning_probability at x = e**v, with ell's arguments taken in logs."""
+        ell, shift = self.tail.ell, math.log(self.delta) / self.tail.alpha
+        return self.delta * (slowly_varying_at_log(ell, shift - v)
+                             / slowly_varying_at_log(ell, -v))
 
     def thinned(self, signed: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Mask of the signed jumps handed to S_T.
@@ -163,19 +164,13 @@ class DecompositionT:
         mask[mask] = u[mask] < self.thinning_probability(np.abs(signed[mask]))
         return mask
 
-    def nu_S(self, x):
-        """Subordinator jump density at magnitude x (zero for x <= 1)."""
-        arr = np.asarray(x, dtype=float)
-        out = np.where(arr > 1.0,
-                       self.thinning_probability(arr) * self.tail.density(arr), 0.0)
-        return float(out) if arr.ndim == 0 else out
+    def h_S(self, v):
+        """nu_S(x) * x**(alpha+1) at v = ln x (zero for x <= 1), as in rvcalc."""
+        return np.where(v > 0.0, self._thinning(v), 0.0) * self.tail.h(v)
 
-    def nu_rest(self, x):
-        """Remainder density at magnitude x on the decomposed side."""
-        arr = np.asarray(x, dtype=float)
-        keep = np.where(arr > 1.0, 1.0 - self.thinning_probability(arr), 1.0)
-        out = keep * self.tail.density(arr)
-        return float(out) if arr.ndim == 0 else out
+    def h_rest(self, v):
+        """nu_rest(x) * x**(alpha+1) at v = ln x."""
+        return np.where(v > 0.0, 1.0 - self._thinning(v), 1.0) * self.tail.h(v)
 
 
 def build_decomposition(model: LevyModel, T: float, side: str) -> DecompositionT:
@@ -196,7 +191,7 @@ def build_decomposition(model: LevyModel, T: float, side: str) -> DecompositionT
         x_bad = grid[bad[0]]
         raise InvalidDecompositionError(
             f"nu_rest < 0 at x = {x_bad:.6g}: thinning probability {probs[bad[0]]:.6g} > 1")
-    return replace(d, table=JumpTable(d.nu_S, x_lo=1.0, alpha=tail.alpha))
+    return replace(d, table=JumpTable(d.h_S, x_lo=1.0, alpha=tail.alpha))
 
 
 class LaplaceBound(NamedTuple):

@@ -7,12 +7,14 @@ Two concrete slowly-varying-at-zero families are supported:
 
 A regularly varying tail is the jump density |x|**(-alpha-1) * ell(1/|x|) on
 one side of the origin, written in the magnitude coordinate x > 0; only
-RegVaryingTail checks that its index lies in (0, 2).  Every tail mass, of a
-tail or of a jump table past its last knot, comes from `mass_beyond`: one
-fixed Gauss-Legendre rule in t = alpha * ln(u / x), exact to rounding for a
-constant ell and within 1e-12 of 40-digit references for the log-power
-family at alpha >= 0.1.  `quad` is the package's adaptive recipe for finite
-intervals.
+RegVaryingTail checks that its index lies in (0, 2).  A measure's slowly
+varying part h(v) = density(e**v) * e**((alpha+1) v) is taken in v = ln x,
+where it is finite for every finite v, however far past the float range e**v
+lies.  Every tail mass, of a tail or of a jump table past its last knot,
+comes from `tail_knots`: one fixed Gauss-Legendre rule in t = alpha * ln(u/x),
+exact to rounding for a constant ell and within 1e-11 of 40-digit references
+for the log-power family at alpha >= 0.03.  `quad` is the package's adaptive
+recipe for finite intervals.
 
 `quadpack` is the one entry to scipy's quadrature: `scipy.integrate` is
 imported on its first call, never at module import, because it costs most
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -30,11 +33,7 @@ QUAD_EPSABS = 1e-10
 QUAD_EPSREL = 1e-8
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-# mass_beyond's rule: 8-point panels of width 1/16 on t in [0, 44], weights
-# times exp(-t).  exp(-44) < 1e-19, and a panel spans about 2 in ln u at
-# alpha 0.03, narrow enough for a log-power ell's turn near u = 1
-TAIL_T = (np.arange(0.0, 44.0, 1 / 16)[:, None] + (GL_NODES + 1.0) / 32).ravel()
-TAIL_W = np.tile(GL_WEIGHTS / 32, 704) * np.exp(-TAIL_T)
+TAIL_PANELS = 704  # tail_knots' panels: width 1/16 on t in [0, 44]
 
 CONSTANT = "constant"
 LOG_POWER = "log-power"
@@ -66,11 +65,16 @@ def eval_slowly_varying(spec: SlowlyVaryingSpec, x):
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
         raise ValueError("eval_slowly_varying requires finite x > 0")
-    if spec.family == CONSTANT:
-        out = np.full_like(arr, spec.c)
-    else:
-        out = np.log(np.e + 1.0 / arr) ** spec.p
+    out = slowly_varying_at_log(spec, np.log(arr))
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+
+
+def slowly_varying_at_log(spec: SlowlyVaryingSpec, w):
+    """ell(e**w) for finite w: ln(e + e**-w) neither over- nor underflows."""
+    w = np.asarray(w, dtype=float)
+    if spec.family == CONSTANT:
+        return np.full_like(w, spec.c)
+    return np.logaddexp(1.0, -w) ** spec.p
 
 
 @dataclass(frozen=True)
@@ -93,6 +97,10 @@ class RegVaryingTail:
         out = arr ** (-self.alpha - 1.0) * eval_slowly_varying(self.ell, 1.0 / arr)
         return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
+    def h(self, v):
+        """density(x) * x**(alpha+1) = ell(1/x) at v = ln x."""
+        return slowly_varying_at_log(self.ell, -np.asarray(v, dtype=float))
+
 
 def quadpack():
     """The `scipy.integrate` module, imported on the first call."""
@@ -106,26 +114,36 @@ def quad(f, a: float, b: float) -> float:
                            limit=200)[0]
 
 
-def mass_beyond(density, x: float, alpha: float) -> float:
-    """int_x^inf of a vectorised density regularly varying with index -alpha-1.
+@cache
+def _tail_rule() -> tuple[np.ndarray, np.ndarray]:
+    """tail_knots' nodes t and weights times exp(-t), one row per panel."""
+    t = (np.arange(TAIL_PANELS) / 16)[:, None] + (GL_NODES + 1.0) / 32
+    w = GL_WEIGHTS / 32 * np.exp(-t)
+    t.flags.writeable = w.flags.writeable = False  # shared by every call
+    return t, w
 
-    With u = x * exp(t / alpha) the integral is x**-alpha / alpha times
-    int_0^inf exp(-t) h(u) dt, where h(u) = density(u) * u**(alpha+1) is
-    slowly varying (Karamata's theorem; Bingham, Goldie & Teugels 1987), so
-    one fixed rule in t serves every ell.  |ln u| stops at 700 / (alpha+1),
-    where the density would under- or overflow, and h is held at its value
-    there: exact for a constant h.  For x <= 1e10 the cap falls before
-    t = 44 only below alpha 0.07; at alpha 0.03 it costs 3.2e-7 of the
-    mass for ell = ln(e + 1/x)**3.
+
+def tail_knots(h, x: float, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """ln u and the mass beyond u at the panel edges u = x * e**(k/(16 alpha)).
+
+    h(v) is a measure's density(e**v) * e**((alpha+1) v), slowly varying for
+    a density regularly varying with index -alpha-1.  With u = x * e**(t/alpha)
+    the mass beyond u is x**-alpha / alpha * int_t^inf e**-s h(ln x + s/alpha) ds
+    (Karamata's theorem; Bingham, Goldie & Teugels 1987), so one fixed rule
+    in t serves every ell: 8-point Gauss-Legendre panels of width 1/16 on
+    [0, 44], where e**-44 < 1e-19.  A panel spans about 2 in ln u at alpha
+    0.03, narrow enough for a log-power ell's turn near u = 1.  The first
+    knot is (ln x, mass beyond x).
     """
-    cap = 700.0 / (alpha + 1.0)
-    ln_u = np.clip(math.log(x) + TAIL_T / alpha, -cap, cap)
-    h = density(np.exp(ln_u)) * np.exp((alpha + 1.0) * ln_u)
-    return x ** -alpha / alpha * float(TAIL_W @ h)
+    t, w = _tail_rule()
+    ln_x = math.log(x)
+    panels = np.sum(w * h(ln_x + t / alpha), axis=1)
+    mass = x ** -alpha / alpha * np.cumsum(panels[::-1])[::-1]
+    return ln_x + np.arange(TAIL_PANELS) / (16 * alpha), mass
 
 
 def tail_mass(tail: RegVaryingTail, x: float) -> float:
     """nu_+(x) or nu_-(x): integrated density from x to infinity, x > 0."""
     if not (math.isfinite(x) and x > 0):
         raise ValueError("tail_mass requires finite x > 0")
-    return mass_beyond(tail.density, x, tail.alpha)
+    return float(tail_knots(tail.h, x, tail.alpha)[1][0])

@@ -128,7 +128,7 @@ class PerturbedPlan:
         """Plan for the model itself, or for Y_T when `remove` is given.
 
         With `remove`, the jump table of the split's tail is built from the
-        remainder density remove.nu_rest; the other tail keeps its own.
+        remainder measure nu_rest (remove.h_rest); the other tail keeps its own.
         """
         drift = model.b
         var_unit = model.sigma2
@@ -141,10 +141,10 @@ class PerturbedPlan:
             var_unit += quad(lambda x: x * x * tail.density(x), 0.0, ETA)
             drift -= sign * quad(lambda x: x * tail.density(x), ETA, 1.0)
             if remove is not None and remove.tail == tail:
-                tables[name] = JumpTable(remove.nu_rest, x_lo=ETA, alpha=tail.alpha,
+                tables[name] = JumpTable(remove.h_rest, x_lo=ETA, alpha=tail.alpha,
                                          breakpoints=(1.0,))
             else:
-                tables[name] = JumpTable(tail.density, x_lo=ETA, alpha=tail.alpha)
+                tables[name] = JumpTable(tail.h, x_lo=ETA, alpha=tail.alpha)
         rate_r = tables["right"].total_mass if tables["right"] else 0.0
         rate_l = tables["left"].total_mass if tables["left"] else 0.0
         rate = rate_r + rate_l

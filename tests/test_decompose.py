@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levypassage.decompose import (GUIDE_BUCKETS_PER_KNOT, NEGATIVE, POSITIVE,
-                                   InvalidDecompositionError, JumpTable,
+                                   TABLE_HI, InvalidDecompositionError, JumpTable,
                                    build_decomposition, delta, laplace_bound)
 from levypassage.estimate import (subordinator_exceedance,
                                   subordinator_laplace_check)
@@ -64,9 +64,10 @@ def test_total_mass_log_power_doubled_resolution():
 def test_measure_split_identity():
     m = tail_only_model(0.7, SlowlyVaryingSpec("log-power", p=0.5))
     d = build_decomposition(m, 1000.0, NEGATIVE)
-    xs = np.geomspace(1.001, 100.0, 200)
-    nu = m.tail_left.density(xs)
-    rel = np.abs(d.nu_S(xs) + d.nu_rest(xs) - nu) / nu
+    # nu_S + nu_rest = nu, each written as density * x**(alpha+1) in ln x
+    v = np.log(np.geomspace(1.001, 100.0, 200))
+    nu = m.tail_left.h(v)
+    rel = np.abs(d.h_S(v) + d.h_rest(v) - nu) / nu
     assert np.max(rel) < 1e-12
 
 
@@ -136,12 +137,34 @@ def test_jump_table_matches_pareto_for_constant_ell():
 
 
 def test_jump_table_resolves_a_bending_tail():
-    # ell = ln(e + 1/x)**3 at alpha 0.2 puts a third of the mass past the
-    # last knot, where a first-order remainder is off by 13% of the rate:
-    # the knot segments plus the remainder must sum to tail_mass
+    # ell = ln(e + 1/x)**3 at alpha 0.2 puts a third of the mass past 1e10,
+    # where a first-order remainder is off by 13% of the rate: the knot
+    # segments plus the remainder must sum to tail_mass
     tail = RegVaryingTail(0.2, SlowlyVaryingSpec("log-power", p=3.0), "right")
-    table = JumpTable(tail.density, x_lo=ETA, alpha=0.2)
-    assert table.total_mass == pytest.approx(tail_mass(tail, ETA), rel=1e-12)
+    table = JumpTable(tail.h, x_lo=ETA, alpha=0.2)
+    total = table.total_mass
+    assert total == pytest.approx(tail_mass(tail, ETA), rel=1e-12)
+    # and the draws past 1e10 follow the same law: the mass beyond a size
+    # drawn from u is u * total_mass (a pure power law past 1e10 would put
+    # the median of those draws where 69% of their mass still lies beyond)
+    u = np.linspace(0.005, 0.995, 100) * tail_mass(tail, TABLE_HI) / total
+    beyond = [tail_mass(tail, x) for x in table.sizes(u)]
+    assert beyond == pytest.approx(u * total, rel=1e-4)
+
+@pytest.mark.parametrize("ell", [ELL1, SlowlyVaryingSpec("log-power", p=-1.0)])
+def test_decomposition_at_a_small_alpha(ell):
+    # at alpha 0.01 the tail rule reaches ln x = 4400, and delta**(1/alpha) /
+    # x is below the float range: ell's arguments are taken in logs, and the
+    # table's draws stop at e**700
+    m = tail_only_model(0.01, ell)
+    d = build_decomposition(m, 16.0, NEGATIVE)
+    if ell.is_constant:
+        assert d.total_mass == pytest.approx(d.delta / 0.01, rel=1e-12)
+    else:  # p < 0 thins by less than delta
+        assert 0.0 < d.total_mass < d.delta * tail_mass(m.tail_left, 1.0)
+    sizes = d.table.sizes(stream(3, 0).uniform(size=10_000))
+    assert np.all(np.isfinite(sizes)) and np.all(sizes >= 1.0)
+
 
 @pytest.fixture(scope="module")
 def bit_identity_tables():
@@ -152,7 +175,7 @@ def bit_identity_tables():
     # shorter than the others: the bucket count hits its cap, one bucket
     # holds both ends of that segment, and the segments on either side of it
     # have different slopes
-    near = JumpTable(split.nu_rest, x_lo=ETA, alpha=0.7,
+    near = JumpTable(split.h_rest, x_lo=ETA, alpha=0.7,
                      breakpoints=(1.0, 1.0 + 1e-9))
     assert near._guide.size == GUIDE_BUCKETS_PER_KNOT * near._xp.size + 1
     assert near._steps == 2
@@ -176,11 +199,7 @@ def test_jump_table_sizes_equal_the_np_interp_formula(bit_identity_tables, name)
     u = np.concatenate([stream(17, 0).uniform(size=100_000),
                         [1.0 - 2.0 ** -53], cand[on_knot]])
 
-    target = np.log(u * total)
-    lnx = np.interp(target, xp, fp)
-    beyond = target < table._ln_rest
-    lnx[beyond] = fp[0] + (table._ln_rest - target[beyond]) / table.alpha
-    assert np.array_equal(table.sizes(u), np.exp(lnx))
+    assert np.array_equal(table.sizes(u), np.exp(np.interp(np.log(u * total), xp, fp)))
 
     # the lookup itself on targets next to each knot, at fractions of the
     # following segment and outside the knots, where np.interp's edge rules

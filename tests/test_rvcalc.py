@@ -69,7 +69,7 @@ def test_tail_mass_log_power_against_refined_quadrature():
 
 
 def test_karamata_ratio_exact_for_constant_ell():
-    # at alpha 0.05 tail_mass holds h at its cap past t = 33: exact here
+    # at alpha 0.05 the rule reaches u = e**880, past the float range
     for alpha in (0.05, 0.7, 1.9):
         tail = RegVaryingTail(alpha, CONST1, "right")
         for x in np.geomspace(1.0, 1e4, 17):
@@ -97,15 +97,7 @@ def log_power_mass(alpha, p, x):
 @pytest.mark.parametrize("alpha", [0.03, 0.1, 0.2, 0.5, 1.0, 1.9])
 def test_tail_mass_log_power_against_s_variable_reference(alpha, p, x):
     tail = RegVaryingTail(alpha, SlowlyVaryingSpec("log-power", p=p), "right")
-    if alpha >= 0.1:
-        bound = 1e-12
-    elif p <= 1.0:
-        bound = 1e-8
-    else:
-        # past ln u = 700/1.03 the density would underflow and the rule holds
-        # h there: that drops exp(-20) of the weight at alpha 0.03, while
-        # (ln u)**3 still grows by a sixth over the dropped part
-        bound = 1e-6
+    bound = 1e-12 if alpha >= 0.1 else 1e-8
     assert tail_mass(tail, x) == pytest.approx(log_power_mass(alpha, p, x), rel=bound)
 
 
