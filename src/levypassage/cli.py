@@ -33,7 +33,7 @@ from .fluctuation import PositivityProfile, kappa, spitzer_profile
 from .levymodel import (BOUNDARY_KINDS, Boundary, LevyModel, stable_model,
                         tail_only_model)
 from .passage import brownian_integral_test
-from .rvcalc import CONSTANT, LOG_POWER, SlowlyVaryingSpec, quadpack
+from .rvcalc import CONSTANT, LOG_POWER, SlowlyVaryingSpec
 from .simulate import TimeGrid
 
 # run.grid_policy -> the monitoring grid it builds up to horizon T
@@ -537,8 +537,6 @@ def main(argv: list[str] | None = None) -> int:
     warning = _regime_warning(cfg)
     if warning:
         print(f"levypassage: warning: {warning}", file=sys.stderr)
-    if cfg.mode == "perturbed" or cfg.kind in ("product-bound", "discrete-survival"):
-        quadpack()  # these runs build jump plans by quadrature: import scipy in set-up
     try:
         return run_experiment(cfg, Path(args.out), quiet=args.quiet)
     except (ValueError, RuntimeError) as exc:

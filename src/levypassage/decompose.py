@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .levymodel import LevyModel
-from .rvcalc import (GL_NODES, GL_WEIGHTS, RegVaryingTail, eval_slowly_varying,
+from .rvcalc import (RegVaryingTail, eval_slowly_varying, gl_panels,
                      slowly_varying_at_log, tail_knots)
 
 NEGATIVE = "negative"   # thin big negative jumps (decreasing-boundary side)
@@ -54,8 +54,8 @@ class JumpTable:
 
     Built from the density's slowly varying part h(v) = density(e**v) *
     e**((alpha+1) v) (see rvcalc).  Holds ln(tail mass) against ln(x) on
-    4096 log-spaced knots up to 1e10, with segment masses from vectorized
-    Gauss-Legendre panels, and past 1e10 on the panel edges of `tail_knots`,
+    4096 log-spaced knots up to 1e10, with segment masses from
+    `rvcalc.gl_panels`, and past 1e10 on the panel edges of `tail_knots`,
     the rule of `tail_mass`, while a uniform can reach them and up to
     e**LN_SIZE_CAP; a draw beyond the last knot takes its size.  A target's
     segment is found through a Chen-Asau (1974) guide table: a direct index
@@ -71,11 +71,8 @@ class JumpTable:
         for bp in breakpoints:
             if x_lo < bp < TABLE_HI:
                 pts = np.union1d(pts, [bp])
-        # Gauss-Legendre in v = ln x per segment, where density * x = h * e**(-alpha v)
-        lo, hi = np.log(pts[:-1]), np.log(pts[1:])
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        v = mid[:, None] + half[:, None] * GL_NODES[None, :]
-        seg = half * np.sum(GL_WEIGHTS[None, :] * h(v) * np.exp(-alpha * v), axis=1)
+        ln_pts = np.log(pts)
+        seg = gl_panels(h, ln_pts, -alpha)  # in v = ln x, density * x = h * e**(-alpha v)
         ln_far, far = tail_knots(h, TABLE_HI, alpha)
         near = np.cumsum(seg[::-1])[::-1] + far[0]
         # a uniform u > 0 is at least 2**-53: no draw needs a knot with less mass
@@ -84,7 +81,7 @@ class JumpTable:
         self.total_mass = float(mass[0])
         # ln(mass) decreases in ln(x): knots xp = ln(mass) increasing, fp = ln(x)
         xp = np.ascontiguousarray(np.log(mass)[::-1])
-        fp = np.ascontiguousarray(np.concatenate([lo, ln_far[keep]])[::-1])
+        fp = np.ascontiguousarray(np.concatenate([ln_pts[:-1], ln_far[keep]])[::-1])
         self._xp, self._fp = xp, fp
         # np.interp's slope expression per segment; the last knot gets slope 0
         # and a NaN next knot (never <= a target), so a target at xp[-1]

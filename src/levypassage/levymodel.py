@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rvcalc import (CONSTANT, QUAD_EPSABS, QUAD_EPSREL, RegVaryingTail,
-                     SlowlyVaryingSpec, quadpack, tail_mass)
+from .rvcalc import CONSTANT, RegVaryingTail, SlowlyVaryingSpec, quadpack, tail_mass
 from .stable import StableParams
 
 
@@ -97,8 +96,7 @@ def _jump_side_integrals(tail: RegVaryingTail, u: float,
 
 
 def characteristic_exponent(model: LevyModel, u: float,
-                            epsabs: float = QUAD_EPSABS,
-                            epsrel: float = QUAD_EPSREL) -> complex:
+                            epsabs: float = 1e-10, epsrel: float = 1e-8) -> complex:
     """Psi(u) = i*b*u - sigma2/2 * u**2 + integral term, by quadrature.
 
     The jump integral is evaluated per tail; the left tail contributes the

@@ -13,12 +13,10 @@ where it is finite for every finite v, however far past the float range e**v
 lies.  Every tail mass, of a tail or of a jump table past its last knot,
 comes from `tail_knots`: one fixed Gauss-Legendre rule in t = alpha * ln(u/x),
 exact to rounding for a constant ell and within 1e-11 of 40-digit references
-for the log-power family at alpha >= 0.03.  `quad` is the package's adaptive
-recipe for finite intervals.
-
-`quadpack` is the one entry to scipy's quadrature: `scipy.integrate` is
-imported on its first call, never at module import, because it costs most
-of a run's start-up and exact-mode runs integrate nothing.
+for the log-power family at alpha >= 0.03; with index alpha - 2 it gives
+the second moment near 0 (`second_moment_below`).  `gl_panels` integrates
+over finite panels in v.  `quadpack`, scipy's quadrature, serves only
+`levymodel.characteristic_exponent` and is imported on its first call.
 """
 
 from __future__ import annotations
@@ -28,9 +26,6 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-
-QUAD_EPSABS = 1e-10
-QUAD_EPSREL = 1e-8
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 TAIL_PANELS = 704  # tail_knots' panels: width 1/16 on t in [0, 44]
@@ -108,12 +103,6 @@ def quadpack():
     return integrate
 
 
-def quad(f, a: float, b: float) -> float:
-    """Adaptive quadrature of f over [a, b] at the package's tolerances."""
-    return quadpack().quad(f, a, b, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL,
-                           limit=200)[0]
-
-
 @cache
 def _tail_rule() -> tuple[np.ndarray, np.ndarray]:
     """tail_knots' nodes t and weights times exp(-t), one row per panel."""
@@ -140,6 +129,22 @@ def tail_knots(h, x: float, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     panels = np.sum(w * h(ln_x + t / alpha), axis=1)
     mass = x ** -alpha / alpha * np.cumsum(panels[::-1])[::-1]
     return ln_x + np.arange(TAIL_PANELS) / (16 * alpha), mass
+
+
+def second_moment_below(h, x: float, alpha: float) -> float:
+    """int_0^x u**2 nu(u) du, nu with slowly varying part h: `tail_knots`' rule
+    at index alpha - 2, where u = x * e**(t/(alpha-2)) runs down to 0 and the
+    mass returned is the integral negated."""
+    return float(-tail_knots(h, x, alpha - 2.0)[1][0])
+
+
+def gl_panels(h, edges: np.ndarray, k: float) -> np.ndarray:
+    """int h(v) e**(k v) dv on each panel between edges in v = ln x, 8-point
+    Gauss-Legendre: the mass of the measure there at k = -alpha, its first
+    moment at k = 1 - alpha."""
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+    v = mid[:, None] + half[:, None] * GL_NODES[None, :]
+    return half * np.sum(GL_WEIGHTS[None, :] * h(v) * np.exp(k * v), axis=1)
 
 
 def tail_mass(tail: RegVaryingTail, x: float) -> float:

@@ -32,10 +32,11 @@ import numpy as np
 from .decompose import DecompositionT, JumpTable
 from .levymodel import LevyModel
 from .rng import Cursor
-from .rvcalc import quad
+from .rvcalc import gl_panels, second_moment_below
 from .stable import StableParams, cms_transform, sample_stable
 
 ETA = 1e-3  # small-jump cutoff for the perturbed mode
+COMPENSATOR_EDGES = np.linspace(math.log(ETA), 0.0, 65)  # 64 panels in ln x
 FIRST_BLOCK = 128  # cells in a path's first block of rows; later ones double
 ROW_CAP = 4096  # doubles per working array of a group of rows
 BLOCK_CAP = 1024.0  # longest perturbed time block, so a block's jumps stay bounded
@@ -129,22 +130,22 @@ class PerturbedPlan:
 
         With `remove`, the jump table of the split's tail is built from the
         remainder measure nu_rest (remove.h_rest); the other tail keeps its own.
+        Each tail adds its small-jump variance int_0^ETA x**2 nu (Asmussen &
+        Rosinski 2001; `rvcalc.second_moment_below`) and takes off the drift its
+        compensator int_ETA^1 x nu (Gauss-Legendre panels in ln x, `rvcalc.gl_panels`).
         """
-        drift = model.b
-        var_unit = model.sigma2
-        tables = {}
+        drift, var_unit = model.b, model.sigma2
+        tables = {"right": None, "left": None}
         for name, tail, sign in (("right", model.tail_right, 1.0),
                                  ("left", model.tail_left, -1.0)):
             if tail is None:
-                tables[name] = None
                 continue
-            var_unit += quad(lambda x: x * x * tail.density(x), 0.0, ETA)
-            drift -= sign * quad(lambda x: x * tail.density(x), ETA, 1.0)
-            if remove is not None and remove.tail == tail:
-                tables[name] = JumpTable(remove.h_rest, x_lo=ETA, alpha=tail.alpha,
-                                         breakpoints=(1.0,))
-            else:
-                tables[name] = JumpTable(tail.h, x_lo=ETA, alpha=tail.alpha)
+            var_unit += second_moment_below(tail.h, ETA, tail.alpha)
+            compensator = np.sum(gl_panels(tail.h, COMPENSATOR_EDGES, 1.0 - tail.alpha))
+            drift -= sign * float(compensator)
+            split = remove is not None and remove.tail == tail
+            tables[name] = JumpTable(remove.h_rest if split else tail.h, x_lo=ETA,
+                                     alpha=tail.alpha, breakpoints=(1.0,) if split else ())
         rate_r = tables["right"].total_mass if tables["right"] else 0.0
         rate_l = tables["left"].total_mass if tables["left"] else 0.0
         rate = rate_r + rate_l

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levypassage.rvcalc import (RegVaryingTail, SlowlyVaryingSpec,
-                                eval_slowly_varying, tail_mass)
+from levypassage.levymodel import tail_only_model
+from levypassage.rvcalc import (RegVaryingTail, SlowlyVaryingSpec, eval_slowly_varying,
+                                gl_panels, second_moment_below, tail_mass)
+from levypassage.simulate import COMPENSATOR_EDGES, ETA, PerturbedPlan
 
 CONST1 = SlowlyVaryingSpec("constant", c=1.0)
 
@@ -99,6 +101,48 @@ def test_tail_mass_log_power_against_s_variable_reference(alpha, p, x):
     tail = RegVaryingTail(alpha, SlowlyVaryingSpec("log-power", p=p), "right")
     bound = 1e-12 if alpha >= 0.1 else 1e-8
     assert tail_mass(tail, x) == pytest.approx(log_power_mass(alpha, p, x), rel=bound)
+
+
+def small_jump_references(alpha, ell):
+    """(int_0^ETA x**2 nu, int_ETA^1 x nu) in 40 digits, both taken in v = ln x.
+
+    In v the slowly varying part is h(v) = c or ln(e + e**v)**p, and the
+    integrands are h(v) e**((2-alpha) v) on (-inf, ln ETA] and
+    h(v) e**((1-alpha) v) on [ln ETA, 0].
+    """
+    with mpmath.workdps(40):
+        a, ln_eta = mpmath.mpf(alpha), mpmath.log(mpmath.mpf(ETA))
+        if ell.is_constant:
+            h = lambda v: mpmath.mpf(ell.c)
+        else:
+            h = lambda v: mpmath.log(mpmath.e + mpmath.exp(v)) ** ell.p
+        # below ln ETA in s = (2 - alpha)(ln ETA - v), which decays like e**-s
+        var = mpmath.quad(lambda s: mpmath.exp(-s) * h(ln_eta - s / (2 - a)),
+                          [0, 1, 5, 20, 60, mpmath.inf]) * ETA ** (2 - a) / (2 - a)
+        comp = mpmath.quad(lambda v: h(v) * mpmath.exp((1 - a) * v), [ln_eta, -3, -1, 0])
+        return float(var), float(comp)
+
+
+@pytest.mark.parametrize("ell", [
+    SlowlyVaryingSpec("constant", c=2.5),
+    *(SlowlyVaryingSpec("log-power", p=p) for p in (-3.0, 1.0, 3.0))],
+    ids=["constant", "p-3", "p1", "p3"])
+@pytest.mark.parametrize("alpha", [0.2, 0.3, 0.7, 1.0, 1.5, 1.9])
+def test_small_jump_integrals_against_log_variable_reference(alpha, ell):
+    tail = RegVaryingTail(alpha, ell, "right")
+    var_ref, comp_ref = small_jump_references(alpha, ell)
+    comp = np.sum(gl_panels(tail.h, COMPENSATOR_EDGES, 1.0 - alpha))
+    assert second_moment_below(tail.h, ETA, alpha) == pytest.approx(var_ref, rel=1e-12)
+    assert comp == pytest.approx(comp_ref, rel=1e-12)
+
+
+def test_perturbed_plan_finite_where_the_variance_rule_reaches_far():
+    # at alpha 1.95 the variance rule evaluates h down to v = ln ETA - 44/0.05,
+    # about -887, where e**v underflows; h itself stays finite there
+    plan = PerturbedPlan.from_model(
+        tail_only_model(1.95, SlowlyVaryingSpec("log-power", p=-3.0)))
+    assert math.isfinite(plan.var_unit) and plan.var_unit > 0
+    assert math.isfinite(plan.drift)
 
 
 def test_levy_integrability_of_density():

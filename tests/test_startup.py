@@ -1,11 +1,12 @@
-"""Set-up imports stay in set-up.
+"""No CLI run loads scipy.
 
-scipy's quadrature is most of a run's start-up, and exact runs integrate
-nothing, so they must never load it.  Runs that build jump plans or
-decompositions integrate; `cli.main` loads scipy for them before the first
-engine call, so the import is start-up cost and not engine time.  numpy
-loads `numpy.random` lazily; importing the CLI loads it.  An import happens
-once per process, so each case runs in a fresh interpreter.
+scipy's quadrature costs about half a second of a process's start-up.  The
+package integrates with its own fixed rules (`rvcalc.tail_knots`,
+`second_moment_below`, `gl_panels`), so no experiment kind, exact or
+perturbed, imports scipy; only the library function
+`levymodel.characteristic_exponent` does, on its first call.  numpy loads
+`numpy.random` lazily; importing the CLI loads it.  An import happens once
+per process, so each case runs in a fresh interpreter.
 """
 
 import json
@@ -18,23 +19,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Runs the config text in argv[1] through cli.main, with each engine entry
-# wrapped under the name cli looks it up by, and prints what was loaded when.
+# Runs the config text in argv[1] through cli.main and prints what was loaded.
 SCRIPT = """
 import json, sys, tempfile
 from pathlib import Path
 from levypassage import cli
 seen = {"numpy.random at import": "numpy.random" in sys.modules}
-
-def first_call(fn):
-    def wrapper(*args, **kwargs):
-        seen.setdefault("scipy.integrate at engine start", "scipy.integrate" in sys.modules)
-        return fn(*args, **kwargs)
-    return wrapper
-
-for name in ("survival_counts", "product_bound_check",
-             "discrete_survival_experiment", "spitzer_profile"):
-    setattr(cli, name, first_call(getattr(cli, name)))
 with tempfile.TemporaryDirectory() as tmp:
     cfg = Path(tmp) / "run.cfg"
     cfg.write_text(sys.argv[1])
@@ -63,11 +53,13 @@ def run_fresh(keys: dict[str, str]) -> dict:
     {"experiment.kind": "exponent", "boundary.kind": "constant,decreasing,increasing",
      "run.t_min": "4", "run.t_max": "64", "run.t_points": "4"},
     {"experiment.kind": "spitzer", "model.beta": "0.5", "spitzer.t_values": "1,2,4"},
-], ids=["exponent", "spitzer"])
+    {"experiment.kind": "lemma-n0N", "boundary.gamma": "1"},
+    {"experiment.kind": "kappa"},
+    {"experiment.kind": "integral-test"},
+], ids=["exponent", "spitzer", "lemma-n0N", "kappa", "integral-test"])
 def test_exact_runs_never_load_scipy(keys):
     seen = run_fresh(keys)
     assert seen["loaded"] == [], seen
-    assert seen["scipy.integrate at engine start"] is False
 
 
 @pytest.mark.parametrize("keys", [
@@ -77,8 +69,9 @@ def test_exact_runs_never_load_scipy(keys):
     {"experiment.kind": "survival", "model.mode": "perturbed", "run.t_min": "4",
      "run.t_max": "16", "run.t_points": "2"},
 ], ids=["product-bound", "discrete-survival", "perturbed-survival"])
-def test_integrating_runs_load_scipy_in_setup(keys):
-    assert run_fresh(keys)["scipy.integrate at engine start"] is True
+def test_jump_plan_runs_never_load_scipy(keys):
+    seen = run_fresh(keys)
+    assert seen["loaded"] == [], seen
 
 
 def test_public_names_resolve():
