@@ -5,15 +5,15 @@ horizon and every boundary, so survivor counts are exactly nested in T and
 exactly ordered across pointwise-ordered boundaries.  Discrete survival
 draws each path once too, over the integer cells of its largest horizon,
 so its counts are nested in T as well.  The survival engine, discrete
-survival and the Gaussian refinement count through one first-passage
-counter, _survivors: each engine yields path rows and their limits, and the
-counter keeps the rows still pending, the death histogram by horizon
-bucket and the nested counts.  In exact mode
-the survival engine draws a path in doubling blocks and stops once every
-boundary has been crossed; the draws and the running sum are those of the
-whole-grid path, so the counts are the same as when every path runs to the
-largest horizon.  The exact paths of a chunk are drawn together, row by row
-on one reused stream cursor.  A perturbed-mode path stops in the same way:
+survival, the Gaussian refinement and the lemma experiment count through
+one first-passage counter, _survivors: each engine yields path rows and
+their limits, and the counter keeps the rows still pending, the death
+histogram by horizon bucket and the nested counts.  In exact mode a path
+is drawn in doubling blocks while any of its limits is pending in that
+mask; the draws and the running sum are those of the whole-grid path, so
+the counts are the same as when every path runs to the largest horizon.
+The exact paths of a chunk are drawn together, row by row on one reused
+stream cursor.  A perturbed-mode path stops in the same way:
 it is drawn in time blocks ending at t = 1, 2, 4, ..., 1024, then every
 1024, each block drawing its own jumps and normals from the path's stream,
 so a path that stops early draws nothing for later times.  The subordinator
@@ -184,9 +184,10 @@ def _survivors(rows_of, n_limits: int, Tg: np.ndarray, n_paths: int,
     lo..hi-1 of a chunk: the values of chunk rows `rows` at the points pts
     and the limits there, both broadcast to (rows, n_limits, points).  A
     row still pending limit b that crosses it (ties survive) dies in the
-    horizon bucket of its first crossing and stops pending b; the generator
-    may read `pending` to stop drawing cleared rows.  Deaths after the
-    largest horizon fill a last bucket that no count reads.
+    horizon bucket of its first crossing and stops pending b.  `pending`,
+    shape (hi - lo, n_limits), is also the generator's stop rule: the exact
+    engines draw only the rows with a limit still pending.  Deaths after
+    the largest horizon fill a last bucket that no count reads.
     """
     def worker(lo: int, hi: int) -> np.ndarray:
         dead = np.zeros((n_limits, Tg.size + 1), dtype=np.int64)
@@ -226,12 +227,10 @@ def survival_counts(model: LevyModel, boundaries: list[Boundary], T_grid,
         bvals = np.array([boundary_value(b, pts) for b in boundaries])
 
         def rows_of(lo, hi, pending):
-            alive = np.ones(hi - lo, dtype=bool)
             for start, rows, vals in exact_rows(model.stable, dt_pow, seed,
-                                                np.arange(lo, hi), phase, alive):
+                                                np.arange(lo, hi), phase, pending):
                 stop = start + vals.shape[1]
                 yield rows, vals[:, None], pts[start:stop], bvals[:, start:stop]
-                alive[rows] = pending[rows].any(axis=1)
     else:
         plan = plan or PerturbedPlan.from_model(model)
 
@@ -335,7 +334,9 @@ def lemma_n0N_experiment(alpha: float, gamma: float, ell, N: int,
     here for non-constant ell).  N1(N) = floor((ln ln N)**(4/(1-gamma*alpha-
     epsilon))) with epsilon = min(ga, 1-ga)/2.  At desk scale N1 often
     exceeds N; the index range is then empty and the probability is vacuously
-    one, which the result flags.
+    one, which the result flags.  Otherwise _survivors counts the exact rows
+    of -S_N against the limits -(n+1)**gamma at n = N1, ..., N, one horizon
+    N: a row dies where -S_N exceeds its limit, so ties survive.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("the lemma's subordinator needs alpha in (0, 1)")
@@ -355,19 +356,18 @@ def lemma_n0N_experiment(alpha: float, gamma: float, ell, N: int,
     N1 = max(N1, 1)
     scale = (d * ell.c) ** (1.0 / alpha) * subordinator_unit_scale(alpha)
     params = StableParams(alpha, 1.0, scale)
-    bound = (np.arange(N1, N + 1, dtype=float) + 1.0) ** gamma
-    dt_pow = np.ones(bound.size)
+    pts = np.append(0.0, np.arange(N1, N + 1, dtype=float))
+    limits = np.append(np.inf, -(pts[1:] + 1.0) ** gamma)  # t = 0 is not scored
+    dt_pow = np.ones(pts.size - 1)
     dt_pow[0] = N1 ** (1.0 / alpha)  # the first increment spans [0, N1]
 
-    def worker(lo, hi):
-        alive = np.ones(hi - lo, dtype=bool)
+    def rows_of(lo, hi, pending):
         for start, rows, vals in exact_rows(params, dt_pow, seed, np.arange(lo, hi),
-                                            PHASE_PATHS, alive):
-            stop = start + vals.shape[1] - 1
-            alive[rows] = np.all(vals[:, 1:] >= bound[start:stop], axis=1)
-        return np.array([np.count_nonzero(alive)])
+                                            PHASE_PATHS, pending):
+            stop = start + vals.shape[1]
+            yield rows, -vals[:, None], pts[start:stop], limits[None, start:stop]
 
-    k = int(_run_chunks(worker, n_paths, threads)[0])
+    k = int(_survivors(rows_of, 1, np.array([float(N)]), n_paths, threads)[0, 0])
     return LemmaN0NResult(N=N, N1=N1, n_paths=n_paths,
                           survivors=k, p_hat=k / n_paths, vacuous=False)
 

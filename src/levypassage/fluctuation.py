@@ -123,7 +123,7 @@ def spitzer_profile(model: LevyModel, t_grid, n_paths: int, seed: int,
         counts = np.zeros(t_grid.size, dtype=np.int64)
         if model.stable is not None:
             for start, _, vals in exact_rows(model.stable, dt_pow, seed, np.arange(lo, hi),
-                                             PHASE_PATHS, np.ones(hi - lo, dtype=bool)):
+                                             PHASE_PATHS, np.ones((hi - lo, 1), dtype=bool)):
                 counts[start:start + vals.shape[1] - 1] += np.count_nonzero(
                     vals[:, 1:] >= 0.0, axis=0)
         else:

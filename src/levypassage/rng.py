@@ -64,19 +64,3 @@ class Cursor:
         if offset % 4:
             self.bits.random_raw(offset % 4)
         return self.gen
-
-    def tell(self, out: np.ndarray) -> None:
-        """Save the stream position (counter, buffer, buffer_pos) into out[:9]."""
-        state = self.bits.state
-        out[:4], out[4:8], out[8] = (state["state"]["counter"], state["buffer"],
-                                     state["buffer_pos"])
-
-    def resume(self, seed: int, path_index: int, pos: np.ndarray) -> np.random.Generator:
-        """The generator of the (seed, path) stream at a position saved by `tell`."""
-        self._state["state"]["key"][:] = _layout(seed, path_index, 0)[0]
-        self._state["state"]["counter"][:] = pos[:4]
-        self._state["buffer"][:] = pos[4:8]
-        self._state["buffer_pos"] = int(pos[8])
-        self.bits.state = self._state
-        return self.gen
-

@@ -292,28 +292,31 @@ def _perturbed_path(plan: PerturbedPlan, grid: TimeGrid,
 
 
 def exact_rows(params: StableParams, dt_pow: np.ndarray, seed: int,
-               paths: np.ndarray, phase: int, alive: np.ndarray):
+               paths: np.ndarray, phase: int, pending: np.ndarray):
     """Exact paths of many path indices at once, in doubling blocks of cells.
 
     Yields (start, rows, vals): vals[r, k] is the path of paths[rows[r]] at
     grid index start + k and vals[:, 0] the previous block's last value (0
     at t = 0).  Blocks of FIRST_BLOCK, then twice as many cells are drawn
-    for the rows still set in `alive`, in groups of about ROW_CAP doubles.
-    The draws are those of sample_stable over the whole grid from the
-    path's stream, on one reused cursor: uniforms from raw draw `start`,
-    exponentials from raw draw n, then from the path's saved position (the
-    ziggurat may take extra raw draws, so it is saved, never computed).
-    The carried cumsum rounds as one cumsum over the grid would.
+    for the rows with any limit still set in `pending`, the (rows, limits)
+    mask of _survivors, in groups of about ROW_CAP doubles.  The draws are
+    those of sample_stable over the whole grid from the path's stream, on
+    one reused cursor: uniforms from raw draw `start`, then exponentials.
+    A path of one block draws them straight after its uniforms; otherwise
+    each block places the cursor again at raw draw n and draws `stop`
+    exponentials, dropping the first `start` (the ziggurat may take extra
+    raw draws, so where exponential `start` lies is never computed).  The
+    carried cumsum rounds as one cumsum over the grid would.
     """
     n = dt_pow.size
     cur = Cursor()
     carry = np.zeros(paths.size)
-    w_pos = np.empty((paths.size, 9), dtype=np.uint64)  # see Cursor.tell
     start, size = 0, FIRST_BLOCK
-    while start < n and alive.any():
+    while start < n and pending.any():
         stop = min(start + size, n)
-        live = np.flatnonzero(alive)
+        live = np.flatnonzero(pending.any(axis=1))
         per = max(1, ROW_CAP // (stop - start + 1))
+        dropped = np.empty(start)
         for lo in range(0, live.size, per):
             rows = live[lo:lo + per]
             vals = np.empty((rows.size, stop - start + 1))
@@ -321,13 +324,9 @@ def exact_rows(params: StableParams, dt_pow: np.ndarray, seed: int,
             for r, row in enumerate(rows):
                 path = int(paths[row])
                 cur.place(seed, path, phase, start).random(out=vals[r, 1:])
-                if start:
-                    cur.resume(seed, path, w_pos[row])
-                elif stop < n:
-                    cur.place(seed, path, phase, n)
+                if stop - start < n:
+                    cur.place(seed, path, phase, n).standard_exponential(out=dropped)
                 cur.gen.standard_exponential(out=w[r])
-                if stop < n:
-                    cur.tell(w_pos[row])
             vals[:, 1:] = cms_transform(params, vals[:, 1:], w) * dt_pow[start:stop]
             vals[:, 0] = carry[rows]
             np.cumsum(vals, axis=1, out=vals)

@@ -212,9 +212,10 @@ def test_determinism_across_thread_counts():
 @pytest.mark.parametrize("n", [1, 5, 161, 1003, 16464])
 @pytest.mark.parametrize("first", [1, 3, 128])
 def test_doubling_blocks_match_one_whole_grid_sample(monkeypatch, n, first):
-    """Batched block rows, drawn on one reused cursor with saved exponential
-    states and a carried running sum, are bit-equal to one sample_stable
-    call and one cumsum over the grid for every path."""
+    """Batched block rows, drawn on one reused cursor placed again at the
+    path's first exponential for each block, with a carried running sum,
+    are bit-equal to one sample_stable call and one cumsum over the grid
+    for every path."""
     params = StableParams(0.7, -0.6, 1.5)
     paths = np.array([4, 9, 2 ** 40])
     dt_pow = np.linspace(0.5, 2.0, n)
@@ -225,8 +226,8 @@ def test_doubling_blocks_match_one_whole_grid_sample(monkeypatch, n, first):
     monkeypatch.setattr(simulate, "FIRST_BLOCK", first)
     got = {row: [0.0] for row in range(paths.size)}
     sizes = {row: [] for row in range(paths.size)}
-    alive = np.ones(paths.size, dtype=bool)
-    for start, rows, vals in simulate.exact_rows(params, dt_pow, 21, paths, 1, alive):
+    pending = np.ones((paths.size, 2), dtype=bool)
+    for start, rows, vals in simulate.exact_rows(params, dt_pow, 21, paths, 1, pending):
         for r, row in enumerate(rows):
             assert start == len(got[row]) - 1 and vals[r, 0] == got[row][-1]
             sizes[row].append(vals.shape[1] - 1)
@@ -241,13 +242,15 @@ def test_doubling_blocks_match_one_whole_grid_sample(monkeypatch, n, first):
 
 
 def test_cleared_rows_stop_being_drawn():
+    """A row is drawn while any of its limits is pending and stops once none is."""
     params = StableParams(0.7)
-    alive = np.ones(3, dtype=bool)
+    pending = np.ones((3, 2), dtype=bool)
     seen = []
     for start, rows, vals in simulate.exact_rows(params, np.ones(1000), 5,
-                                                 np.arange(3), 0, alive):
+                                                 np.arange(3), 0, pending):
         seen.append((start, rows.tolist()))
-        alive[1] = False
+        pending[0, 1] = False  # one of two limits cleared: still drawn
+        pending[1] = False  # both cleared: stops
     assert seen == [(0, [0, 1, 2]), (128, [0, 2]), (384, [0, 2]), (896, [0, 2])]
 
 
