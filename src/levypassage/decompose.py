@@ -100,7 +100,7 @@ class JumpTable:
         # bucket holds knots
         bucket = self._bucket(xp)
         first = np.searchsorted(bucket, np.arange(n_buckets + 1))
-        self._guide = np.maximum(first - 1, 0).astype(np.int32)
+        self._guide = np.maximum(first - 1, 0).astype(np.intp)
         self._steps = int(np.bincount(bucket).max())
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -108,20 +108,30 @@ class JumpTable:
 
     def sizes(self, u: np.ndarray) -> np.ndarray:
         """Jump sizes from uniforms on [0, 1), one per uniform, elementwise."""
-        return np.exp(self._interp(np.log(u * self.total_mass)))
+        t = u * self.total_mass
+        out = self._interp(np.log(t, out=t))
+        return np.exp(out, out=out)
 
     def _bucket(self, t: np.ndarray) -> np.ndarray:
         """Guide-table bucket of targets in [xp[0], xp[-1]]."""
         return ((t - self._xp[0]) * self._scale).astype(np.intp)
 
     def _interp(self, t: np.ndarray) -> np.ndarray:
-        """np.interp(t, xp, fp) bit for bit, segments found by the guide table."""
+        """np.interp(t, xp, fp) bit for bit, segments found by the guide table.
+
+        Works on one new array of clipped targets and leaves t unchanged; the
+        in-place steps are the IEEE operations of slope * (t - xp[j]) + fp[j].
+        """
         xp = self._xp
-        t = np.minimum(np.maximum(t, xp[0]), xp[-1])  # np.interp's edge values
-        j = self._guide[self._bucket(t)].astype(np.intp)  # int32 indexes slowly
+        out = np.maximum(t, xp[0])  # np.interp's edge values
+        np.minimum(out, xp[-1], out=out)
+        j = self._guide.take(self._bucket(out))
         for _ in range(self._steps):
-            j += self._xnext[j] <= t
-        return self._slopes[j] * (t - xp[j]) + self._fp[j]
+            j += self._xnext.take(j) <= out
+        out -= xp.take(j)
+        out *= self._slopes.take(j)
+        out += self._fp.take(j)
+        return out
 
 
 @dataclass(frozen=True)
@@ -150,16 +160,15 @@ class DecompositionT:
                              / slowly_varying_at_log(ell, -v))
 
     def thinned(self, signed: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Mask of the signed jumps handed to S_T.
+        """Indices, ascending, of the signed jumps handed to S_T.
 
         A jump beyond 1 on this side goes to S_T when its uniform u falls
-        below the thinning probability, evaluated on those jumps only;
-        callers draw u so that one uniform per jump can be shared across
-        horizons.
+        below the thinning probability, evaluated on those candidate jumps
+        only; callers draw u so that one uniform per jump can be shared
+        across horizons.
         """
-        mask = signed < -1.0 if self.side == NEGATIVE else signed > 1.0
-        mask[mask] = u[mask] < self.thinning_probability(np.abs(signed[mask]))
-        return mask
+        on_side = np.flatnonzero(signed < -1.0 if self.side == NEGATIVE else signed > 1.0)
+        return on_side[u[on_side] < self.thinning_probability(np.abs(signed[on_side]))]
 
     def h_S(self, v):
         """nu_S(x) * x**(alpha+1) at v = ln x (zero for x <= 1), as in rvcalc."""

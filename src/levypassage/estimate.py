@@ -238,8 +238,11 @@ def survival_counts(model: LevyModel, boundaries: list[Boundary], T_grid,
             for i in range(lo, hi):
                 row = np.array([i - lo])
                 for mpts, vals, _ in path_blocks(plan, pts, stream(seed, i, phase)):
-                    yield row, vals[None, None], mpts, np.array(
-                        [boundary_value(b, mpts) for b in boundaries])
+                    # a limit no longer pending is never read: +inf, not evaluated
+                    limits = np.full((len(boundaries), mpts.size), np.inf)
+                    for b in np.flatnonzero(pending[row[0]]):
+                        limits[b] = boundary_value(boundaries[b], mpts)
+                    yield row, vals[None, None], mpts, limits
                     if not pending[row[0]].any():
                         break
 

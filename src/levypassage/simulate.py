@@ -178,9 +178,10 @@ class PerturbedPlan:
         sizes = np.empty(right.size)
         nr = np.count_nonzero(right)
         if nr:
-            sizes[right] = self.table_right.sizes(u[:nr])
+            sizes[right.nonzero()[0]] = self.table_right.sizes(u[:nr])
         if right.size - nr:
-            sizes[~right] = -self.table_left.sizes(u[nr:])
+            left = self.table_left.sizes(u[nr:])
+            sizes[(~right).nonzero()[0]] = np.negative(left, out=left)
         return sizes
 
 
@@ -350,16 +351,16 @@ def discrete_increments(plan: PerturbedPlan, n_steps: int,
     counts = rng.poisson(plan.rate, size=n_steps) if plan.rate > 0 else np.zeros(n_steps, int)
     total = int(counts.sum())
     cell = np.repeat(np.arange(n_steps), counts)
-    right = rng.uniform(size=total) < plan.p_right
-    sizes = plan.signed_sizes(right, rng.uniform(size=total))
+    right = rng.random(total) < plan.p_right
+    sizes = plan.signed_sizes(right, rng.random(total))
     inc = np.full(n_steps, plan.drift)
     if plan.var_unit > 0:
         inc = inc + np.sqrt(plan.var_unit) * rng.standard_normal(n_steps)
-    inc = inc + np.bincount(cell, weights=sizes, minlength=n_steps)
+    inc += np.bincount(cell, weights=sizes, minlength=n_steps)
     if decomp is None:
         return inc, None
     splits = [decomp] if isinstance(decomp, DecompositionT) else decomp
-    u = rng.uniform(size=total)
+    u = rng.random(total)
     s_inc = np.array([np.bincount(cell[t], weights=np.abs(sizes[t]), minlength=n_steps)
                       for t in (d.thinned(sizes, u) for d in splits)])
     return inc, s_inc if splits is decomp else s_inc[0]

@@ -74,8 +74,9 @@ def test_measure_split_identity():
 @pytest.mark.parametrize("ell", [ELL1, SlowlyVaryingSpec("log-power", p=1.0)])
 @pytest.mark.parametrize("side", [NEGATIVE, POSITIVE])
 def test_thinned_mask_matches_the_all_jumps_formula(ell, side):
-    # thinned() evaluates the probability only on jumps beyond 1 on its side;
-    # here it is evaluated on every jump and masked afterwards
+    # thinned() evaluates the probability only on jumps beyond 1 on its side
+    # and returns their indices; here it is evaluated on every jump and
+    # masked afterwards
     alpha = 0.7
     d = build_decomposition(tail_only_model(alpha, ell), 256.0, side)
     rng = np.random.default_rng(41)
@@ -86,7 +87,7 @@ def test_thinned_mask_matches_the_all_jumps_formula(ell, side):
         p = (d.delta * eval_slowly_varying(ell, d.delta ** (1.0 / alpha) / x)
              / eval_slowly_varying(ell, 1.0 / x))
         on_side = signed < -1.0 if side == NEGATIVE else signed > 1.0
-        assert np.array_equal(d.thinned(signed, u), on_side & (u < p))
+        assert np.array_equal(d.thinned(signed, u), np.flatnonzero(on_side & (u < p)))
 
 
 def test_nu_rest_negative_detected():
@@ -208,6 +209,19 @@ def test_jump_table_sizes_equal_the_np_interp_formula(bit_identity_tables, name)
     t = np.concatenate([xp, np.nextafter(xp, -np.inf), np.nextafter(xp, np.inf),
                         *after, [xp[0] - 1.0, xp[-1] + 1.0, -np.inf, np.inf]])
     assert np.array_equal(table._interp(t), np.interp(t, xp, fp))
+
+
+@pytest.mark.parametrize("name", ["X", "S_T", "near-knot"])
+def test_jump_table_lookup_leaves_its_input_unchanged(bit_identity_tables, name):
+    # sizes and _interp work in place on arrays of their own, never on the
+    # caller's uniforms or targets
+    table = bit_identity_tables[name]
+    u = stream(19, 0).uniform(size=1000)
+    t = np.concatenate([np.log(u * table.total_mass), [-np.inf, np.inf]])
+    u_seen, t_seen = u.copy(), t.copy()
+    sizes, looked_up = table.sizes(u), table._interp(t)
+    assert np.array_equal(u, u_seen) and np.array_equal(t, t_seen)
+    assert not np.shares_memory(sizes, u) and not np.shares_memory(looked_up, t)
 
 
 @pytest.mark.parametrize("side", [NEGATIVE, POSITIVE])

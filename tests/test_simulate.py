@@ -7,6 +7,7 @@ from scipy.stats import ks_2samp
 
 from levypassage.decompose import (NEGATIVE, POSITIVE, JumpTable,
                                    build_decomposition)
+from levypassage import estimate
 from levypassage.estimate import _subordinator_marginal, survival_counts
 from levypassage.fluctuation import spitzer_profile
 from levypassage.levymodel import (Boundary, LevyModel, stable_model,
@@ -221,6 +222,74 @@ def test_discrete_increments_share_thinning_across_splits():
     assert differ > 0
 
 
+def _masked_signed_sizes(plan, right, u):
+    # signed sizes scattered through boolean masks, the reference formula
+    sizes = np.empty(right.size)
+    nr = np.count_nonzero(right)
+    if nr:
+        sizes[right] = plan.table_right.sizes(u[:nr])
+    if right.size - nr:
+        sizes[~right] = -plan.table_left.sizes(u[nr:])
+    return sizes
+
+
+def test_signed_sizes_equal_the_boolean_mask_formula():
+    # the index scatter gives the masked scatter's sizes bit for bit: on a
+    # skewed plan with unequal tables, on the one-sided S_T plan, and on
+    # empty, single, all-right and all-left inputs
+    skewed = PerturbedPlan.from_model(replace(stable_model(0.5, beta=0.5), stable=None))
+    assert skewed.table_right.total_mass != skewed.table_left.total_mass
+    s_plan = PerturbedPlan.subordinator(
+        build_decomposition(tail_only_model(0.7, ELL1), 256.0, POSITIVE))
+    rng = np.random.default_rng(83)
+    cases = []
+    for n in (0, 1, 2, 66, 5000):
+        u = rng.random(n)
+        cases += [(skewed, rng.random(n) < skewed.p_right, u),
+                  (skewed, np.ones(n, dtype=bool), u),
+                  (skewed, np.zeros(n, dtype=bool), u),
+                  (s_plan, np.ones(n, dtype=bool), u)]
+    for plan, right, u in cases:
+        u_seen = u.copy()
+        got = plan.signed_sizes(right, u)
+        assert np.array_equal(got, _masked_signed_sizes(plan, right, u))
+        assert np.array_equal(u, u_seen)
+    assert any(0 < np.count_nonzero(r) < r.size for _, r, _ in cases)
+
+
+def test_discrete_increments_equal_the_mask_reference():
+    # splits on both sides, thinned by index, equal the boolean-mask code
+    # inlined here bit for bit, and the stream stops at the same draw
+    m = tail_only_model(0.7, ELL1)
+    plan = PerturbedPlan.from_model(m)
+    splits = [build_decomposition(m, T, side) for T in (16.0, 4096.0)
+              for side in (NEGATIVE, POSITIVE)]
+    n_steps, thinned = 64, 0
+    for i in range(10):
+        rng = stream(71, i)
+        counts = rng.poisson(plan.rate, size=n_steps)
+        total = int(counts.sum())
+        cell = np.repeat(np.arange(n_steps), counts)
+        right = rng.uniform(size=total) < plan.p_right
+        sizes = _masked_signed_sizes(plan, right, rng.uniform(size=total))
+        inc = np.full(n_steps, plan.drift)
+        inc = inc + np.sqrt(plan.var_unit) * rng.standard_normal(n_steps)
+        inc = inc + np.bincount(cell, weights=sizes, minlength=n_steps)
+        u = rng.uniform(size=total)
+        s_inc = []
+        for d in splits:
+            mask = sizes < -1.0 if d.side == NEGATIVE else sizes > 1.0
+            mask[mask] = u[mask] < d.thinning_probability(np.abs(sizes[mask]))
+            s_inc.append(np.bincount(cell[mask], weights=np.abs(sizes[mask]),
+                                     minlength=n_steps))
+        got_rng = stream(71, i)
+        got_inc, got_s = discrete_increments(plan, n_steps, got_rng, decomp=splits)
+        assert np.array_equal(got_inc, inc) and np.array_equal(got_s, np.array(s_inc))
+        assert got_rng.random() == rng.random()
+        thinned += np.count_nonzero(got_s, axis=1)
+    assert np.all(thinned > 0)
+
+
 def test_discrete_increments_match_path_law():
     # integer-grid shortcut must agree in law with epoch-based simulation
     pm = tail_only_model(0.7, ELL1)
@@ -329,6 +398,23 @@ def test_perturbed_survival_counts_score_the_whole_path(name):
     got = survival_counts(x_model, boundaries, T_grid, n_paths, grid, seed, plan=plan)
     assert got.tolist() == want.tolist()
     assert 0 < want[:, -1].sum() and want[:, 0].sum() < n_paths * len(boundaries)
+
+
+def test_perturbed_rows_evaluate_only_pending_boundaries(monkeypatch):
+    # every path crosses the first level at t = 0 and never the second: the
+    # first is evaluated on each path's first block only, the second on
+    # every block, and the counts stay those of scoring both everywhere
+    model = replace(standard_symmetric_model(0.7), stable=None)
+    crossed, never = Boundary("constant", level=-0.5), Boundary("constant", level=1e300)
+    T, n_paths, grid = 64.0, 3, TimeGrid.survival(64.0)
+    seen = []
+    real = estimate.boundary_value
+    monkeypatch.setattr(estimate, "boundary_value",
+                        lambda b, t: seen.append(b) or real(b, t))
+    got = survival_counts(model, [crossed, never], [T], n_paths, grid, 5)
+    assert got.tolist() == [[0], [n_paths]]
+    assert seen.count(crossed) == n_paths
+    assert seen.count(never) == n_paths * block_ends(grid.points).size
 
 
 def test_crossed_perturbed_paths_draw_one_block(monkeypatch):
