@@ -159,16 +159,16 @@ class DecompositionT:
         return self.delta * (slowly_varying_at_log(ell, shift - v)
                              / slowly_varying_at_log(ell, -v))
 
-    def thinned(self, signed: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Indices, ascending, of the signed jumps handed to S_T.
+    def thinned(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Indices, ascending, of the candidate jumps handed to S_T.
 
-        A jump beyond 1 on this side goes to S_T when its uniform u falls
-        below the thinning probability, evaluated on those candidate jumps
-        only; callers draw u so that one uniform per jump can be shared
-        across horizons.
+        x holds the magnitudes of one path's jumps beyond 1 on this side,
+        the only jumps S_T can take, and u their uniforms: a jump goes to
+        S_T when its uniform falls below the thinning probability at its
+        magnitude.  Callers draw one uniform per candidate and share it
+        across horizons, so the splits' thinned jumps nest.
         """
-        on_side = np.flatnonzero(signed < -1.0 if self.side == NEGATIVE else signed > 1.0)
-        return on_side[u[on_side] < self.thinning_probability(np.abs(signed[on_side]))]
+        return np.flatnonzero(u < self.thinning_probability(x))
 
     def h_S(self, v):
         """nu_S(x) * x**(alpha+1) at v = ln x (zero for x <= 1), as in rvcalc."""

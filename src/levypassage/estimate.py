@@ -392,8 +392,8 @@ def discrete_survival_experiment(model: LevyModel, T_grid, x: float,
     raises RuntimeError.  Returns one result per horizon T in T_grid, each
     with its own split of the jump measure.  Path i is drawn once, over the
     floor(T) cells of the largest horizon, and every split thins its jumps
-    with one shared uniform per jump; horizon T scores the first floor(T)
-    cells, so the X counts are nested in T.
+    with one shared uniform per jump beyond 1; horizon T scores the first
+    floor(T) cells, so the X counts are nested in T.
     """
     if not model.has_jumps or model.alpha >= 1.0:
         raise ValueError("discrete survival experiments require jumps with alpha < 1")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import DecompositionT, JumpTable
+from .decompose import NEGATIVE, POSITIVE, DecompositionT, JumpTable
 from .levymodel import LevyModel
 from .rng import Cursor
 from .rvcalc import gl_panels, second_moment_below
@@ -259,8 +259,13 @@ def _blocks(plan: PerturbedPlan, points: np.ndarray, ends, rng: np.random.Genera
 
 def _coupled(splits, merged, epochs, sizes, thin_u) -> np.ndarray:
     """Values on `merged` of each split's S_T, one row per split from 0."""
-    return np.array([_running_sum(_cell_jumps(merged, epochs[t], np.abs(sizes[t])))
-                     for t in (d.thinned(sizes, thin_u) for d in splits)])
+    rows = []
+    for d in splits:
+        cand = np.flatnonzero(sizes < -1.0 if d.side == NEGATIVE else sizes > 1.0)
+        x = np.abs(sizes[cand])
+        t = d.thinned(x, thin_u[cand])
+        rows.append(_running_sum(_cell_jumps(merged, epochs[cand[t]], x[t])))
+    return np.array(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -343,24 +348,61 @@ def discrete_increments(plan: PerturbedPlan, n_steps: int,
     """Unit-time increments of the plan's process on an integer grid.
 
     Law-identical to sample_path restricted to integers, but draws per-cell
-    jump sums directly, with no epochs; a plan without a Gaussian part draws
-    no normals.  With `decomp`, also returns the thinned subordinator
+    jump sums directly, with no epochs.  The right and left jumps of a
+    compound Poisson process are independent compound Poisson processes, so
+    each side draws its own stream, in this order: the right side's Poisson
+    counts per cell at rate rate * p_right, then one uniform per right jump
+    for its sizes, in cell order; the same for the left side at rate
+    rate * (1 - p_right), its sizes negated; then the normals.  A side
+    without a table or rate draws nothing, and a plan without a Gaussian
+    part draws no normals, so the plan of S_T alone draws only right counts
+    and sizes.  With `decomp`, also returns the thinned subordinator
     increments so callers can form Y_T = X -+ S_T pathwise; a sequence of
-    splits gives one row per split, all decided by one uniform per jump.
+    splits gives one row per split.  Splits draw last: one thinning uniform
+    per jump beyond 1 in magnitude, right ones first, in cell order, shared
+    by every split on that side, so X does not depend on them.
     """
-    counts = rng.poisson(plan.rate, size=n_steps) if plan.rate > 0 else np.zeros(n_steps, int)
-    total = int(counts.sum())
-    cell = np.repeat(np.arange(n_steps), counts)
-    right = rng.random(total) < plan.p_right
-    sizes = plan.signed_sizes(right, rng.random(total))
+    sides = ((plan.table_right, plan.rate * plan.p_right),
+             (plan.table_left, plan.rate * (1.0 - plan.p_right)))
+    right, left = (_side_jumps(table, rate, n_steps, rng) for table, rate in sides)
     inc = np.full(n_steps, plan.drift)
     if plan.var_unit > 0:
-        inc = inc + np.sqrt(plan.var_unit) * rng.standard_normal(n_steps)
-    inc += np.bincount(cell, weights=sizes, minlength=n_steps)
+        inc += math.sqrt(plan.var_unit) * rng.standard_normal(n_steps)
+    inc += _run_sums(*right)
+    inc -= _run_sums(*left)
     if decomp is None:
         return inc, None
     splits = [decomp] if isinstance(decomp, DecompositionT) else decomp
-    u = rng.random(total)
-    s_inc = np.array([np.bincount(cell[t], weights=np.abs(sizes[t]), minlength=n_steps)
-                      for t in (d.thinned(sizes, u) for d in splits)])
+    cands = {}  # side -> (cells, magnitudes) of its jumps beyond 1
+    for side, (counts, x) in ((POSITIVE, right), (NEGATIVE, left)):
+        c = np.flatnonzero(x > 1.0)
+        cands[side] = np.cumsum(counts).searchsorted(c, "right"), x[c]
+    n_right = cands[POSITIVE][1].size
+    u = rng.random(n_right + cands[NEGATIVE][1].size)
+    s_inc = np.empty((len(splits), n_steps))
+    for row, d in zip(s_inc, splits):
+        cell, x = cands[d.side]
+        t = d.thinned(x, u[:n_right] if d.side == POSITIVE else u[n_right:])
+        row[:] = np.bincount(cell[t], weights=x[t], minlength=n_steps)
     return inc, s_inc if splits is decomp else s_inc[0]
+
+
+def _side_jumps(table: JumpTable | None, rate: float, n_steps: int,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One side's jumps on unit cells: (count per cell, magnitudes in cell order).
+
+    Draws the Poisson count of each cell, then one uniform per jump for its
+    size; draws nothing without a table or rate.
+    """
+    if table is None or rate <= 0:
+        return np.zeros(n_steps, dtype=np.intp), np.empty(0)
+    counts = rng.poisson(rate, size=n_steps)
+    return counts, table.sizes(rng.random(int(counts.sum())))
+
+
+def _run_sums(counts: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Sum of each cell's run of x, where cell k holds the next counts[k] entries."""
+    out = np.zeros(counts.size)
+    full = counts > 0
+    out[full] = np.add.reduceat(x, (np.cumsum(counts) - counts)[full])
+    return out

@@ -74,9 +74,9 @@ def test_measure_split_identity():
 @pytest.mark.parametrize("ell", [ELL1, SlowlyVaryingSpec("log-power", p=1.0)])
 @pytest.mark.parametrize("side", [NEGATIVE, POSITIVE])
 def test_thinned_mask_matches_the_all_jumps_formula(ell, side):
-    # thinned() evaluates the probability only on jumps beyond 1 on its side
-    # and returns their indices; here it is evaluated on every jump and
-    # masked afterwards
+    # thinned() takes the magnitudes of the jumps beyond 1 on its side and
+    # their uniforms, and returns the indices it keeps among them; here the
+    # probability is evaluated on every jump and masked afterwards
     alpha = 0.7
     d = build_decomposition(tail_only_model(alpha, ell), 256.0, side)
     rng = np.random.default_rng(41)
@@ -87,7 +87,8 @@ def test_thinned_mask_matches_the_all_jumps_formula(ell, side):
         p = (d.delta * eval_slowly_varying(ell, d.delta ** (1.0 / alpha) / x)
              / eval_slowly_varying(ell, 1.0 / x))
         on_side = signed < -1.0 if side == NEGATIVE else signed > 1.0
-        assert np.array_equal(d.thinned(signed, u), np.flatnonzero(on_side & (u < p)))
+        assert np.array_equal(d.thinned(x[on_side], u[on_side]),
+                              np.flatnonzero((u < p)[on_side]))
 
 
 def test_nu_rest_negative_detected():

@@ -158,10 +158,10 @@ run.seed = 22
 """))
     rows = DRIVERS[cfg.kind](replace(cfg, t_points=2, threads=threads))
     got = [(r["kind"], r["T"], r["survivors"]) for r in rows if r["T"] != ""]
-    assert got == [("discrete-survival-y", 16.0, 28),
+    assert got == [("discrete-survival-y", 16.0, 34),
                    ("discrete-survival-x", 16.0, 17),
-                   ("discrete-survival-y", 32.0, 25),
-                   ("discrete-survival-x", 32.0, 14)]
+                   ("discrete-survival-y", 32.0, 27),
+                   ("discrete-survival-x", 32.0, 12)]
 
 
 def test_golden_renewal_gaps():
@@ -341,8 +341,8 @@ run.n_paths = 40
 run.seed = 7
 run.threads = 1
 """,
-        "037bf675e64af7e78527e91faeca8e16acd102e5a51dfa5b7ece8888a16bdfcc",
-        "56e655e5adf15385c7390c4077df3e1f200aff376584dd2e2c99938f8796cc67"),
+        "2d09d4392d823caa7f39e9757bc42478bc00209097750c81bf9d97a91f30ea75",
+        "a4e20dafa1ae7a5662525a2bd51ae8ce7e3fc350d94b2d12c7c798c7da09e1ad"),
     "positivity-profile": ("""
 experiment.kind = spitzer
 model.alpha = 0.69999999999999996

@@ -257,37 +257,149 @@ def test_signed_sizes_equal_the_boolean_mask_formula():
     assert any(0 < np.count_nonzero(r) < r.size for _, r, _ in cases)
 
 
+def _per_side_reference(plan, n_steps, rng, splits):
+    # the per-side layout written out: each side's cell counts and sizes
+    # (right, then left), the normals, then one uniform per jump beyond 1,
+    # right ones first; the thinned jumps are picked by boolean masks
+    sides = []
+    for table, rate in ((plan.table_right, plan.rate * plan.p_right),
+                        (plan.table_left, plan.rate * (1.0 - plan.p_right))):
+        counts, x = np.zeros(n_steps, dtype=int), np.empty(0)
+        if table is not None and rate > 0:
+            counts = rng.poisson(rate, size=n_steps)
+            x = table.sizes(rng.uniform(size=counts.sum()))
+        sides.append((np.repeat(np.arange(n_steps), counts), counts, x))
+    inc = np.full(n_steps, plan.drift)
+    if plan.var_unit > 0:
+        inc = inc + np.sqrt(plan.var_unit) * rng.standard_normal(n_steps)
+    for (_, counts, x), sign in zip(sides, (1.0, -1.0)):
+        sums = np.zeros(n_steps)
+        full = counts > 0
+        sums[full] = np.add.reduceat(x, (np.cumsum(counts) - counts)[full])
+        inc = inc + sign * sums
+    if not splits:
+        return inc, None
+    n_right = np.count_nonzero(sides[0][2] > 1.0)
+    u = rng.uniform(size=n_right + np.count_nonzero(sides[1][2] > 1.0))
+    s_inc = []
+    for d in splits:
+        cell, _, x = sides[0] if d.side == POSITIVE else sides[1]
+        mask = x > 1.0
+        mask[mask] = (u[:n_right] if d.side == POSITIVE else u[n_right:]) \
+            < d.thinning_probability(x[mask])
+        s_inc.append(np.bincount(cell[mask], weights=x[mask], minlength=n_steps))
+    return inc, np.array(s_inc)
+
+
 def test_discrete_increments_equal_the_mask_reference():
-    # splits on both sides, thinned by index, equal the boolean-mask code
-    # inlined here bit for bit, and the stream stops at the same draw
+    # splits on both sides, thinned by index, equal the per-side layout
+    # inlined here with boolean masks bit for bit, and the stream stops at
+    # the same draw: on the symmetric unit-tail plan and on a skewed one
+    # with unequal tables
+    for m in (tail_only_model(0.7, ELL1), replace(stable_model(0.5, 0.5), stable=None)):
+        plan = PerturbedPlan.from_model(m)
+        splits = [build_decomposition(m, T, side) for T in (16.0, 4096.0)
+                  for side in (NEGATIVE, POSITIVE)]
+        n_steps, thinned = 64, 0
+        for i in range(10):
+            rng = stream(71, i)
+            inc, s_inc = _per_side_reference(plan, n_steps, rng, splits)
+            got_rng = stream(71, i)
+            got_inc, got_s = discrete_increments(plan, n_steps, got_rng, decomp=splits)
+            assert np.array_equal(got_inc, inc) and np.array_equal(got_s, s_inc)
+            assert got_rng.random() == rng.random()
+            thinned += np.count_nonzero(got_s, axis=1)
+        assert np.all(thinned > 0)
+
+
+def test_discrete_increments_layout_promises():
+    # X is the same with no split, one split and four; the splits' draws
+    # are the last ones, one per jump beyond 1 in magnitude; the plan of
+    # S_T alone draws only right counts and sizes, no left counts and no
+    # normals
     m = tail_only_model(0.7, ELL1)
     plan = PerturbedPlan.from_model(m)
-    splits = [build_decomposition(m, T, side) for T in (16.0, 4096.0)
-              for side in (NEGATIVE, POSITIVE)]
-    n_steps, thinned = 64, 0
-    for i in range(10):
-        rng = stream(71, i)
-        counts = rng.poisson(plan.rate, size=n_steps)
-        total = int(counts.sum())
-        cell = np.repeat(np.arange(n_steps), counts)
-        right = rng.uniform(size=total) < plan.p_right
-        sizes = _masked_signed_sizes(plan, right, rng.uniform(size=total))
-        inc = np.full(n_steps, plan.drift)
-        inc = inc + np.sqrt(plan.var_unit) * rng.standard_normal(n_steps)
-        inc = inc + np.bincount(cell, weights=sizes, minlength=n_steps)
-        u = rng.uniform(size=total)
-        s_inc = []
-        for d in splits:
-            mask = sizes < -1.0 if d.side == NEGATIVE else sizes > 1.0
-            mask[mask] = u[mask] < d.thinning_probability(np.abs(sizes[mask]))
-            s_inc.append(np.bincount(cell[mask], weights=np.abs(sizes[mask]),
-                                     minlength=n_steps))
-        got_rng = stream(71, i)
-        got_inc, got_s = discrete_increments(plan, n_steps, got_rng, decomp=splits)
-        assert np.array_equal(got_inc, inc) and np.array_equal(got_s, np.array(s_inc))
+    four = [build_decomposition(m, T, side) for T in (16.0, 4096.0)
+            for side in (NEGATIVE, POSITIVE)]
+    n_steps = 32
+    for i in range(5):
+        rng = stream(73, i)
+        inc, _ = _per_side_reference(plan, n_steps, rng, [])
+        bare_rng = stream(73, i)
+        bare, none = discrete_increments(plan, n_steps, bare_rng)
+        assert none is None and np.array_equal(bare, inc)
+        assert bare_rng.random() == rng.random()
+        # the candidates, counted on a replay of both sides' draws
+        replay, n_cand = stream(73, i), 0
+        for table, rate in ((plan.table_right, plan.rate * plan.p_right),
+                            (plan.table_left, plan.rate * (1.0 - plan.p_right))):
+            x = table.sizes(replay.random(int(replay.poisson(rate, n_steps).sum())))
+            n_cand += np.count_nonzero(x > 1.0)
+        assert n_cand > 0
+        for splits in (four[1], four):
+            got_rng = stream(73, i)
+            got, _ = discrete_increments(plan, n_steps, got_rng, decomp=splits)
+            after = stream(73, i)
+            discrete_increments(plan, n_steps, after)
+            after.random(n_cand)
+            assert np.array_equal(got, bare) and got_rng.random() == after.random()
+    s_plan = PerturbedPlan.subordinator(four[1])
+    for i in range(5):
+        rng = stream(74, i)
+        counts = rng.poisson(s_plan.rate, size=n_steps)
+        x = s_plan.table_right.sizes(rng.random(int(counts.sum())))
+        got_rng = stream(74, i)
+        got, _ = discrete_increments(s_plan, n_steps, got_rng)
+        cells = np.repeat(np.arange(n_steps), counts)
+        assert np.allclose(got, np.bincount(cells, weights=x, minlength=n_steps),
+                           rtol=1e-12, atol=0.0)
         assert got_rng.random() == rng.random()
-        thinned += np.count_nonzero(got_s, axis=1)
-    assert np.all(thinned > 0)
+
+
+def _old_layout_increments(plan, n_steps, rng, splits):
+    # the layout before each side drew its own stream: one Poisson count per
+    # cell for both sides, a side uniform and a size uniform per jump, the
+    # normals, then one thinning uniform per jump
+    counts = rng.poisson(plan.rate, size=n_steps)
+    total = int(counts.sum())
+    cell = np.repeat(np.arange(n_steps), counts)
+    right = rng.uniform(size=total) < plan.p_right
+    sizes = _masked_signed_sizes(plan, right, rng.uniform(size=total))
+    inc = np.full(n_steps, plan.drift)
+    inc = inc + np.sqrt(plan.var_unit) * rng.standard_normal(n_steps)
+    inc = inc + np.bincount(cell, weights=sizes, minlength=n_steps)
+    u = rng.uniform(size=total)
+    s_inc = []
+    for d in splits:
+        mask = sizes < -1.0 if d.side == NEGATIVE else sizes > 1.0
+        mask[mask] = u[mask] < d.thinning_probability(np.abs(sizes[mask]))
+        s_inc.append(np.bincount(cell[mask], weights=np.abs(sizes[mask]),
+                                 minlength=n_steps))
+    return inc, np.array(s_inc)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [75, 76])
+def test_per_side_layout_matches_the_old_layout_in_law(seed):
+    # the per-side streams against the one-stream layout with side uniforms,
+    # on independent streams of a skewed plan (p_right = 3/4): two-sample KS
+    # on X after 1, 32 and 128 cells and on the S_T totals of a positive and
+    # a negative split, each at the 0.1 % level
+    m = replace(stable_model(0.7, 0.5), stable=None)
+    plan = PerturbedPlan.from_model(m)
+    splits = [build_decomposition(m, 16.0, side) for side in (POSITIVE, NEGATIVE)]
+    n, n_steps = 2000, 128
+    stats = []
+    for draw, phase in ((discrete_increments, 0), (_old_layout_increments, 1)):
+        rows = []
+        for i in range(n):
+            inc, s_inc = draw(plan, n_steps, stream(seed, i, phase), splits)
+            x = np.cumsum(inc)
+            rows.append([x[0], x[31], x[127], *s_inc.sum(axis=1)])
+        stats.append(np.array(rows))
+    new, old = stats
+    for k in range(new.shape[1]):
+        assert ks_2samp(new[:, k], old[:, k]).statistic < 1.949 * math.sqrt(2.0 / n), k
 
 
 def test_discrete_increments_match_path_law():
