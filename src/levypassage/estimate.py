@@ -1,28 +1,29 @@
 """Survival-probability Monte Carlo, exponent regression, lemma experiments.
 
-In the survival engine every path is simulated once and scored against every
-horizon and every boundary, so survivor counts are exactly nested in T and
-exactly ordered across pointwise-ordered boundaries.  Discrete survival
-draws each path once too, over the integer cells of its largest horizon,
-so its counts are nested in T as well.  The survival engine, discrete
-survival, the Gaussian refinement and the lemma experiment count through
-one first-passage counter, _survivors: each engine yields path rows and
-their limits, and the counter keeps the rows still pending, the death
-histogram by horizon bucket and the nested counts.  In exact mode a path
-is drawn in doubling blocks while any of its limits is pending in that
-mask; the draws and the running sum are those of the whole-grid path, so
-the counts are the same as when every path runs to the largest horizon.
-The exact paths of a chunk are drawn together, row by row on one reused
-stream cursor.  A perturbed-mode path stops in the same way:
-it is drawn in time blocks ending at t = 1, 2, 4, ..., 1024, then every
-1024, each block drawing its own jumps and normals from the path's stream,
-so a path that stops early draws nothing for later times.  The subordinator
-S_T is a perturbed plan too: its paths come from the same blocks and its
-marginals from discrete_increments.  Workers own disjoint path-index
-ranges with a fixed chunk size and run in forked processes when
-run.threads asks for more than one.
-The only state they hand back is integer survivor counts combined by
-addition, so results are identical for any worker count.
+In the survival engine every path is simulated once and scored against
+every horizon and every boundary, so survivor counts are exactly nested in
+T and exactly ordered across pointwise-ordered boundaries.  Discrete
+survival draws each path once too, over the integer cells of its largest
+horizon, so its counts are nested in T as well.  The survival engine,
+discrete survival, the product bound's S_T factor, the Gaussian refinement
+and the lemma experiment count through one first-passage counter,
+_survivors: each engine yields path rows and their limits, and the counter
+keeps the rows still pending, the death histogram by horizon bucket and
+the nested counts.  In exact mode a path is drawn in doubling blocks while
+any of its limits is pending in that mask; the draws and the running sum
+are those of the whole-grid path, so the counts are the same as when every
+path runs to the largest horizon.  The exact paths of a chunk are drawn
+together, row by row on one reused stream cursor.  A perturbed-mode path
+stops in the same way: it is drawn in time blocks ending at t = 1, 2, 4,
+..., 1024, then every 1024, each block drawing its own jumps and normals
+from the path's stream, so a path that stops early draws nothing for later
+times; the live rows of a chunk are built and scored together, in groups
+per block.  The subordinator S_T is a perturbed plan too: its paths come
+from the same blocks, and its marginals from discrete_increments.  Workers
+own disjoint path-index ranges with a fixed chunk size and run in forked
+processes when run.threads asks for more than one.  The only state they
+hand back is integer survivor counts combined by addition, so results are
+identical for any worker count.
 """
 
 from __future__ import annotations
@@ -39,12 +40,13 @@ import numpy as np
 from .decompose import (NEGATIVE, POSITIVE, DecompositionT, LaplaceBound,
                         build_decomposition, delta, laplace_bound)
 from .levymodel import Boundary, LevyModel
-from .passage import boundary_value, first_crossings, subordinator_stays_above
+from .passage import boundary_value, boundary_values, first_crossings
+from .passage import subordinator_stays_above  # noqa: F401  (bench/child.py wraps it here)
 from .rng import PHASE_PATHS, PHASE_SECONDARY, PHASE_TERTIARY, stream
 from .simulate import (PerturbedPlan, TimeGrid, _running_sum,
-                       discrete_increments, exact_rows, path_blocks,
-                       sample_subordinator_path)
+                       discrete_increments, exact_rows, perturbed_rows)
 from .simulate import sample_path  # noqa: F401  (bench/child.py wraps it here)
+from .simulate import sample_subordinator_path  # noqa: F401  (bench/child.py wraps it here)
 from .stable import StableParams, subordinator_unit_scale
 from .stable import sample_stable  # noqa: F401  (bench/child.py wraps it here)
 
@@ -181,8 +183,9 @@ def _survivors(rows_of, n_limits: int, Tg: np.ndarray, n_paths: int,
     """Survivor counts per limit and horizon, shape (n_limits, len(Tg)).
 
     rows_of(lo, hi, pending) yields (rows, vals, pts, limits) for the paths
-    lo..hi-1 of a chunk: the values of chunk rows `rows` at the points pts
-    and the limits there, both broadcast to (rows, n_limits, points).  A
+    lo..hi-1 of a chunk: the values of chunk rows `rows` at the points pts,
+    shared (points,) or one row each (rows, points), and the limits there,
+    values and limits both broadcast to (rows, n_limits, points).  A
     row still pending limit b that crosses it (ties survive) dies in the
     horizon bucket of its first crossing and stops pending b.  `pending`,
     shape (hi - lo, n_limits), is also the generator's stop rule: the exact
@@ -195,7 +198,8 @@ def _survivors(rows_of, n_limits: int, Tg: np.ndarray, n_paths: int,
         for rows, vals, pts, limits in rows_of(lo, hi, pending):
             k = first_crossings(vals, limits)
             r, b = np.nonzero(pending[rows] & (k >= 0))
-            bucket = Tg.searchsorted(pts[k[r, b]], side="left")
+            pts = np.broadcast_to(pts, (rows.size, pts.shape[-1]))
+            bucket = Tg.searchsorted(pts[r, k[r, b]], side="left")
             dead += np.bincount(b * dead.shape[1] + bucket,
                                 minlength=dead.size).reshape(dead.shape)
             pending[rows[r], b] = False
@@ -235,16 +239,13 @@ def survival_counts(model: LevyModel, boundaries: list[Boundary], T_grid,
         plan = plan or PerturbedPlan.from_model(model)
 
         def rows_of(lo, hi, pending):
-            for i in range(lo, hi):
-                row = np.array([i - lo])
-                for mpts, vals, _ in path_blocks(plan, pts, stream(seed, i, phase)):
-                    # a limit no longer pending is never read: +inf, not evaluated
-                    limits = np.full((len(boundaries), mpts.size), np.inf)
-                    for b in np.flatnonzero(pending[row[0]]):
-                        limits[b] = boundary_value(boundaries[b], mpts)
-                    yield row, vals[None, None], mpts, limits
-                    if not pending[row[0]].any():
-                        break
+            for rows, mpts, vals in perturbed_rows(plan, pts, seed, np.arange(lo, hi),
+                                                   phase, pending):
+                # a limit pending in no row of the group is never read: +inf, not evaluated
+                live = np.flatnonzero(pending[rows].any(axis=0))
+                limits = np.full((len(boundaries), *mpts.shape), np.inf)
+                limits[live] = boundary_values([boundaries[b] for b in live], mpts)
+                yield rows, vals[:, None], mpts, limits.transpose(1, 0, 2)
 
     return _survivors(rows_of, len(boundaries), Tg, n_paths, threads)
 
@@ -293,17 +294,20 @@ def product_bound_check(model: LevyModel, T: float, gamma: float, n_paths: int,
                               n_paths, grid, seed, threads, PHASE_SECONDARY,
                               PerturbedPlan.from_model(model, decomp))[0, 0])
 
-    s_boundary = Boundary("increasing", gamma, -0.5)  # S(t) >= t**gamma - 1/2
-    s_grid = TimeGrid(np.array([0.0, T]))
+    # S_T is constant between its epochs, so it stays at or above the
+    # increasing f(t) = t**gamma - 1/2 on [t_k, t_k+1) iff S(t_k) >= f(t_k+1),
+    # and at T iff S(T) >= f(T): -S is scored against -f at the next merged
+    # point (at T itself for the last), ties surviving
+    s_plan = PerturbedPlan.subordinator(decomp)
+    s_boundary = Boundary("increasing", gamma, -0.5)
 
-    def s_worker(lo, hi):
-        count = np.zeros(1, dtype=np.int64)
-        for i in range(lo, hi):
-            path = sample_subordinator_path(decomp, s_grid, stream(seed, i, PHASE_TERTIARY))
-            count[0] += subordinator_stays_above(path, s_boundary)
-        return count
+    def s_rows(lo, hi, pending):
+        for rows, mpts, vals in perturbed_rows(s_plan, np.array([0.0, T]), seed,
+                                               np.arange(lo, hi), PHASE_TERTIARY, pending):
+            after = np.concatenate([mpts[:, 1:], mpts[:, -1:]], axis=1)
+            yield rows, -vals[:, None], mpts, -boundary_value(s_boundary, after)[:, None]
 
-    k_s = int(_run_chunks(s_worker, n_paths, threads)[0])
+    k_s = int(_survivors(s_rows, 1, Tg, n_paths, threads)[0, 0])
 
     p_lhs, p_y, p_s = k_lhs / n_paths, k_y / n_paths, k_s / n_paths
     se = lambda p: math.sqrt(p * (1.0 - p) / n_paths)

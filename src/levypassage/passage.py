@@ -27,13 +27,24 @@ def boundary_value(b: Boundary, t):
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0):
         raise ValueError("boundaries are defined for t >= 0")
-    if b.kind == "constant":
-        out = np.full_like(arr, b.level)
-    elif b.kind == "decreasing":
-        out = b.level - arr ** b.gamma
-    else:
-        out = b.level + arr ** b.gamma
+    out = boundary_values([b], arr)[0]
     return float(out) if np.isscalar(t) or arr.ndim == 0 else out
+
+
+def boundary_values(bs, t: np.ndarray) -> np.ndarray:
+    """f(t) of each boundary of bs at the points t >= 0, stacked along a new
+    first axis; t**gamma is computed once per distinct gamma."""
+    out = np.empty((len(bs), *t.shape))
+    powers = {}
+    for i, b in enumerate(bs):
+        if b.kind == "constant":
+            out[i] = b.level
+            continue
+        if b.gamma not in powers:
+            powers[b.gamma] = t ** b.gamma
+        pw = powers[b.gamma]
+        out[i] = b.level - pw if b.kind == "decreasing" else b.level + pw
+    return out
 
 
 def first_crossings(values: np.ndarray, limits) -> np.ndarray:

@@ -8,15 +8,19 @@ approximation.  Perturbed paths monitor the union of the requested grid and
 the jump epochs, which removes the dominant crossing-detection error for
 jump-driven paths.
 
-One block source, path_blocks, builds perturbed paths in time blocks ending
-at the last grid points at or before t = 1, 2, 4, ..., 1024, then every
-BLOCK_CAP time units, and the horizon.  Each block draws its own jumps from
-the path's stream (PerturbedPlan.draw_jumps), then its normals, so a caller
-that stops after a block has drawn nothing for later times.  joined_blocks
-joins all blocks of the same stream, for sample_path, and given splits also
-builds the coupled S_T of each split, so that Y_T = X -+ S_T holds pathwise.
-A lone S_T is the plan PerturbedPlan.subordinator: its paths come from the
-same blocks, its marginals from the unit cells of discrete_increments.
+One block step, _block, builds perturbed paths for a group of rows in time
+blocks ending at the last grid points at or before t = 1, 2, 4, ..., 1024,
+then every BLOCK_CAP time units, and the horizon (block_ends).  Each row
+draws from its own stream its jumps (PerturbedPlan.draw_jumps), then its
+normals, then a thinning uniform per jump, so a row that stops after a block
+has drawn nothing for later times; the jump sizes, the merge of epochs into
+grid points and the running sums are computed once per group.
+perturbed_rows draws the blocks of many path indices in groups of rows, for
+the survival counter; joined_blocks joins the one-row blocks of one stream,
+for sample_path, and given splits also builds the coupled S_T of each split,
+so that Y_T = X -+ S_T holds pathwise.  A lone S_T is the plan
+PerturbedPlan.subordinator: its paths come from the same blocks, its
+marginals from the unit cells of discrete_increments.
 
 Determinism contract: a path is a pure function of (seed, path index, phase),
 independent of thread count and scheduling.
@@ -31,7 +35,7 @@ import numpy as np
 
 from .decompose import NEGATIVE, POSITIVE, DecompositionT, JumpTable
 from .levymodel import LevyModel
-from .rng import Cursor
+from .rng import Cursor, stream
 from .rvcalc import gl_panels, second_moment_below
 from .stable import StableParams, cms_transform, sample_stable
 
@@ -208,22 +212,44 @@ def block_ends(points: np.ndarray) -> np.ndarray:
     return np.unique(np.append(ends[ends > 0], points.size - 1))
 
 
-def path_blocks(plan: PerturbedPlan, points: np.ndarray, rng: np.random.Generator):
-    """A perturbed path on `points` in blocks (points[a], points[b]], b in block_ends.
+def perturbed_rows(plan: PerturbedPlan, points: np.ndarray, seed: int,
+                   paths: np.ndarray, phase: int, pending: np.ndarray):
+    """Perturbed paths of many path indices at once, in the blocks of block_ends.
 
-    Yields (merged, values, epochs) per block: its grid points and sorted
-    epochs merged, led by points[a] with the carried value.  Each block
-    draws from `rng` its jumps (plan.draw_jumps), the normals of its merged
-    cells and one thinning uniform per jump, in that order, so a caller may
-    stop after any block.
+    Yields (rows, merged, vals) per group of rows and block: merged[r] holds
+    the block's grid points and the epochs of paths[rows[r]] merged, led by
+    the block's first point, and vals[r] the path there, vals[:, 0] carried
+    from the previous block (0 at t = 0).  A row shorter than the group
+    repeats its last point and value.  Each block draws for the rows with
+    any limit still set in `pending`, the (rows, limits) mask of _survivors,
+    in groups of rows whose expected width (block points + rate * block
+    length) sums to at most ROW_CAP; a wider block holds one row.  Row r
+    draws from its own stream(seed, paths[r], phase) as _block orders, so
+    its path is joined_blocks' on that stream.
     """
-    for merged, values, epochs, _, _ in _blocks(plan, points, block_ends(points), rng):
-        yield merged, values, epochs
+    rngs = {}
+    carry = np.zeros(paths.size)
+    a = 0
+    for b in block_ends(points):
+        live = np.flatnonzero(pending.any(axis=1))
+        if live.size == 0:
+            return
+        rngs = {row: rngs.get(row) or stream(seed, int(paths[row]), phase) for row in live}
+        width = b - a + 1 + plan.rate * (points[b] - points[a])
+        per = max(1, int(ROW_CAP // width))
+        for lo in range(0, live.size, per):
+            rows = live[lo:lo + per]
+            merged, vals, _, _, _ = _block(plan, points[a:b + 1], [rngs[r] for r in rows],
+                                           carry[rows])
+            carry[rows] = vals[:, -1]
+            yield rows, merged, vals
+        a = b
 
 
 def joined_blocks(plan: PerturbedPlan, points: np.ndarray, rng: np.random.Generator,
                   splits=()):
-    """All blocks of path_blocks joined: the whole path, as one block.
+    """The blocks of one path (block_ends, each a _block of one row) joined: the
+    whole path, as (merged points, values, epochs).
 
     Without jumps the block ends do not change the draws, so one block is drawn.
     With `splits`, also returns the values of each split's S_T, one row per
@@ -232,8 +258,11 @@ def joined_blocks(plan: PerturbedPlan, points: np.ndarray, rng: np.random.Genera
     uniforms are drawn with or without splits, so X does not depend on them.
     """
     ends = block_ends(points) if plan.rate > 0 else [points.size - 1]
-    blocks = list(_blocks(plan, points, ends, rng))
-    merged, values = (np.concatenate([blocks[0][k]] + [b[k][1:] for b in blocks[1:]])
+    a, carry, blocks = 0, np.zeros(1), []
+    for b in ends:
+        blocks.append(_block(plan, points[a:b + 1], [rng], carry))
+        a, carry = b, blocks[-1][1][:, -1]
+    merged, values = (np.concatenate([blocks[0][k][0]] + [b[k][0, 1:] for b in blocks[1:]])
                       for k in (0, 1))
     epochs, sizes, thin_u = (np.concatenate([b[k] for b in blocks]) for k in (2, 3, 4))
     if not splits:
@@ -241,20 +270,93 @@ def joined_blocks(plan: PerturbedPlan, points: np.ndarray, rng: np.random.Genera
     return merged, values, epochs, _coupled(splits, merged, epochs, sizes, thin_u)
 
 
-def _blocks(plan: PerturbedPlan, points: np.ndarray, ends, rng: np.random.Generator):
-    """(merged, values, epochs, signed sizes, thinning uniforms) per block."""
-    a, carry = 0, 0.0
-    for b in ends:
-        epochs, right, u = plan.draw_jumps(rng, points[a], points[b])
-        sizes = plan.signed_sizes(right, u)
-        merged = np.union1d(points[a:b + 1], epochs) if epochs.size else points[a:b + 1]
-        dt = np.diff(merged)
-        inc = plan.drift * dt
-        if plan.var_unit > 0:
-            inc = inc + np.sqrt(plan.var_unit * dt) * rng.standard_normal(dt.size)
-        values = _running_sum(inc + _cell_jumps(merged, epochs, sizes), carry)
-        a, carry = b, values[-1]
-        yield merged, values, epochs, sizes, rng.random(epochs.size)
+def _block(plan: PerturbedPlan, g: np.ndarray, rngs, carry):
+    """The block (g[0], g[-1]] of a group of rows, row r drawing from rngs[r].
+
+    Each row draws its jumps (plan.draw_jumps), then the normals of its
+    merged cells, then one thinning uniform per jump: the one draw order of
+    every perturbed path, so a caller may stop a row after any block.  The
+    work after the draws is done once for the group.  Returns (merged,
+    values, epochs, sizes, thin_u): the points g and each row's epochs
+    merged and the row's values there from carry[r] at g[0], both of shape
+    (rows, width), a shorter row repeating its last point and value; then
+    the group's epochs, signed sizes and thinning uniforms, row after row.
+    """
+    epochs, sizes = _group_jumps(plan, g, rngs)
+    merged, n_points, cell = _merge(g, epochs)
+    values = np.empty(merged.shape)
+    values[:, 0] = carry
+    inc = np.subtract(merged[:, 1:], merged[:, :-1], out=values[:, 1:])  # cell lengths
+    if plan.var_unit > 0:
+        z = np.zeros(inc.shape)
+        for rng, row, n in zip(rngs, z, n_points):
+            rng.standard_normal(out=row[:n - 1])
+        z *= np.sqrt(plan.var_unit * inc)
+        inc *= plan.drift
+        inc += z
+    else:
+        inc *= plan.drift
+    thin_u = [rng.random(e.size) for rng, e in zip(rngs, epochs)]
+    inc += np.bincount(cell, weights=sizes, minlength=merged.size).reshape(merged.shape)[:, 1:]
+    np.cumsum(values, axis=1, out=values)
+    if len(rngs) > 1:
+        return merged, values, np.concatenate(epochs), sizes, np.concatenate(thin_u)
+    return merged, values, epochs[0], sizes, thin_u[0]
+
+
+def _group_jumps(plan: PerturbedPlan, g: np.ndarray, rngs):
+    """Each row's jumps in (g[0], g[-1]] drawn by plan.draw_jumps: (epochs
+    per row, the group's signed sizes row after row)."""
+    jumps = [plan.draw_jumps(rng, g[0], g[-1]) for rng in rngs]
+    if len(jumps) == 1:
+        epochs, right, u = jumps[0]
+        return [epochs], plan.signed_sizes(right, u)
+    # each row's right jumps take the first of its size uniforms
+    n_right = [np.count_nonzero(r) for _, r, _ in jumps]
+    u = np.concatenate([u[:n] for (_, _, u), n in zip(jumps, n_right)]
+                       + [u[n:] for (_, _, u), n in zip(jumps, n_right)])
+    return ([e for e, _, _ in jumps],
+            plan.signed_sizes(np.concatenate([r for _, r, _ in jumps]), u))
+
+
+def _merge(g: np.ndarray, epochs):
+    """The points g and each row's sorted epochs in (g[0], g[-1]] merged as
+    np.union1d merges them: (merged, points per row, flat index into merged
+    of each epoch's point).
+
+    merged has shape (rows, width), a shorter row repeating its last point.
+    Several rows are placed by index: epoch j of a row is preceded by j
+    epochs and by the points of g below it.  A row alone, or a group with
+    an epoch on a point of g or on another epoch, is merged row by row.
+    """
+    if len(epochs) > 1:
+        counts = np.array([e.size for e in epochs])
+        flat = np.concatenate(epochs)
+        k = g.searchsorted(flat)
+        row = np.repeat(np.arange(counts.size), counts)
+        rank = np.arange(flat.size) - (np.cumsum(counts) - counts)[row]
+        repeated = (flat[1:] == flat[:-1]) & (rank[1:] > 0)
+        if not (np.any(g.take(k) == flat) or np.any(repeated)):
+            n_points = g.size + counts
+            width = n_points.max()
+            cell = row * width + k + rank
+            merged = np.empty((counts.size, width))
+            free = np.arange(width) < n_points[:, None]
+            merged[~free] = g[-1]
+            merged.ravel()[cell] = flat
+            free.ravel()[cell] = False
+            merged[free] = np.tile(g, counts.size)
+            return merged, n_points, cell
+    rows = [np.union1d(g, e) if e.size else g for e in epochs]
+    if len(rows) == 1:
+        return rows[0][None], [rows[0].size], rows[0].searchsorted(epochs[0])
+    n_points = [m.size for m in rows]
+    merged = np.empty((len(rows), max(n_points)))
+    for out, m in zip(merged, rows):
+        out[:m.size], out[m.size:] = m, m[-1]
+    cell = [r * merged.shape[1] + m.searchsorted(e)
+            for r, (m, e) in enumerate(zip(rows, epochs))]
+    return merged, n_points, np.concatenate(cell)
 
 
 def _coupled(splits, merged, epochs, sizes, thin_u) -> np.ndarray:
@@ -360,7 +462,8 @@ def discrete_increments(plan: PerturbedPlan, n_steps: int,
     increments so callers can form Y_T = X -+ S_T pathwise; a sequence of
     splits gives one row per split.  Splits draw last: one thinning uniform
     per jump beyond 1 in magnitude, right ones first, in cell order, shared
-    by every split on that side, so X does not depend on them.
+    by every split on that side, so X does not depend on them.  Splits of
+    one delta, side and tail thin the same jumps: their row is computed once.
     """
     sides = ((plan.table_right, plan.rate * plan.p_right),
              (plan.table_left, plan.rate * (1.0 - plan.p_right)))
@@ -380,10 +483,14 @@ def discrete_increments(plan: PerturbedPlan, n_steps: int,
     n_right = cands[POSITIVE][1].size
     u = rng.random(n_right + cands[NEGATIVE][1].size)
     s_inc = np.empty((len(splits), n_steps))
+    rows = {}  # splits of one delta, side and tail thin the same jumps
     for row, d in zip(s_inc, splits):
-        cell, x = cands[d.side]
-        t = d.thinned(x, u[:n_right] if d.side == POSITIVE else u[n_right:])
-        row[:] = np.bincount(cell[t], weights=x[t], minlength=n_steps)
+        key = (d.delta, d.side, d.tail)
+        if key not in rows:
+            cell, x = cands[d.side]
+            t = d.thinned(x, u[:n_right] if d.side == POSITIVE else u[n_right:])
+            rows[key] = np.bincount(cell[t], weights=x[t], minlength=n_steps)
+        row[:] = rows[key]
     return inc, s_inc if splits is decomp else s_inc[0]
 
 

@@ -21,7 +21,7 @@ from levypassage.levymodel import (Boundary, LevyModel, stable_model,
 from levypassage.passage import boundary_value, first_crossings
 from levypassage.rng import stream
 from levypassage.rvcalc import SlowlyVaryingSpec, tail_mass
-from levypassage.simulate import (ETA, PerturbedPlan, TimeGrid, path_blocks,
+from levypassage.simulate import (ETA, PerturbedPlan, TimeGrid, perturbed_rows,
                                   sample_path)
 from levypassage.stable import StableParams, positivity_parameter, sample_stable
 
@@ -166,13 +166,13 @@ def test_perturbed_grid_survival_matches_exact():
     grid = TimeGrid.survival(T_grid[-1])
     n_pert, n_exact = 4000, 20_000
     died = np.full(n_pert, np.inf)
-    for i in range(n_pert):
-        for mpts, vals, _ in path_blocks(plan, grid.points, stream(77, i)):
-            on_grid = np.isin(mpts, grid.points)
-            pts = mpts[on_grid]
-            died[i] = grid_deaths(boundary_value(b, pts), pts, vals[on_grid])
-            if died[i] < np.inf:
-                break
+    pending = np.ones((n_pert, 1), dtype=bool)
+    for rows, mpts, vals in perturbed_rows(plan, grid.points, 77, np.arange(n_pert),
+                                           0, pending):
+        on_grid = np.isin(mpts, grid.points)
+        limits = np.where(on_grid, boundary_value(b, mpts), np.inf)
+        died[rows] = [grid_deaths(lim, p, v) for lim, p, v in zip(limits, mpts, vals)]
+        pending[rows[died[rows] < np.inf]] = False
     pert = (died[:, None] > T_grid).sum(axis=0)
     exact = survival_counts(m, [b], T_grid, n_exact, grid, seed=78)[0]
     z = two_sample_z(pert, n_pert, exact, n_exact)

@@ -5,6 +5,7 @@ import pytest
 
 from levypassage.levymodel import Boundary, LevyModel, stable_model
 from levypassage.passage import (IntegralTest, SurvivalVerdict, boundary_value,
+                                 boundary_values,
                                  brownian_integral_test,
                                  subordinator_stays_above, survives)
 from levypassage.rng import stream
@@ -23,6 +24,21 @@ def test_boundary_values():
     assert boundary_value(Boundary("increasing", 0.5, 1.0), 4.0) == 3.0
     with pytest.raises(ValueError):
         boundary_value(Boundary("constant"), -1.0)
+
+
+def test_boundary_values_are_each_boundary_bit_for_bit():
+    # stacked values, t**gamma shared by boundaries of one gamma, equal the
+    # formula f(t) = level, level - t**gamma or level + t**gamma elementwise
+    t = np.array([[0.0, 0.5, 1.0, 3.7], [2.0, 1e-9, 1e3, 16384.0]])
+    bs = [Boundary("constant", level=0.3), Boundary("decreasing", 1.3, 2.0),
+          Boundary("increasing", 1.3, -1.0), Boundary("increasing", 0.5),
+          Boundary("decreasing", 2.0)]
+    want = [np.full_like(t, 0.3), 2.0 - t ** 1.3, -1.0 + t ** 1.3, 1.0 + t ** 0.5,
+            1.0 - t ** 2.0]
+    got = boundary_values(bs, t)
+    assert got.shape == (5, 2, 4)
+    for b, row, w in zip(bs, got, want):
+        assert np.array_equal(row, w) and np.array_equal(boundary_value(b, t), w)
 
 
 def test_zero_path_vs_decreasing():

@@ -8,15 +8,16 @@ from scipy.stats import ks_2samp
 from levypassage.decompose import (NEGATIVE, POSITIVE, JumpTable,
                                    build_decomposition)
 from levypassage import estimate
-from levypassage.estimate import _subordinator_marginal, survival_counts
+from levypassage.estimate import (_subordinator_marginal, product_bound_check,
+                                  survival_counts)
 from levypassage.fluctuation import spitzer_profile
 from levypassage.levymodel import (Boundary, LevyModel, stable_model,
                                    standard_symmetric_model, tail_only_model)
-from levypassage.rng import stream
+from levypassage.rng import PHASE_TERTIARY, stream
 from levypassage.rvcalc import SlowlyVaryingSpec
-from levypassage.passage import survives
-from levypassage.simulate import (ETA, PerturbedPlan, TimeGrid, block_ends,
-                                  discrete_increments, joined_blocks, path_blocks,
+from levypassage.passage import boundary_value, subordinator_stays_above, survives
+from levypassage.simulate import (ETA, ROW_CAP, PerturbedPlan, TimeGrid, block_ends,
+                                  discrete_increments, joined_blocks, perturbed_rows,
                                   sample_path, sample_subordinator_path)
 from levypassage.stable import StableParams, sample_stable
 
@@ -469,14 +470,15 @@ def test_path_blocks_equal_the_whole_path(name, ends):
     thinned = 0
     for i in range(8):
         path = sample_path(x_model, grid, stream(61, i), plan=plan)
-        blocks = list(path_blocks(plan, pts, stream(61, i)))
+        # one path alone, every limit pending: one row per block
+        blocks = [(m[0], v[0]) for _, m, v in perturbed_rows(
+            plan, pts, 61, np.array([i]), 0, np.ones((1, 1), dtype=bool))]
         assert len(blocks) == ends.size
-        for (merged, _, epochs), a, b in zip(blocks, np.append(0, ends), ends):
+        for (merged, _), a, b in zip(blocks, np.append(0, ends), ends):
             assert merged[0] == pts[a] and merged[-1] == pts[b]
-            assert np.all((epochs > pts[a]) & (epochs <= pts[b]))
         got_pts = np.concatenate([blocks[0][0]] + [b[0][1:] for b in blocks[1:]])
         got_vals = np.concatenate([blocks[0][1]] + [b[1][1:] for b in blocks[1:]])
-        got_epochs = np.concatenate([b[2] for b in blocks])
+        got_epochs = got_pts[~np.isin(got_pts, pts)]
         assert np.array_equal(got_pts, path.grid.points)
         assert np.array_equal(got_vals, path.values)
         assert np.array_equal(got_epochs, path.jump_times)
@@ -512,6 +514,154 @@ def test_perturbed_survival_counts_score_the_whole_path(name):
     assert 0 < want[:, -1].sum() and want[:, 0].sum() < n_paths * len(boundaries)
 
 
+def _reference_blocks(plan, points, rng):
+    # one path's blocks built alone, the reference for rows built in groups:
+    # jumps, merged points, normals, running sum, then the thinning uniforms
+    a, carry = 0, 0.0
+    for b in block_ends(points):
+        epochs, right, u = plan.draw_jumps(rng, points[a], points[b])
+        sizes = plan.signed_sizes(right, u)
+        merged = np.union1d(points[a:b + 1], epochs) if epochs.size else points[a:b + 1]
+        dt = np.diff(merged)
+        inc = plan.drift * dt
+        if plan.var_unit > 0:
+            inc = inc + np.sqrt(plan.var_unit * dt) * rng.standard_normal(dt.size)
+        jumps = np.bincount(np.searchsorted(merged, epochs), weights=sizes,
+                            minlength=merged.size)[1:]
+        values = np.cumsum(np.append(carry, inc + jumps))
+        rng.random(epochs.size)
+        a, carry = b, values[-1]
+        yield merged, values
+
+
+def _reference_counts(plan, boundaries, T_grid, n_paths, points, seed, threads):
+    # survival_counts' perturbed rows scored one path at a time, the reference
+    def rows_of(lo, hi, pending):
+        for i in range(lo, hi):
+            row = np.array([i - lo])
+            for mpts, vals in _reference_blocks(plan, points, stream(seed, i)):
+                limits = np.full((len(boundaries), mpts.size), np.inf)
+                for b in np.flatnonzero(pending[row[0]]):
+                    limits[b] = boundary_value(boundaries[b], mpts)
+                yield row, vals[None, None], mpts, limits
+                if not pending[row[0]].any():
+                    break
+
+    return estimate._survivors(rows_of, len(boundaries), np.asarray(T_grid, dtype=float),
+                               n_paths, threads)
+
+
+def _row_cases():
+    """name -> (plan, model): unequal sides (beta = 0.5), one side (beta = 1),
+    no jumps, and a Y_T plan with the negative split at T = 64."""
+    return {
+        "beta-half": (None, replace(stable_model(0.7, 0.5), stable=None)),
+        "one-sided": (None, replace(stable_model(0.7, 1.0), stable=None)),
+        "jump-free": (None, LevyModel(b=0.05, sigma2=1.0)),
+        "y-split": (PerturbedPlan.from_model(SCALED, build_decomposition(SCALED, 64.0, NEGATIVE)),
+                    replace(SCALED, stable=None)),
+    }
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("name", list(_row_cases()))
+def test_perturbed_survival_counts_equal_the_per_path_rows(name, threads):
+    # rows drawn in groups count bit for bit as the per-path rows did: three
+    # boundaries, 300 paths (a chunk of 256 and one of 44), rows that die
+    # in the first block and rows that die after t = 2
+    plan, model = _row_cases()[name]
+    boundaries = [Boundary("constant", level=1.0), Boundary("decreasing", 1.3, 2.0),
+                  Boundary("increasing", 0.5)]
+    T_grid, n_paths, seed = [0.5, 2.0, 8.0, 32.0, 64.0], 300, 17
+    points = TimeGrid.survival(64.0).points
+    got = survival_counts(model, boundaries, T_grid, n_paths, TimeGrid(points), seed,
+                          threads, plan=plan)
+    want = _reference_counts(plan or PerturbedPlan.from_model(model), boundaries, T_grid,
+                             n_paths, points, seed, threads)
+    assert got.tolist() == want.tolist()
+    assert np.any(want[:, 0] < n_paths) and np.any(want[:, 1] > want[:, -1])
+
+
+def _assert_rows_are_reference_blocks(plan, points, seed, paths, phase):
+    # every row of every group is its path's reference block, then repeats
+    # its last point and value; row r stops after 1 + r % 4 blocks
+    want = [list(_reference_blocks(plan, points, stream(seed, int(p), phase))) for p in paths]
+    pending = np.ones((paths.size, 2), dtype=bool)
+    seen = np.zeros(paths.size, dtype=int)
+    padded = 0
+    for rows, merged, vals in perturbed_rows(plan, points, seed, paths, phase, pending):
+        assert merged.shape == vals.shape and merged.shape[0] == rows.size
+        for r, m, v in zip(rows, merged, vals):
+            wm, wv = want[r][seen[r]]
+            assert np.array_equal(m[:wm.size], wm) and np.array_equal(v[:wm.size], wv)
+            assert np.all(m[wm.size:] == wm[-1]) and np.all(v[wm.size:] == wv[-1])
+            padded += m.size > wm.size
+            seen[r] += 1
+            if seen[r] == 1 + r % 4:
+                pending[r] = False
+    assert seen.tolist() == [min(1 + r % 4, len(w)) for r, w in enumerate(want)]
+    return padded
+
+
+@pytest.mark.parametrize("name", list(_row_cases()))
+def test_perturbed_rows_are_the_per_path_blocks(name):
+    plan, model = _row_cases()[name]
+    plan = plan or PerturbedPlan.from_model(model)
+    padded = _assert_rows_are_reference_blocks(plan, TimeGrid.survival(64.0).points, 5,
+                                               3 + 7 * np.arange(40), 1)
+    assert (padded > 0) == (plan.rate > 0)
+
+
+def test_perturbed_rows_merge_epochs_on_points_as_union1d(monkeypatch):
+    # an epoch on a grid point (the block's end) or on the row's previous
+    # epoch is one merged point, its jump in that point's cell
+    draw_jumps = PerturbedPlan.draw_jumps
+
+    def on_points(self, rng, lo, hi):
+        epochs, right, u = draw_jumps(self, rng, lo, hi)
+        if epochs.size > 2:
+            epochs[1], epochs[-1] = epochs[0], hi
+        return epochs, right, u
+
+    monkeypatch.setattr(PerturbedPlan, "draw_jumps", on_points)
+    plan = PerturbedPlan.from_model(replace(stable_model(0.7, 0.5), stable=None))
+    _assert_rows_are_reference_blocks(plan, TimeGrid.survival(8.0).points, 6,
+                                      np.arange(12), 0)
+
+
+def test_perturbed_rows_hold_one_row_per_block_wider_than_the_cap():
+    # rows are grouped before they draw, by expected width: block points +
+    # rate * block length, at most ROW_CAP per group, one row if wider
+    plan = PerturbedPlan.from_model(replace(SCALED, stable=None))
+    pts = TimeGrid.survival(256.0).points
+    ends = block_ends(pts)
+    starts = np.append(0, ends[:-1])
+    width = ends - starts + 1 + plan.rate * (pts[ends] - pts[starts])
+    assert width[0] < ROW_CAP < width[-1]
+    groups = {}
+    for rows, merged, _ in perturbed_rows(plan, pts, 9, np.arange(6), 0,
+                                          np.ones((6, 1), dtype=bool)):
+        groups.setdefault(merged[0, 0], []).append(rows.size)
+    for a, w in zip(starts, width):
+        per = max(1, int(ROW_CAP // w))
+        assert groups[pts[a]] == [min(per, 6 - lo) for lo in range(0, 6, per)]
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+@pytest.mark.parametrize("model", [SCALED, stable_model(0.5, -0.5)], ids=["scaled", "skewed"])
+def test_product_bound_s_factor_is_the_per_path_predicate(model, seed):
+    # the S_T factor, counted through _survivors on -S_T, equals
+    # subordinator_stays_above on each path of the subordinator plan
+    T, gamma, n_paths = 64.0, 1.0, 300
+    decomp = build_decomposition(model, T, NEGATIVE)
+    b, grid = Boundary("increasing", gamma, -0.5), TimeGrid(np.array([0.0, T]))
+    want = sum(subordinator_stays_above(
+        sample_subordinator_path(decomp, grid, stream(seed, i, PHASE_TERTIARY)), b)
+        for i in range(n_paths))
+    assert 0 < want < n_paths
+    assert product_bound_check(model, T, gamma, n_paths, seed).p_s == want / n_paths
+
+
 def test_perturbed_rows_evaluate_only_pending_boundaries(monkeypatch):
     # every path crosses the first level at t = 0 and never the second: the
     # first is evaluated on each path's first block only, the second on
@@ -519,10 +669,10 @@ def test_perturbed_rows_evaluate_only_pending_boundaries(monkeypatch):
     model = replace(standard_symmetric_model(0.7), stable=None)
     crossed, never = Boundary("constant", level=-0.5), Boundary("constant", level=1e300)
     T, n_paths, grid = 64.0, 3, TimeGrid.survival(64.0)
-    seen = []
-    real = estimate.boundary_value
-    monkeypatch.setattr(estimate, "boundary_value",
-                        lambda b, t: seen.append(b) or real(b, t))
+    seen = []  # each boundary evaluated, once per row of a group
+    real = estimate.boundary_values
+    monkeypatch.setattr(estimate, "boundary_values",
+                        lambda bs, t: seen.extend(b for b in bs for _ in t) or real(bs, t))
     got = survival_counts(model, [crossed, never], [T], n_paths, grid, 5)
     assert got.tolist() == [[0], [n_paths]]
     assert seen.count(crossed) == n_paths
