@@ -14,11 +14,14 @@ then every BLOCK_CAP time units, and the horizon (block_ends).  Each row
 draws from its own stream its jumps (PerturbedPlan.draw_jumps), then its
 normals, then a thinning uniform per jump, so a row that stops after a block
 has drawn nothing for later times; the jump sizes, the merge of epochs into
-grid points and the running sums are computed once per group.
-perturbed_rows draws the blocks of many path indices in groups of rows, for
-the survival counter; joined_blocks joins the one-row blocks of one stream,
-for sample_path, and given splits also builds the coupled S_T of each split,
-so that Y_T = X -+ S_T holds pathwise.  A lone S_T is the plan
+grid points and the running sums are computed once per group.  _block draws
+the jumps and normals, its callers the thinning uniforms.  joined_blocks
+joins the one-row blocks of one stream, for sample_path, drawing each
+block's uniforms right after it, and given splits also builds the coupled
+S_T of each split, so that Y_T = X -+ S_T holds pathwise.  perturbed_rows
+draws the blocks of many path indices in groups of rows, for the survival
+counter, and a row's uniforms at the start of its next block, so a row that
+stops never draws them.  A lone S_T is the plan
 PerturbedPlan.subordinator: its paths come from the same blocks, its
 marginals from the unit cells of discrete_increments.
 
@@ -224,11 +227,13 @@ def perturbed_rows(plan: PerturbedPlan, points: np.ndarray, seed: int,
     any limit still set in `pending`, the (rows, limits) mask of _survivors,
     in groups of rows whose expected width (block points + rate * block
     length) sums to at most ROW_CAP; a wider block holds one row.  Row r
-    draws from its own stream(seed, paths[r], phase) as _block orders, so
-    its path is joined_blocks' on that stream.
+    draws from its own stream(seed, paths[r], phase) as _block orders, and
+    the thinning uniforms of its previous block just before its next block's
+    jumps, so its path is joined_blocks' on that stream.
     """
     rngs = {}
     carry = np.zeros(paths.size)
+    owed = np.zeros(paths.size, dtype=np.intp)  # thinning uniforms of each row's last block
     a = 0
     for b in block_ends(points):
         live = np.flatnonzero(pending.any(axis=1))
@@ -239,8 +244,12 @@ def perturbed_rows(plan: PerturbedPlan, points: np.ndarray, seed: int,
         per = max(1, int(ROW_CAP // width))
         for lo in range(0, live.size, per):
             rows = live[lo:lo + per]
-            merged, vals, _, _, _ = _block(plan, points[a:b + 1], [rngs[r] for r in rows],
-                                           carry[rows])
+            group = [rngs[r] for r in rows]
+            for rng, k in zip(group, owed[rows].tolist()):
+                if k:
+                    rng.random(k)
+            merged, vals, epochs, _ = _block(plan, points[a:b + 1], group, carry[rows])
+            owed[rows] = [e.size for e in epochs]
             carry[rows] = vals[:, -1]
             yield rows, merged, vals
         a = b
@@ -255,14 +264,16 @@ def joined_blocks(plan: PerturbedPlan, points: np.ndarray, rng: np.random.Genera
     With `splits`, also returns the values of each split's S_T, one row per
     split: the jumps beyond 1 on its side that the split thins, by
     magnitude, all splits sharing the thinning uniforms.  The thinning
-    uniforms are drawn with or without splits, so X does not depend on them.
+    uniforms, one per jump, are drawn right after each block, with or
+    without splits, so X does not depend on them.
     """
     ends = block_ends(points) if plan.rate > 0 else [points.size - 1]
     a, carry, blocks = 0, np.zeros(1), []
     for b in ends:
-        blocks.append(_block(plan, points[a:b + 1], [rng], carry))
-        a, carry = b, blocks[-1][1][:, -1]
-    merged, values = (np.concatenate([blocks[0][k][0]] + [b[k][0, 1:] for b in blocks[1:]])
+        merged, values, (epochs,), sizes = _block(plan, points[a:b + 1], [rng], carry)
+        blocks.append((merged[0], values[0], epochs, sizes, rng.random(epochs.size)))
+        a, carry = b, values[:, -1]
+    merged, values = (np.concatenate([blocks[0][k]] + [b[k][1:] for b in blocks[1:]])
                       for k in (0, 1))
     epochs, sizes, thin_u = (np.concatenate([b[k] for b in blocks]) for k in (2, 3, 4))
     if not splits:
@@ -274,13 +285,14 @@ def _block(plan: PerturbedPlan, g: np.ndarray, rngs, carry):
     """The block (g[0], g[-1]] of a group of rows, row r drawing from rngs[r].
 
     Each row draws its jumps (plan.draw_jumps), then the normals of its
-    merged cells, then one thinning uniform per jump: the one draw order of
-    every perturbed path, so a caller may stop a row after any block.  The
-    work after the draws is done once for the group.  Returns (merged,
-    values, epochs, sizes, thin_u): the points g and each row's epochs
-    merged and the row's values there from carry[r] at g[0], both of shape
-    (rows, width), a shorter row repeating its last point and value; then
-    the group's epochs, signed sizes and thinning uniforms, row after row.
+    merged cells; the caller draws one thinning uniform per jump before the
+    row's next block.  That is the one draw order of every perturbed path,
+    so a caller may stop a row after any block.  The work after the draws
+    is done once for the group.  Returns (merged, values, epochs, sizes):
+    the points g and each row's epochs merged and the row's values there
+    from carry[r] at g[0], both of shape (rows, width), a shorter row
+    repeating its last point and value; then each row's epochs and the
+    group's signed sizes, row after row.
     """
     epochs, sizes = _group_jumps(plan, g, rngs)
     merged, n_points, cell = _merge(g, epochs)
@@ -296,12 +308,9 @@ def _block(plan: PerturbedPlan, g: np.ndarray, rngs, carry):
         inc += z
     else:
         inc *= plan.drift
-    thin_u = [rng.random(e.size) for rng, e in zip(rngs, epochs)]
     inc += np.bincount(cell, weights=sizes, minlength=merged.size).reshape(merged.shape)[:, 1:]
     np.cumsum(values, axis=1, out=values)
-    if len(rngs) > 1:
-        return merged, values, np.concatenate(epochs), sizes, np.concatenate(thin_u)
-    return merged, values, epochs[0], sizes, thin_u[0]
+    return merged, values, epochs, sizes
 
 
 def _group_jumps(plan: PerturbedPlan, g: np.ndarray, rngs):
@@ -418,6 +427,7 @@ def exact_rows(params: StableParams, dt_pow: np.ndarray, seed: int,
     """
     n = dt_pow.size
     cur = Cursor()
+    place, uniform, exponential = cur.place, cur.gen.random, cur.gen.standard_exponential
     carry = np.zeros(paths.size)
     start, size = 0, FIRST_BLOCK
     while start < n and pending.any():
@@ -429,12 +439,19 @@ def exact_rows(params: StableParams, dt_pow: np.ndarray, seed: int,
             rows = live[lo:lo + per]
             vals = np.empty((rows.size, stop - start + 1))
             w = np.empty((rows.size, stop - start))
-            for r, row in enumerate(rows):
-                path = int(paths[row])
-                cur.place(seed, path, phase, start).random(out=vals[r, 1:])
-                if stop - start < n:
-                    cur.place(seed, path, phase, n).standard_exponential(out=dropped)
-                cur.gen.standard_exponential(out=w[r])
+            draws = zip(vals[:, 1:], w, paths[rows].tolist())
+            if stop - start == n:  # one block: the exponentials follow the uniforms
+                for u, e, path in draws:
+                    place(seed, path, phase)
+                    uniform(out=u)
+                    exponential(out=e)
+            else:
+                for u, e, path in draws:
+                    place(seed, path, phase, start)
+                    uniform(out=u)
+                    place(seed, path, phase, n)
+                    exponential(out=dropped)
+                    exponential(out=e)
             vals[:, 1:] = cms_transform(params, vals[:, 1:], w) * dt_pow[start:stop]
             vals[:, 0] = carry[rows]
             np.cumsum(vals, axis=1, out=vals)

@@ -19,7 +19,7 @@ from levypassage.fluctuation import spitzer_profile
 from levypassage.levymodel import (Boundary, LevyModel, stable_model,
                                    standard_symmetric_model)
 from levypassage.passage import boundary_value, first_crossings
-from levypassage.rng import stream
+from levypassage.rng import Cursor, stream
 from levypassage.rvcalc import SlowlyVaryingSpec, tail_mass
 from levypassage.simulate import (ETA, PerturbedPlan, TimeGrid, perturbed_rows,
                                   sample_path)
@@ -252,6 +252,43 @@ def test_cleared_rows_stop_being_drawn():
         pending[0, 1] = False  # one of two limits cleared: still drawn
         pending[1] = False  # both cleared: stops
     assert seen == [(0, [0, 1, 2]), (128, [0, 2]), (384, [0, 2]), (896, [0, 2])]
+
+
+def _count_places(monkeypatch):
+    """Wrap Cursor.place; the returned list collects one entry per call."""
+    calls, place = [], Cursor.place
+
+    def counted(self, *args):
+        calls.append(args)
+        return place(self, *args)
+
+    monkeypatch.setattr(Cursor, "place", counted)
+    return calls
+
+
+def test_one_block_paths_place_the_cursor_once(monkeypatch):
+    """A path drawn in one block places the cursor once: its exponentials
+    follow its uniforms, with no second placement."""
+    calls = _count_places(monkeypatch)
+    spitzer_profile(stable_model(0.7, 0.3), [0.5, 1.0, 2.0, 4.0, 8.0], 300, 7)
+    assert len(calls) == 300
+
+
+def test_many_block_paths_place_the_cursor_twice_per_block(monkeypatch):
+    """On a grid longer than one block every row and block drawn places
+    the cursor twice: at its uniforms and at the path's exponentials."""
+    calls = _count_places(monkeypatch)
+    drawn, rows_of = [], estimate.exact_rows
+
+    def counted_rows(*args):
+        for start, rows, vals in rows_of(*args):
+            drawn.append(rows.size)
+            yield start, rows, vals
+
+    monkeypatch.setattr(estimate, "exact_rows", counted_rows)
+    survival_counts(stable_model(0.7), [Boundary("constant")], [16.0, 400.0], 200,
+                    TimeGrid.uniform(400.0, 1.0), seed=5)
+    assert len(drawn) > 1 and len(calls) == 2 * sum(drawn)
 
 
 def test_pool_parts_match_serial_and_run_in_children():

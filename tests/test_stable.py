@@ -129,6 +129,28 @@ def test_cursor_places_like_a_skipped_stream(offset):
                               want.standard_exponential(37))
 
 
+@pytest.mark.parametrize("dirty, left", [
+    (lambda g: g.bit_generator.random_raw(3), lambda s: s["buffer_pos"] == 3),
+    (lambda g: g.integers(0, 2 ** 32, size=5, dtype=np.uint32),
+     lambda s: s["has_uint32"] == 1)], ids=["partly-used-buffer", "cached-uint32-half"])
+@pytest.mark.parametrize("offset", [0, 3, 161])
+def test_cursor_places_cleanly_after_any_draw(dirty, left, offset):
+    """Placing replaces the whole generator state: a partly used Philox
+    buffer or a cached 32-bit half left by earlier draws never leaks into
+    the placed stream, with key words and phase up to 2**64 - 1."""
+    cur = Cursor()
+    top = 2 ** 64 - 1
+    for seed, path, phase in [(top, top, top), (top, 5, 0), (123, top, 2)]:
+        dirty(cur.place(99, 1))
+        assert left(cur.bits.state)
+        want = stream(seed, path, phase)
+        if offset:
+            want.bit_generator.random_raw(offset)
+        g = cur.place(seed, path, phase, offset)
+        assert np.array_equal(g.random(37), want.random(37))
+        assert np.array_equal(g.standard_exponential(37), want.standard_exponential(37))
+
+
 @pytest.mark.parametrize("alpha, beta, scale", [
     (0.7, 0.0, 1.0), (0.7, -0.6, 1.5), (0.5, 1.0, 0.3), (1.0, 0.0, 2.0),
     (1.5, 0.9, 2.0)])
