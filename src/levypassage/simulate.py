@@ -248,9 +248,10 @@ def perturbed_rows(plan: PerturbedPlan, points: np.ndarray, seed: int,
             for rng, k in zip(group, owed[rows].tolist()):
                 if k:
                     rng.random(k)
-            merged, vals, epochs, _ = _block(plan, points[a:b + 1], group, carry[rows])
+            merged, vals, epochs, sizes = _block(plan, points[a:b + 1], group, carry[rows])
             owed[rows] = [e.size for e in epochs]
             carry[rows] = vals[:, -1]
+            del epochs, sizes  # a block's jumps: not held while the caller scores the group
             yield rows, merged, vals
         a = b
 
