@@ -371,6 +371,25 @@ run.threads = 1
 """,
         "95574718bfed02f33b236c618840c43599cb00f14fa39f03e51f94d60150a5ca",
         "8094c211cb71b4f93679ed484bc6aa2d3dfa7cd0b50e12fe40b45ac51b7b92c5"),
+    # the Frullani oracle at rho 0 and 1 and at a = 1
+    "kappa": ("""
+experiment.kind = kappa
+kappa.rho_values = 0,0.3,0.5,0.7,1
+kappa.a_values = 0.25,0.5,1,2,4,16
+run.seed = 7
+""",
+        "6b6a7df42387245b14e764bfec2b99bb517e927e924024d2795fded6a31f1c9c",
+        None),
+    # an increasing boundary whose sign change falls inside (1, inf)
+    "integral-test": ("""
+experiment.kind = integral-test
+boundary.kind = increasing
+boundary.gamma = 0.3
+boundary.level = -2
+run.seed = 7
+""",
+        "230de327342d819d70bfc014140eef51f0064bbc57a121fafbbed11347e6300b",
+        None),
 }
 
 

@@ -112,6 +112,14 @@ def test_integral_pure_powers():
     assert res.classification == "divergent" and math.isinf(res.value)
 
 
+def _dense_integral(f, gamma):
+    """int_1^inf |f(t)| t**(-3/2) dt, f ~ +-t**gamma at infinity: trapezoid in
+    ln t up to 1e18 plus the analytic remainder of the truncated tail."""
+    t = np.geomspace(1.0, 1e18, 2_000_001)
+    ref = np.trapezoid(np.abs(f(t)) * t ** -0.5, np.log(t))
+    return ref + 1e18 ** (gamma - 0.5) / (0.5 - gamma)
+
+
 def test_integral_moving_boundaries_closed_form():
     # 1 + t**0.25: 2 + 4 = 6
     res = brownian_integral_test(Boundary("increasing", 0.25, 1.0))
@@ -121,10 +129,14 @@ def test_integral_moving_boundaries_closed_form():
     assert res.value == pytest.approx(2.0, rel=1e-12)
     # level above 1: sign split inside the domain; dense-quadrature oracle
     res = brownian_integral_test(Boundary("decreasing", 0.25, 3.0))
-    t = np.geomspace(1.0, 1e18, 2_000_001)
-    ref = np.trapezoid(np.abs(3.0 - t ** 0.25) * t ** -0.5, np.log(t))
-    ref += 4.0 * (1e18) ** -0.25  # analytic remainder of the truncated tail
-    assert res.value == pytest.approx(ref, rel=1e-6)
+    assert res.value == pytest.approx(_dense_integral(lambda t: 3.0 - t ** 0.25, 0.25),
+                                      rel=1e-6)
+    # increasing boundaries below 0: the sign change at t = 0.5**4 <= 1, then at
+    # t = 3**4 inside (1, inf)
+    for level in (-0.5, -3.0):
+        res = brownian_integral_test(Boundary("increasing", 0.25, level))
+        assert res.value == pytest.approx(
+            _dense_integral(lambda t: level + t ** 0.25, 0.25), rel=1e-6)
     assert brownian_integral_test(Boundary("decreasing", 0.6, 1.0)).classification \
         == "divergent"
 
