@@ -28,30 +28,29 @@ KAPPA_PANELS = 10_000
 
 @dataclass(frozen=True, eq=False)
 class PositivityProfile:
-    """Either a constant rho or tabulated MC estimates of P(X(t) >= 0)."""
+    """P(X(t) >= 0) tabulated at increasing times t > 0; a constant rho is the
+    one-point table (1, rho)."""
 
-    rho: float | None = None
-    t: np.ndarray | None = None
-    p: np.ndarray | None = None
+    t: np.ndarray
+    p: np.ndarray
 
     def __post_init__(self):
-        if (self.rho is None) == (self.t is None):
-            raise ValueError("profile is either constant or tabulated")
-        if self.p is not None and (np.any(self.p < 0) or np.any(self.p > 1)):
-            raise ValueError("probabilities must lie in [0, 1]")
+        if not (self.t.ndim == 1 and self.t.size and np.all(np.isfinite(self.t))
+                and self.t[0] > 0 and np.all(np.diff(self.t) > 0)):
+            raise ValueError("times must be finite, > 0 and strictly increasing")
+        if self.p.shape != self.t.shape or not np.all((self.p >= 0) & (self.p <= 1)):
+            raise ValueError("one probability in [0, 1] per time")
 
     @classmethod
     def constant(cls, rho: float) -> "PositivityProfile":
-        return cls(rho=rho)
+        return cls.tabulated([1.0], [rho])
 
     @classmethod
     def tabulated(cls, t, p) -> "PositivityProfile":
-        return cls(rho=None, t=np.asarray(t, float), p=np.asarray(p, float))
+        return cls(np.asarray(t, float), np.asarray(p, float))
 
     def prob(self, t: np.ndarray) -> np.ndarray:
         """P(X(t) >= 0), interpolated in ln t and clamped at the table ends."""
-        if self.rho is not None:
-            return np.full_like(np.asarray(t, float), self.rho)
         return np.interp(np.log(t), np.log(self.t), self.p)
 
 
@@ -65,8 +64,6 @@ def kappa(profile: PositivityProfile, a: float) -> float:
     """
     if not (math.isfinite(a) and a > 0):
         raise ValueError("kappa requires a > 0")
-    if a == 1.0:
-        return 1.0
     u = np.linspace(-KAPPA_U_RANGE, KAPPA_U_RANGE, KAPPA_PANELS + 1)
     t = np.exp(u)
     with np.errstate(under="ignore"):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rvcalc import CONSTANT, RegVaryingTail, SlowlyVaryingSpec, quadpack, tail_mass
+from .rvcalc import CONSTANT, RegVaryingTail, SlowlyVaryingSpec, tail_mass
 from .stable import StableParams
 
 
@@ -60,6 +60,8 @@ class Boundary:
     def __post_init__(self):
         if self.kind not in BOUNDARY_KINDS:
             raise ValueError(f"unknown boundary kind {self.kind!r}")
+        if not math.isfinite(self.level):
+            raise ValueError("boundary level must be finite")
         if self.kind != "constant" and not (math.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError("moving boundaries require gamma > 0")
 
@@ -77,9 +79,11 @@ def _jump_side_integrals(tail: RegVaryingTail, u: float,
 
     The oscillatory pieces past 1 use QUADPACK's Fourier-integral routine on
     the infinite interval; both are computed at |u| so that Psi(-u) is the
-    exact float conjugate of Psi(u).
+    exact float conjugate of Psi(u).  scipy is imported here, on the first
+    call, so that no path simulation loads it.
     """
-    g, integrate = tail.density, quadpack()
+    from scipy import integrate
+    g = tail.density
     kw = dict(epsabs=epsabs, epsrel=epsrel, limit=500)
     i_cos_inner, _ = integrate.quad(lambda x: (math.cos(u * x) - 1.0) * g(x), 0.0, 1.0, **kw)
     i_sin_inner, _ = integrate.quad(lambda x: (math.sin(u * x) - u * x) * g(x), 0.0, 1.0, **kw)

@@ -83,45 +83,29 @@ class IntegralTest:
     value: float         # the full integral, inf when divergent
 
 
-def _abs_power_integral(level: float, sign: float, gamma: float) -> float:
-    """int_1^inf |level + sign*t**gamma| t**(-3/2) dt for gamma < 1/2.
-
-    Antiderivatives: int t**(-3/2) = -2 t**(-1/2) and
-    int t**(gamma-3/2) = t**(gamma-1/2) / (gamma - 1/2).
-    """
-    c = 1.0 / (0.5 - gamma)  # int_1^inf t**(gamma-3/2) dt
-
-    def piece(a: float, b: float, s: float) -> float:
-        """int_a^b s*(level + sign*t**gamma) t**(-3/2) dt, b may be inf."""
-        const = 2.0 * (a ** -0.5 - (0.0 if math.isinf(b) else b ** -0.5))
-        pw_hi = 0.0 if math.isinf(b) else b ** (gamma - 0.5)
-        power = (a ** (gamma - 0.5) - pw_hi) / (0.5 - gamma)
-        return s * (level * const + sign * power)
-
-    if sign > 0:
-        if level >= 0:
-            return 2.0 * level + c
-        t_star = (-level) ** (1.0 / gamma)
-        if t_star <= 1.0:
-            return piece(1.0, math.inf, 1.0)
-        return piece(1.0, t_star, -1.0) + piece(t_star, math.inf, 1.0)
-    # sign < 0: |level - t**gamma|
-    if level <= 1.0:
-        return piece(1.0, math.inf, -1.0)
-    t_star = level ** (1.0 / gamma)
-    return piece(1.0, t_star, 1.0) + piece(t_star, math.inf, -1.0)
-
-
 def brownian_integral_test(boundary: Boundary) -> IntegralTest:
     """Evaluate int_1^inf |f(t)| t**(-3/2) dt and classify it.
 
     For the three boundary kinds the integral is in closed form: power
-    boundaries converge iff gamma < 1/2.
+    boundaries converge iff gamma < 1/2.  f(t) = level + s*t**gamma with
+    s = +-1 is monotone, so it changes sign at most once, at
+    r = (-s*level)**(1/gamma); the integral is |I(1, r)| + |I(r, inf)| when
+    r > 1 and |I(1, inf)| otherwise, where I(a, b) = int_a^b f(t) t**(-3/2) dt
+    comes from the antiderivatives -2 t**(-1/2) and
+    t**(gamma-1/2) / (gamma-1/2), and inf**-x = 0 for x > 0.
     """
+    level, gamma = boundary.level, boundary.gamma
     if boundary.kind == "constant":
-        return IntegralTest("convergent", 2.0 * abs(boundary.level))
-    if boundary.gamma >= 0.5:
+        return IntegralTest("convergent", 2.0 * abs(level))
+    if gamma >= 0.5:
         return IntegralTest("divergent", math.inf)
-    sign = 1.0 if boundary.kind == "increasing" else -1.0
-    return IntegralTest("convergent",
-                        _abs_power_integral(boundary.level, sign, boundary.gamma))
+    s = 1.0 if boundary.kind == "increasing" else -1.0
+
+    def integral(a: float, b: float) -> float:
+        return (2.0 * level * (a ** -0.5 - b ** -0.5)
+                + s * (a ** (gamma - 0.5) - b ** (gamma - 0.5)) / (0.5 - gamma))
+
+    r = max(-s * level, 0.0) ** (1.0 / gamma)
+    if r > 1.0:
+        return IntegralTest("convergent", abs(integral(1.0, r)) + abs(integral(r, math.inf)))
+    return IntegralTest("convergent", abs(integral(1.0, math.inf)))

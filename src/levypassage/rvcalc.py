@@ -15,8 +15,8 @@ comes from `tail_knots`: one fixed Gauss-Legendre rule in t = alpha * ln(u/x),
 exact to rounding for a constant ell and within 1e-11 of 40-digit references
 for the log-power family at alpha >= 0.03; with index alpha - 2 it gives
 the second moment near 0 (`second_moment_below`).  `gl_panels` integrates
-over finite panels in v.  `quadpack`, scipy's quadrature, serves only
-`levymodel.characteristic_exponent` and is imported on its first call.
+over finite panels in v.  scipy's quadrature serves only
+`levymodel.characteristic_exponent`, which imports it on its first call.
 """
 
 from __future__ import annotations
@@ -95,12 +95,6 @@ class RegVaryingTail:
     def h(self, v):
         """density(x) * x**(alpha+1) = ell(1/x) at v = ln x."""
         return slowly_varying_at_log(self.ell, -np.asarray(v, dtype=float))
-
-
-def quadpack():
-    """The `scipy.integrate` module, imported on the first call."""
-    from scipy import integrate
-    return integrate
 
 
 @cache

@@ -199,10 +199,10 @@ def _cell_jumps(points: np.ndarray, epochs: np.ndarray,
                        minlength=points.size)[1:]
 
 
-def _running_sum(inc: np.ndarray, start: float = 0.0) -> np.ndarray:
-    """Path values from cell increments: start at the first point, then the cumsum."""
+def _running_sum(inc: np.ndarray) -> np.ndarray:
+    """Path values from cell increments: 0 at the first point, then the cumsum."""
     out = np.empty(inc.size + 1)
-    out[0], out[1:] = start, inc
+    out[0], out[1:] = 0.0, inc
     return np.cumsum(out, out=out)
 
 
@@ -231,7 +231,7 @@ def perturbed_rows(plan: PerturbedPlan, points: np.ndarray, seed: int,
     the thinning uniforms of its previous block just before its next block's
     jumps, so its path is joined_blocks' on that stream.
     """
-    rngs = {}
+    rngs = [stream(seed, path, phase) for path in paths.tolist()]
     carry = np.zeros(paths.size)
     owed = np.zeros(paths.size, dtype=np.intp)  # thinning uniforms of each row's last block
     a = 0
@@ -239,7 +239,6 @@ def perturbed_rows(plan: PerturbedPlan, points: np.ndarray, seed: int,
         live = np.flatnonzero(pending.any(axis=1))
         if live.size == 0:
             return
-        rngs = {row: rngs.get(row) or stream(seed, int(paths[row]), phase) for row in live}
         width = b - a + 1 + plan.rate * (points[b] - points[a])
         per = max(1, int(ROW_CAP // width))
         for lo in range(0, live.size, per):

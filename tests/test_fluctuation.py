@@ -54,9 +54,35 @@ def test_kappa_unsupported_arguments():
 
 def test_profile_validation():
     with pytest.raises(ValueError):
-        PositivityProfile(rho=0.5, t=np.array([1.0]), p=np.array([0.5]))
-    with pytest.raises(ValueError):
         PositivityProfile.tabulated([1.0], [1.5])
+
+
+def test_constant_profile_is_one_point_table():
+    prof = PositivityProfile.constant(0.3)
+    assert prof.t.tolist() == [1.0] and prof.p.tolist() == [0.3]
+    assert prof.prob(np.array([1e-9, 1.0, 1e9])).tolist() == [0.3, 0.3, 0.3]
+
+
+@pytest.mark.parametrize("t, p", [
+    ([10.0, 1.0], [0.3, 0.7]),        # decreasing times
+    ([1.0, 1.0], [0.3, 0.7]),         # repeated time
+    ([1.0, math.nan], [0.3, 0.7]),    # NaN time
+    ([1.0, math.inf], [0.3, 0.7]),    # infinite time
+    ([0.0, 1.0], [0.3, 0.7]),         # time not > 0
+    ([-1.0, 1.0], [0.3, 0.7]),
+    ([], []),                         # empty table
+    ([1.0, 2.0], [0.3]),              # one probability short
+    ([1.0], [0.3, 0.7]),              # one probability too many
+])
+def test_profile_table_rules(t, p):
+    with pytest.raises(ValueError):
+        PositivityProfile.tabulated(t, p)
+
+
+@pytest.mark.parametrize("rho", [math.nan, 1.5, -0.5])  # p NaN or outside [0, 1]
+def test_constant_profile_rules(rho):
+    with pytest.raises(ValueError):
+        PositivityProfile.constant(rho)
 
 
 def test_ladder_records_drift_path():

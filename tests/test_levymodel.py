@@ -73,3 +73,10 @@ def test_boundary_validation():
     with pytest.raises(ValueError):
         Boundary("decreasing", gamma=-1.0)
     Boundary("constant")  # gamma irrelevant
+
+
+@pytest.mark.parametrize("kind", ["constant", "decreasing", "increasing"])
+@pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+def test_boundary_level_must_be_finite(kind, level):
+    with pytest.raises(ValueError, match="level"):
+        Boundary(kind, 0.25, level)
